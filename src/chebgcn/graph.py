@@ -72,9 +72,9 @@ class PopulationGraph:
     Fields
     ------
     adjacency : csr_array or ndarray, (N, N)
-        Symmetric, nonnegative edge weights with a zero diagonal.
+        Symmetric, nonnegative, finite edge weights with a zero diagonal.
     features : ndarray, (N, d)
-        One row of measurements per node.
+        One row of finite measurements per node.
     labels : ndarray of int, (N,)
         Class index per node, in ``[0, n_classes)``.
     train_mask, test_mask : ndarray of bool, (N,)
@@ -119,9 +119,20 @@ class PopulationGraph:
                 raise GraphInvariantError(f"{name} must be a boolean array of length {n}")
         if bool(np.any(train & test)):
             raise GraphInvariantError("train and test masks overlap")
+        if not np.isfinite(feats).all():
+            node, col = np.argwhere(~np.isfinite(feats))[0]
+            raise GraphInvariantError(
+                f"features must be finite: node {node}, column {col} is {feats[node, col]}"
+            )
+        data = adj.data if sp.issparse(adj) else adj
+        if not np.isfinite(data).all():
+            coo = sp.coo_array(adj)
+            k = np.flatnonzero(~np.isfinite(coo.data))[0]
+            raise GraphInvariantError(
+                f"edge weights must be finite: edge ({coo.row[k]}, {coo.col[k]}) is {coo.data[k]}"
+            )
         if not _is_symmetric(adj):
             raise GraphInvariantError("adjacency must be exactly symmetric")
-        data = adj.data if sp.issparse(adj) else adj
         if data.size and float(np.min(data)) < 0.0:
             raise GraphInvariantError("edge weights must be nonnegative")
         if np.any(adj.diagonal() != 0.0):

@@ -1,11 +1,32 @@
 """File formats: whitespace edge lists, node feature CSVs, and meta-data CSVs.
 
 Floats are written with ``repr`` so that a write/read round trip reproduces
-the exact same float64 values.
+the exact same float64 values. Writers format ``_CHUNK_FIELDS`` fields at a
+time and write each slice with one call, so the Python strings they hold
+stay bounded however large the file.
+
+Readers parse whole columns with ``np.loadtxt`` and check them with array
+tests. Only when a file is rejected are its lines walked again, to name the
+first bad line as ``path:lineno``. Numbers must be plain ASCII literals
+(no ``_`` digit separators), integers must fit in int64, and every float must
+be finite.
+
+Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
+
+- ``#`` starts a comment that runs to the end of its line; blank lines are
+  skipped.
+- ``i`` and ``j`` are distinct node ids in ``[0, n_nodes)``; ``w`` is the
+  weight. ``i j`` and ``j i`` name the same undirected edge.
+- When an edge is listed more than once, its last line wins, and a weight of
+  0 removes it.
+- The result is a canonical CSR array (sorted indices, no duplicates, no
+  explicit zeros): memory grows with the number of edges, not with
+  ``n_nodes ** 2``.
 """
 
 import csv
-from pathlib import Path
+import math
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,9 +35,30 @@ from .graph import PopulationGraph
 
 MISSING_TOKENS = {"", "na", "nan", "none"}
 
+# Fields formatted per write call: 8192 edge-list lines.
+_CHUNK_FIELDS = 3 * 8192
+
+_EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+_INT64 = np.iinfo(np.int64)
+
 
 class FileFormatError(ValueError):
     """An input file does not match the expected format."""
+
+
+def _number(text: str, kind):
+    """``kind(text)`` for ``int`` or ``float``, limited to the literals ``np.loadtxt`` parses."""
+    value = kind(text)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain {kind.__name__} literal: {text.strip()!r}")
+    return value
+
+
+def _loadtxt(source, dtype, **kwargs) -> np.ndarray:
+    """Parse ``source`` into a 1-D structured array; no data rows give an empty one."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, dtype=dtype, ndmin=1, **kwargs)
 
 
 def write_edge_list(path, adjacency) -> None:
@@ -29,98 +71,161 @@ def write_edge_list(path, adjacency) -> None:
         vals = np.asarray(adjacency)[rows, cols]
     keep = rows < cols
     order = np.lexsort((cols[keep], rows[keep]))
-    rows, cols, vals = rows[keep][order], cols[keep][order], vals[keep][order]
+    rows, cols = rows[keep][order], cols[keep][order]
+    vals = vals[keep][order].astype(np.float64, copy=False)
+    step = _CHUNK_FIELDS // 3
     with open(path, "w") as fh:
-        for i, j, w in zip(rows, cols, vals):
-            fh.write(f"{i} {j} {float(w)!r}\n")
+        for s in range(0, rows.size, step):
+            lines = zip(rows[s:s + step].tolist(), cols[s:s + step].tolist(), vals[s:s + step].tolist())
+            fh.write("".join([f"{i} {j} {w!r}\n" for i, j, w in lines]))
 
 
-def read_edge_list(path, n_nodes: int) -> np.ndarray:
-    """Read ``i j w`` lines into a dense symmetric (n_nodes, n_nodes) array."""
-    adj = np.zeros((n_nodes, n_nodes))
+def _edge_list_error(path, n_nodes: int) -> FileFormatError:
+    """The error for the first line of a rejected edge list that breaks a rule."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 'i j w', got {line!r}"
-                )
+            where = f"{path}:{lineno}"
+            if len(fields) != 3:
+                return FileFormatError(f"{where}: expected 'i j w', got {line.strip()!r}")
             try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+                i, j, w = _number(fields[0], int), _number(fields[1], int), _number(fields[2], float)
             except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+                return FileFormatError(f"{where}: {exc}")
             if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-                raise FileFormatError(
-                    f"{path}:{lineno}: node index out of range for {n_nodes} nodes"
-                )
+                return FileFormatError(f"{where}: node index out of range for {n_nodes} nodes")
             if i == j:
-                raise FileFormatError(f"{path}:{lineno}: self-loops are not allowed")
-            adj[i, j] = w
-            adj[j, i] = w
-    return adj
+                return FileFormatError(f"{where}: self-loops are not allowed")
+            if not math.isfinite(w):
+                return FileFormatError(f"{where}: edge weight must be finite, got {w!r}")
+    return FileFormatError(f"{path}: not an edge list")
+
+
+def read_edge_list(path, n_nodes: int) -> sp.csr_array:
+    """Read ``i j w`` lines into a symmetric (n_nodes, n_nodes) CSR array.
+
+    See the module docstring for the rules; a file that breaks one raises
+    :class:`FileFormatError` naming its first bad line.
+    """
+    try:
+        edges = _loadtxt(path, _EDGE_DTYPE)
+    except ValueError:
+        raise _edge_list_error(path, n_nodes) from None
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    ok = (i >= 0) & (i < n_nodes) & (j >= 0) & (j < n_nodes) & (i != j) & np.isfinite(w)
+    if not ok.all():
+        raise _edge_list_error(path, n_nodes)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # np.unique keeps the first of equal keys, so run it on the lines reversed.
+    last = np.unique((lo * n_nodes + hi)[::-1], return_index=True)[1]
+    last = i.size - 1 - last
+    last = last[w[last] != 0.0]
+    index = np.int32 if n_nodes <= np.iinfo(np.int32).max else np.int64
+    lo, hi, w = lo[last].astype(index), hi[last].astype(index), w[last]
+    # The pairs are sorted, so listing each edge's (hi, lo) entry before its
+    # (lo, hi) one leaves every CSR row sorted and spares scipy a sort.
+    return sp.csr_array(
+        (np.concatenate([w, w]), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
+        shape=(n_nodes, n_nodes),
+    )
 
 
 def write_features_csv(path, graph: PopulationGraph) -> None:
     """Write node features, labels, and split tags as ``node,f0,...,label,split``.
 
     Every node must belong to exactly one of the train/test masks so the
-    split column loses no information.
+    split column loses no information. Lines end in ``\\r\\n``, as the csv
+    module writes them.
     """
     in_either = graph.train_mask | graph.test_mask
     if not bool(in_either.all()):
         raise ValueError("every node needs a split tag: train and test masks must cover all nodes")
     header = ["node"] + [f"f{i}" for i in range(graph.n_features)] + ["label", "split"]
+    splits = np.where(graph.train_mask, "train", "test")
+    step = max(1, _CHUNK_FIELDS // len(header))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(graph.n_nodes):
-            split = "train" if graph.train_mask[i] else "test"
-            row = [i] + [repr(float(v)) for v in graph.features[i]]
-            row += [int(graph.labels[i]), split]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for s in range(0, graph.n_nodes, step):
+            e = min(s + step, graph.n_nodes)
+            rows = zip(range(s, e), graph.features[s:e].tolist(),
+                       graph.labels[s:e].tolist(), splits[s:e].tolist())
+            fh.write("".join(
+                ",".join((str(i), *map(repr, feats), str(label), split)) + "\r\n"
+                for i, feats, label, split in rows
+            ))
+
+
+def _features_error(path, n_fields: int) -> FileFormatError:
+    """The error for the first row of a rejected features CSV that breaks a rule."""
+    seen = set()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != n_fields:
+                return FileFormatError(f"{where}: expected {n_fields} fields")
+            try:
+                node = _number(row[0], int)
+                feats = [_number(v, float) for v in row[1:-2]]
+                label = _number(row[-2], int)
+            except ValueError as exc:
+                return FileFormatError(f"{where}: {exc}")
+            if not (_INT64.min <= node <= _INT64.max and _INT64.min <= label <= _INT64.max):
+                return FileFormatError(f"{where}: node id and label must fit in int64")
+            if row[-1].strip().lower() not in ("train", "test"):
+                return FileFormatError(f"{where}: split must be train or test")
+            if node in seen:
+                return FileFormatError(f"{where}: duplicate node {node}")
+            seen.add(node)
+            bad = [c for c, v in enumerate(feats) if not math.isfinite(v)]
+            if bad:
+                return FileFormatError(
+                    f"{where}: feature f{bad[0]} must be finite, got {feats[bad[0]]!r}"
+                )
+    return FileFormatError(f"{path}: not a features CSV")
 
 
 def read_features_csv(path):
-    """Read a features CSV back into (features, labels, train_mask, test_mask)."""
+    """Read a features CSV back into (features, labels, train_mask, test_mask).
+
+    Rows may come in any order; node ids must cover 0..N-1 exactly once.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise FileFormatError(f"{path}: empty file")
         if len(header) < 3 or header[0] != "node" or header[-2:] != ["label", "split"]:
             raise FileFormatError(
                 f"{path}: header must be node,<features...>,label,split, got {header}"
             )
-        n_feats = len(header) - 3
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FileFormatError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                node = int(row[0])
-                feats = [float(v) for v in row[1 : 1 + n_feats]]
-                label = int(row[1 + n_feats])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-            split = row[-1].strip().lower()
-            if split not in ("train", "test"):
-                raise FileFormatError(f"{path}:{lineno}: split must be train or test")
-            if node in rows:
-                raise FileFormatError(f"{path}:{lineno}: duplicate node {node}")
-            rows[node] = (feats, label, split)
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
+        dtype = np.dtype([
+            ("node", np.int64), ("features", np.float64, (len(header) - 3,)),
+            ("label", np.int64), ("split", object),
+        ])
+        try:
+            rows = _loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"')
+        except ValueError:
+            raise _features_error(path, len(header)) from None
+    split = np.char.lower(np.char.strip(rows["split"].astype(str)))
+    train = split == "train"
+    order = np.argsort(rows["node"], kind="stable")
+    nodes = rows["node"][order]
+    ok = (
+        np.all(train | (split == "test"))
+        and np.all(nodes[1:] != nodes[:-1])
+        and np.all(np.isfinite(rows["features"]))
+    )
+    if not ok:
+        raise _features_error(path, len(header))
+    n = nodes.size
+    if not np.array_equal(nodes, np.arange(n)):
         raise FileFormatError(f"{path}: node ids must cover 0..{n - 1} exactly")
-    features = np.array([rows[i][0] for i in range(n)])
-    labels = np.array([rows[i][1] for i in range(n)], dtype=np.int64)
-    train = np.array([rows[i][2] == "train" for i in range(n)])
-    return features, labels, train, ~train
+    return rows["features"][order], rows["label"][order], train[order], ~train[order]
 
 
 def save_graph(graph: PopulationGraph, features_path, edges_path) -> None:

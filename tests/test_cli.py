@@ -271,6 +271,53 @@ class TestErrorHandling:
         assert main(["simdata", "--config", cfg]) == 2
         assert "CHEBGCN_SEED" in capsys.readouterr().err
 
+    def files_config(self, tmp_path, features_text=None, edges_text=None):
+        assert main(["simdata", "--config", write_cfg(tmp_path, quick_sections(tmp_path / "data"))]) == 0
+        features, edges = tmp_path / "data" / "features.csv", tmp_path / "data" / "edges.txt"
+        if features_text is not None:
+            features.write_bytes(features_text(features.read_bytes()))
+        if edges_text is not None:
+            edges.write_text(edges_text)
+        sections = quick_sections(tmp_path / "res", dataset={
+            "source": "files", "features": str(features), "edges": str(edges),
+        })
+        return write_cfg(tmp_path, sections)
+
+    def test_nan_feature_cell_exits_2_naming_the_line(self, tmp_path, capsys):
+        def spoil_node_1(data):
+            lines = data.split(b"\r\n")
+            fields = lines[2].split(b",")
+            lines[2] = b",".join([fields[0], b"nan", *fields[2:]])
+            return b"\r\n".join(lines)
+
+        cfg = self.files_config(tmp_path, features_text=spoil_node_1)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "features.csv:3: feature f0 must be finite, got nan" in err
+        assert not (tmp_path / "res" / "cv.csv").exists()
+
+    def test_nan_edge_weight_exits_2_naming_the_line(self, tmp_path, capsys):
+        cfg = self.files_config(tmp_path, edges_text="0 1 1.0\n0 2 nan\n")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "edges.txt:2: edge weight must be finite, got nan" in err
+        assert "symmetric" not in err
+
+    def test_nan_feature_in_build_graph_input_exits_2(self, tmp_path, capsys):
+        meta_fixture(tmp_path)
+        path = tmp_path / "features.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        lines[2] = ",".join([fields[0], "inf", *fields[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        sections = quick_sections(tmp_path / "res", affinity={
+            "meta": str(tmp_path / "meta.csv"), "features": str(path),
+        })
+        assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 2
+        assert "features.csv:3: feature f0 must be finite, got inf" in capsys.readouterr().err
+
     def test_env_out_is_honored(self, tmp_path, capsys, monkeypatch):
         envdir = tmp_path / "from-env"
         monkeypatch.setenv("CHEBGCN_OUT", str(envdir))

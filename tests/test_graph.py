@@ -266,6 +266,26 @@ class TestPopulationGraph:
         with pytest.raises(GraphInvariantError):
             make_graph(a)
 
+    def test_rejects_non_finite_features_naming_node_and_column(self):
+        feats = np.zeros((3, 2))
+        feats[2, 1] = np.nan
+        with pytest.raises(GraphInvariantError, match=r"finite: node 2, column 1 is nan"):
+            PopulationGraph(
+                adjacency=path_adjacency(3),
+                features=feats,
+                labels=np.zeros(3, dtype=np.int64),
+                train_mask=np.ones(3, dtype=bool),
+                test_mask=np.zeros(3, dtype=bool),
+            )
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite_weights_naming_the_pair(self, storage, weight):
+        a = path_adjacency(4)
+        a[1, 2] = a[2, 1] = weight
+        with pytest.raises(GraphInvariantError, match=rf"finite: edge \(1, 2\) is {weight}"):
+            make_graph(a, storage=storage)
+
     def test_rejects_overlapping_masks(self):
         a = path_adjacency(3)
         with pytest.raises(GraphInvariantError):

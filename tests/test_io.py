@@ -1,8 +1,13 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
-from chebgcn.graph import PopulationGraph
+from chebgcn.graph import PopulationGraph, to_storage
 from chebgcn.io import (
     FileFormatError,
     load_graph,
@@ -35,20 +40,26 @@ def tiny_graph(n=6, seed=0, storage="dense"):
     )
 
 
+def write_text(tmp_path, text, name="edges.txt"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
 class TestEdgeList:
     def test_round_trip_is_bitwise(self, tmp_path):
         g = tiny_graph()
         path = tmp_path / "edges.txt"
         write_edge_list(path, g.adjacency)
         back = read_edge_list(path, n_nodes=g.n_nodes)
-        npt.assert_array_equal(back, np.asarray(g.adjacency))
+        npt.assert_array_equal(back.toarray(), np.asarray(g.adjacency))
 
     def test_round_trip_from_sparse(self, tmp_path):
         g = tiny_graph(n=12, seed=3, storage="sparse")
         path = tmp_path / "edges.txt"
         write_edge_list(path, g.adjacency)
         back = read_edge_list(path, n_nodes=12)
-        npt.assert_array_equal(back, g.adjacency.toarray())
+        npt.assert_array_equal(back.toarray(), g.adjacency.toarray())
 
     def test_file_holds_sorted_upper_triangle(self, tmp_path):
         adj = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.5], [0.0, 1.5, 0.0]])
@@ -60,7 +71,7 @@ class TestEdgeList:
         path = tmp_path / "edges.txt"
         path.write_text("# header\n\n0 1 1.0\n\n# tail\n")
         back = read_edge_list(path, n_nodes=2)
-        npt.assert_array_equal(back, [[0.0, 1.0], [1.0, 0.0]])
+        npt.assert_array_equal(back.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_bad_field_count_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -85,6 +96,195 @@ class TestEdgeList:
         path.write_text("1 1 1.0\n")
         with pytest.raises(FileFormatError, match="self-loop"):
             read_edge_list(path, n_nodes=3)
+
+    def test_indented_comment_and_whitespace_only_lines_skipped(self, tmp_path):
+        path = write_text(tmp_path, "   # indented\n \t \n1\t2   0.5\n")
+        npt.assert_array_equal(read_edge_list(path, n_nodes=3).toarray()[1], [0.0, 0.0, 0.5])
+
+    def test_inline_comment_accepted(self, tmp_path):
+        path = write_text(tmp_path, "0 1 2.0  # strong tie\n")
+        npt.assert_array_equal(read_edge_list(path, n_nodes=2).toarray(), [[0.0, 2.0], [2.0, 0.0]])
+
+    def test_returns_canonical_csr(self, tmp_path):
+        path = write_text(tmp_path, "3 1 1.5\n0 2 2.0\n1 0 0.25\n2 3 4.0\n")
+        back = read_edge_list(path, n_nodes=4)
+        assert isinstance(back, sp.csr_array)
+        assert back.has_canonical_format
+        assert back.nnz == 8 and np.all(back.data != 0.0)
+        # the same buffers as CSR storage of the equivalent dense array
+        expected = to_storage(back.toarray(), "sparse")
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(back, attr), getattr(expected, attr)
+            assert got.dtype == want.dtype
+            npt.assert_array_equal(got, want)
+
+    def test_repeated_pair_last_line_wins(self, tmp_path):
+        path = write_text(tmp_path, "0 1 1.0\n1 2 2.0\n0 1 3.0\n")
+        back = read_edge_list(path, n_nodes=3).toarray()
+        assert back[0, 1] == back[1, 0] == 3.0
+        assert back[1, 2] == back[2, 1] == 2.0
+
+    def test_reversed_pair_last_line_wins(self, tmp_path):
+        path = write_text(tmp_path, "0 1 1.0\n1 0 4.0\n2 1 5.0\n1 2 6.0\n")
+        back = read_edge_list(path, n_nodes=3).toarray()
+        assert back[0, 1] == back[1, 0] == 4.0
+        assert back[1, 2] == back[2, 1] == 6.0
+
+    def test_zero_weight_line_gives_no_edge(self, tmp_path):
+        path = write_text(tmp_path, "0 1 0.0\n1 2 1.0\n1 2 0.0\n0 2 -0.0\n")
+        back = read_edge_list(path, n_nodes=3)
+        assert back.nnz == 0
+        npt.assert_array_equal(back.toarray(), np.zeros((3, 3)))
+
+    def test_zero_weight_lines_do_not_change_storage_choice(self, tmp_path):
+        # one real edge among 10 nodes (2% dense) plus a zero line for every other pair
+        g = PopulationGraph(
+            adjacency=np.zeros((10, 10)), features=np.zeros((10, 1)),
+            labels=np.zeros(10, dtype=np.int64),
+            train_mask=np.ones(10, dtype=bool), test_mask=np.zeros(10, dtype=bool),
+        )
+        write_features_csv(tmp_path / "nodes.csv", g)
+        lines = ["0 1 1.0"] + [f"{i} {j} 0.0" for i in range(10) for j in range(i + 1, 10) if j > 1]
+        write_text(tmp_path, "\n".join(lines) + "\n")
+        back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt")
+        assert sp.issparse(back.adjacency)
+        assert back.adjacency.nnz == 2
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_file_without_edges_gives_empty_graph(self, tmp_path, text):
+        back = read_edge_list(write_text(tmp_path, text), n_nodes=3)
+        assert back.shape == (3, 3)
+        assert back.nnz == 0
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("0 1", "expected 'i j w', got '0 1'"),
+            ("0 1 2.0 3", "expected 'i j w', got '0 1 2.0 3'"),
+            ("0 1 heavy", "could not convert string to float: 'heavy'"),
+            ("1.0 2 1.0", "invalid literal for int() with base 10: '1.0'"),
+            ("0 5 1.0", "node index out of range for 3 nodes"),
+            ("-1 2 1.0", "node index out of range for 3 nodes"),
+            (f"{2**70} 1 1.0", "node index out of range for 3 nodes"),
+            ("1 1 1.0", "self-loops are not allowed"),
+            ("0 1 nan", "edge weight must be finite, got nan"),
+            ("0 1 -inf", "edge weight must be finite, got -inf"),
+            ("0 1 1e400", "edge weight must be finite, got inf"),
+            ("0 1_0 1.0", "not a plain int literal: '1_0'"),
+        ],
+    )
+    def test_errors_name_path_and_line(self, tmp_path, bad_line, message):
+        path = write_text(tmp_path, f"# comment\n0 2 1.0\n\n{bad_line}\n1 2 1.0\n")
+        with pytest.raises(FileFormatError) as info:
+            read_edge_list(path, n_nodes=3)
+        assert str(info.value) == f"{path}:4: {message}"
+
+    def test_error_names_the_first_bad_line(self, tmp_path):
+        path = write_text(tmp_path, "0 1 1.0\n0 7 1.0\n0 1 heavy\n2 2 1.0\n")
+        with pytest.raises(FileFormatError, match=r"edges\.txt:2: node index out of range"):
+            read_edge_list(path, n_nodes=3)
+
+    def test_sparse_graph_loads_in_o_nnz_memory(self, tmp_path):
+        # 20,000 nodes: a dense (N, N) float64 array would take 3.2 GB
+        n = 20_000
+        rng = np.random.default_rng(0)
+        ring = np.arange(n)
+        chords = rng.integers(0, n, size=(2, 3 * n))
+        chords = chords[:, chords[0] != chords[1]]
+        rows = np.concatenate([ring, chords[0]])
+        cols = np.concatenate([(ring + 1) % n, chords[1]])
+        upper = sp.coo_array((rng.uniform(0.5, 2.0, rows.size), (rows, cols)), shape=(n, n))
+        upper = sp.csr_array(upper.maximum(upper.T))
+        train = rng.random(n) < 0.5
+        g = PopulationGraph(
+            adjacency=upper, features=rng.standard_normal((n, 2)),
+            labels=rng.integers(0, 2, n), train_mask=train, test_mask=~train,
+        )
+        save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt")
+        tracemalloc.start()
+        try:
+            back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(back.adjacency, sp.csr_array)
+        assert back.adjacency.nnz == g.adjacency.nnz
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestWritersByteIdentity:
+    """Both writers' exact bytes, for floats whose ``repr`` is easy to get wrong."""
+
+    AWKWARD = [5e-324, 1e-05, 1e16, 0.1 + 0.2]
+
+    def awkward_graph(self, storage):
+        n = 1002
+        rows = np.array([0, 2, 999, 1000])
+        cols = np.array([1, 1000, 1001, 1001])
+        upper = sp.coo_array((self.AWKWARD, (rows, cols)), shape=(n, n)).toarray()
+        feats = np.zeros((n, 2))
+        feats[0] = [-0.0, 5e-324]
+        feats[1] = [0.1 + 0.2, 1e-05]
+        feats[1001] = [1e16, -1.5]
+        train = np.arange(n) % 2 == 0
+        return PopulationGraph(
+            adjacency=upper + upper.T, features=feats, labels=np.arange(n) % 3,
+            train_mask=train, test_mask=~train, storage=storage,
+        )
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_edge_list_bytes(self, tmp_path, storage):
+        g = self.awkward_graph(storage)
+        write_edge_list(tmp_path / "edges.txt", g.adjacency)
+        assert (tmp_path / "edges.txt").read_bytes() == (
+            b"0 1 5e-324\n"
+            b"2 1000 1e-05\n"
+            b"999 1001 1e+16\n"
+            b"1000 1001 0.30000000000000004\n"
+        )
+
+    def test_features_bytes(self, tmp_path):
+        write_features_csv(tmp_path / "nodes.csv", self.awkward_graph("dense"))
+        lines = (tmp_path / "nodes.csv").read_bytes().split(b"\r\n")
+        assert lines[:4] == [
+            b"node,f0,f1,label,split",
+            b"0,-0.0,5e-324,0,train",
+            b"1,0.30000000000000004,1e-05,1,test",
+            b"2,0.0,0.0,2,train",
+        ]
+        assert lines[-3:] == [b"1000,0.0,0.0,1,train", b"1001,1e+16,-1.5,2,test", b""]
+
+    def test_edge_list_matches_line_by_line_format_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(1)
+        upper = sp.random_array((3000, 3000), density=0.004, rng=rng, format="coo")
+        adj = sp.triu(upper, k=1).tocsr()
+        adj = adj + adj.T
+        write_edge_list(tmp_path / "edges.txt", adj)
+        coo = sp.triu(adj, k=1).tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        expected = "".join(
+            f"{i} {j} {float(w)!r}\n"
+            for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order])
+        )
+        assert coo.nnz > 8192
+        assert (tmp_path / "edges.txt").read_text() == expected
+
+    def test_features_match_csv_module_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n, d = 500, 120
+        train = rng.random(n) < 0.5
+        g = PopulationGraph(
+            adjacency=np.zeros((n, n)), features=rng.standard_normal((n, d)) ** 3,
+            labels=rng.integers(0, 4, n), train_mask=train, test_mask=~train,
+        )
+        write_features_csv(tmp_path / "nodes.csv", g)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["node"] + [f"f{i}" for i in range(d)] + ["label", "split"])
+        for i in range(n):
+            split = "train" if train[i] else "test"
+            writer.writerow([i] + [repr(float(v)) for v in g.features[i]] + [int(g.labels[i]), split])
+        assert (tmp_path / "nodes.csv").read_bytes() == buf.getvalue().encode()
 
 
 class TestFeaturesCsv:
@@ -145,6 +345,45 @@ class TestFeaturesCsv:
         path.write_text("")
         with pytest.raises(FileFormatError, match="empty"):
             read_features_csv(path)
+
+    def test_header_only_gives_no_nodes(self, tmp_path):
+        path = write_text(tmp_path, "node,f0,f1,label,split\r\n", "nodes.csv")
+        feats, labels, train, test = read_features_csv(path)
+        assert feats.shape == (0, 2)
+        assert labels.shape == train.shape == test.shape == (0,)
+
+    def test_rows_in_any_order_and_split_tags_normalized(self, tmp_path):
+        path = write_text(
+            tmp_path,
+            "node,f0,label,split\n2,3.0,1, Test\n\n0,1.0,0,TRAIN\n1,2.0,1,\"train\"\n",
+            "nodes.csv",
+        )
+        feats, labels, train, test = read_features_csv(path)
+        npt.assert_array_equal(feats, [[1.0], [2.0], [3.0]])
+        npt.assert_array_equal(labels, [0, 1, 1])
+        npt.assert_array_equal(train, [True, True, False])
+        npt.assert_array_equal(test, ~train)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("1,2.0,1", "expected 5 fields"),
+            ("1,2.0,x,1,test", "could not convert string to float: 'x'"),
+            ("1,2.0,3.0,1.5,test", "invalid literal for int() with base 10: '1.5'"),
+            ("1,2.0,3.0,1,valid", "split must be train or test"),
+            ("0,2.0,3.0,1,test", "duplicate node 0"),
+            ("1,2.0,nan,1,test", "feature f1 must be finite, got nan"),
+            ("1,-inf,3.0,1,test", "feature f0 must be finite, got -inf"),
+        ],
+    )
+    def test_errors_name_path_and_line(self, tmp_path, bad_row, message):
+        path = write_text(
+            tmp_path, f"node,f0,f1,label,split\n0,1.0,1.0,0,train\n\n{bad_row}\n2,1.0,x\n",
+            "nodes.csv",
+        )
+        with pytest.raises(FileFormatError) as info:
+            read_features_csv(path)
+        assert str(info.value) == f"{path}:4: {message}"
 
 
 class TestGraphRoundTrip:

@@ -47,7 +47,6 @@ from .graph import (
     PopulationGraph,
     build_laplacian,
     chebyshev_apply,
-    estimate_lambda_max,
     khop_reach,
     rescale_laplacian,
 )
@@ -64,13 +63,9 @@ from .nn import (
     StaleTapeError,
     gc_forward,
     inception_forward,
-    load_checkpoint,
-    make_input_basis,
     masked_cross_entropy,
     network_backward,
     network_forward,
-    save_checkpoint,
-    sgd_step,
 )
 from .simdata import SimConfig, generate, stratified_folds
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PopulationGraph, to_storage
+from .graph import PopulationGraph
 
 
 class AffinityError(ValueError):
@@ -235,7 +235,6 @@ def affinity_graph(
     mode: str = "single",
     element: str | None = None,
     strict: bool = False,
-    storage: str = "auto",
 ) -> PopulationGraph:
     """Convenience wrapper: build the affinity adjacency and wrap it in a graph."""
     adjacency = build_affinity(
@@ -243,10 +242,9 @@ def affinity_graph(
     )
     n = adjacency.shape[0]
     return PopulationGraph(
-        adjacency=to_storage(adjacency, storage),
+        adjacency=adjacency,
         features=features,
         labels=labels,
         train_mask=np.ones(n, dtype=bool),
         test_mask=np.zeros(n, dtype=bool),
-        storage=storage,
     )

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import config as cfgmod
 from .affinity import (
@@ -53,12 +52,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _edge_count(graph: PopulationGraph) -> int:
-    adj = graph.adjacency
-    nnz = adj.nnz if sp.issparse(adj) else int(np.count_nonzero(adj))
-    return nnz // 2
-
-
 def _require_file(path, field):
     if not path:
         raise ConfigError(f"{field} is required for this command")
@@ -83,7 +76,7 @@ def _prepare_out(cfg: dict) -> Path:
 
 
 def _check_graph(graph: PopulationGraph) -> None:
-    if _edge_count(graph) == 0:
+    if graph.n_edges == 0:
         _warn("graph has no edges; every node is isolated")
 
 
@@ -93,7 +86,7 @@ def cmd_simdata(cfg: dict) -> int:
     save_graph(graph, out / "features.csv", out / "edges.txt")
     _check_graph(graph)
     print(f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
-          f"{graph.n_nodes} nodes, {_edge_count(graph)} edges")
+          f"{graph.n_nodes} nodes, {graph.n_edges} edges")
     return 0
 
 
@@ -138,7 +131,7 @@ def cmd_build_graph(cfg: dict) -> int:
         gate = binarize_edges(el, strict=aff["strict"])
         print(f"element {el.name}: {int(gate.sum()) // 2} edges (beta={el.beta})")
     print(f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
-          f"{graph.n_nodes} nodes, {_edge_count(graph)} edges "
+          f"{graph.n_nodes} nodes, {graph.n_edges} edges "
           f"({aff['mode']} over {len(elements)} elements)")
     return 0
 
@@ -261,6 +254,10 @@ def main(argv=None) -> int:
         cfg = cfgmod.resolve_config(
             config=args.config, seed=args.seed, out=args.out, threads=args.threads
         )
+        exp = cfg["experiment"]
+        if exp["threads"] > 1 and (args.command, exp["sweep_mode"]) != ("sweep", "pairs"):
+            _warn(f"threads = {exp['threads']} is ignored: "
+                  "only sweep in pairs mode runs in parallel")
         return COMMANDS[args.command](cfg)
     except (ConfigError, FileFormatError, AffinityError, GraphInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

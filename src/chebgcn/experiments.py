@@ -21,7 +21,6 @@ from .nn import (
     Network,
     NonFiniteGradientError,
     glorot_uniform,
-    make_input_basis,
     make_optimizer,
     masked_cross_entropy,
     network_backward,
@@ -229,7 +228,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     follow the usual convention: dropout is on for the update pass only.
     """
     if input_basis is None:
-        input_basis = make_input_basis(net, lap, x)
+        input_basis = chebyshev_apply(lap, x, max(br.order for br in net.modules[0].branches))
     if cfg.dropout > 0.0 and dropout_rng is None:
         dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)

@@ -1,17 +1,19 @@
 """Population graphs, normalized Laplacians, and Chebyshev filtering.
 
-All numeric data is float64. Adjacency and Laplacian matrices are stored in
-CSR format when their density is below ``SPARSE_DENSITY_CUTOFF`` and as dense
-ndarrays otherwise; both storage paths compute the same values to within
-floating-point roundoff.
+All numeric data is float64. :func:`to_storage` picks each adjacency's
+storage once, by density: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense
+ndarray at or above it. Laplacians keep the storage of their adjacency, and
+both storage paths compute the same values to within floating-point roundoff.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-# Matrices at or above this density gain nothing from CSR storage.
+# Population graphs come both as sparse geometric graphs (a few percent of
+# pairs) and as half-full meta-data graphs. L @ H on a 55%-dense Laplacian is
+# 2-5x faster dense than CSR; at 3.5% density CSR is 2-3x faster.
 SPARSE_DENSITY_CUTOFF = 0.25
 
 
@@ -19,34 +21,27 @@ class GraphInvariantError(ValueError):
     """A graph or Laplacian violates a structural invariant."""
 
 
-def density(matrix) -> float:
-    """Fraction of nonzero entries in a square matrix (0.0 for an empty one)."""
-    n, m = matrix.shape
-    if n * m == 0:
-        return 0.0
-    nnz = matrix.nnz if sp.issparse(matrix) else int(np.count_nonzero(matrix))
-    return nnz / (n * m)
+def _nnz(matrix) -> int:
+    return matrix.nnz if sp.issparse(matrix) else int(np.count_nonzero(matrix))
 
 
-def to_storage(matrix, storage: str = "auto"):
-    """Return ``matrix`` as float64 in the requested storage.
-
-    storage:
-        "auto"   -- CSR when density < SPARSE_DENSITY_CUTOFF, dense otherwise
-        "sparse" -- CSR always
-        "dense"  -- ndarray always
-    """
-    if storage not in ("auto", "sparse", "dense"):
-        raise ValueError(f"unknown storage mode {storage!r}")
-    if storage == "auto":
-        storage = "sparse" if density(matrix) < SPARSE_DENSITY_CUTOFF else "dense"
-    if storage == "dense":
-        out = matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
-        return out.astype(np.float64, copy=False)
+def _canonical_csr(matrix) -> sp.csr_array:
+    """``matrix`` as float64 CSR with sorted indices and no duplicates."""
     out = sp.csr_array(matrix, dtype=np.float64)
     out.sum_duplicates()
     out.sort_indices()
     return out
+
+
+def to_storage(matrix):
+    """Return ``matrix`` as float64: canonical CSR when fewer than
+    ``SPARSE_DENSITY_CUTOFF`` of its entries are nonzero, a dense ndarray
+    otherwise."""
+    n, m = matrix.shape
+    if _nnz(matrix) < SPARSE_DENSITY_CUTOFF * n * m:
+        return _canonical_csr(matrix)
+    out = matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
+    return out.astype(np.float64, copy=False)
 
 
 def _freeze(matrix):
@@ -80,9 +75,9 @@ class PopulationGraph:
     train_mask, test_mask : ndarray of bool, (N,)
         Disjoint split membership flags.
 
-    The ``storage`` init-only argument selects the adjacency representation
-    (see :func:`to_storage`). Instances are immutable: arrays are copied on
-    construction and their buffers marked read-only.
+    The adjacency is stored as :func:`to_storage` picks. Instances are
+    immutable: arrays are copied on construction and their buffers marked
+    read-only.
     """
 
     adjacency: object
@@ -90,10 +85,9 @@ class PopulationGraph:
     labels: np.ndarray
     train_mask: np.ndarray
     test_mask: np.ndarray
-    storage: InitVar[str] = "auto"
 
-    def __post_init__(self, storage):
-        adj = to_storage(self.adjacency, storage)
+    def __post_init__(self):
+        adj = to_storage(self.adjacency)
         feats = np.array(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
         train = np.array(self.train_mask, dtype=bool)
@@ -153,6 +147,11 @@ class PopulationGraph:
         return self.adjacency.shape[0]
 
     @property
+    def n_edges(self) -> int:
+        """Number of undirected edges (node pairs with a nonzero weight)."""
+        return _nnz(self.adjacency) // 2
+
+    @property
     def n_features(self) -> int:
         return self.features.shape[1]
 
@@ -162,8 +161,6 @@ class PopulationGraph:
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node."""
-        if sp.issparse(self.adjacency):
-            return np.asarray(self.adjacency.sum(axis=1)).ravel()
         return self.adjacency.sum(axis=1)
 
 
@@ -195,27 +192,23 @@ class NormalizedLaplacian:
         return m.toarray() if sp.issparse(m) else np.array(m)
 
 
-def build_laplacian(graph, storage: str = "auto", estimate: bool = False) -> NormalizedLaplacian:
+def build_laplacian(graph) -> NormalizedLaplacian:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2} of a graph.
 
-    Accepts a :class:`PopulationGraph` or a bare adjacency matrix. Rows and
-    columns of isolated nodes come out as identity rows: their degree inverse
-    is taken to be zero. The result is symmetrized as (L + L^T) / 2 so that
-    it is exactly equal to its transpose despite roundoff.
-
-    With ``estimate=True`` the ``lambda_max`` field holds a power-iteration
-    estimate of the top eigenvalue instead of the universal bound 2.0.
+    Accepts a :class:`PopulationGraph` or a bare adjacency matrix (stored as
+    :func:`to_storage` picks); the Laplacian keeps the adjacency's storage.
+    Rows and columns of isolated nodes come out as identity rows: their
+    degree inverse is taken to be zero. The result is symmetrized as
+    (L + L^T) / 2 so that it is exactly equal to its transpose despite
+    roundoff.
     """
-    adj = graph.adjacency if isinstance(graph, PopulationGraph) else to_storage(graph, "auto")
+    adj = graph.adjacency if isinstance(graph, PopulationGraph) else to_storage(graph)
     if adj.shape[0] != adj.shape[1]:
         raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
     if not _is_symmetric(adj):
         raise GraphInvariantError("adjacency must be exactly symmetric")
 
-    if sp.issparse(adj):
-        deg = np.asarray(adj.sum(axis=1)).ravel()
-    else:
-        deg = adj.sum(axis=1)
+    deg = adj.sum(axis=1)
     d_inv_sqrt = np.zeros_like(deg)
     nonzero = deg > 0
     d_inv_sqrt[nonzero] = 1.0 / np.sqrt(deg[nonzero])
@@ -224,31 +217,11 @@ def build_laplacian(graph, storage: str = "auto", estimate: bool = False) -> Nor
     if sp.issparse(adj):
         d_half = sp.diags_array(d_inv_sqrt, format="csr")
         lap = sp.eye_array(n, format="csr") - d_half @ adj @ d_half
-        lap = (lap + lap.T) * 0.5
+        lap = _canonical_csr((lap + lap.T) * 0.5)
     else:
         lap = np.eye(n) - adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
         lap = (lap + lap.T) * 0.5
-    lap = to_storage(lap, storage)
-
-    lam = estimate_lambda_max(lap) if estimate else 2.0
-    return NormalizedLaplacian(matrix=lap, lambda_max=lam)
-
-
-def estimate_lambda_max(matrix, n_iter: int = 100, seed: int = 0) -> float:
-    """Largest-eigenvalue estimate of a symmetric PSD matrix by power iteration."""
-    n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(n_iter):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (matrix @ v))
-    return lam
+    return NormalizedLaplacian(matrix=lap)
 
 
 def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
@@ -262,9 +235,7 @@ def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
     scale = 2.0 / lap.lambda_max
     n = lap.n_nodes
     if sp.issparse(lap.matrix):
-        scaled = lap.matrix * scale - sp.eye_array(n, format="csr")
-        scaled = sp.csr_array(scaled)
-        scaled.sort_indices()
+        scaled = _canonical_csr(lap.matrix * scale - sp.eye_array(n, format="csr"))
     else:
         scaled = lap.matrix * scale - np.eye(n)
     return NormalizedLaplacian(matrix=scaled, lambda_max=1.0)

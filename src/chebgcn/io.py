@@ -62,17 +62,12 @@ def _loadtxt(source, dtype, **kwargs) -> np.ndarray:
 
 
 def write_edge_list(path, adjacency) -> None:
-    """Write the upper triangle of a symmetric adjacency as ``i j w`` lines."""
-    if sp.issparse(adjacency):
-        coo = sp.coo_array(adjacency)
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        rows, cols = np.nonzero(adjacency)
-        vals = np.asarray(adjacency)[rows, cols]
-    keep = rows < cols
-    order = np.lexsort((cols[keep], rows[keep]))
-    rows, cols = rows[keep][order], cols[keep][order]
-    vals = vals[keep][order].astype(np.float64, copy=False)
+    """Write the upper triangle of a symmetric adjacency as ``i j w`` lines,
+    sorted by ``i`` and then ``j``."""
+    upper = sp.triu(adjacency, k=1, format="csr").astype(np.float64, copy=False)
+    upper.sum_duplicates()
+    rows = np.repeat(np.arange(upper.shape[0]), np.diff(upper.indptr))
+    cols, vals = upper.indices, upper.data
     step = _CHUNK_FIELDS // 3
     with open(path, "w") as fh:
         for s in range(0, rows.size, step):
@@ -233,7 +228,7 @@ def save_graph(graph: PopulationGraph, features_path, edges_path) -> None:
     write_edge_list(edges_path, graph.adjacency)
 
 
-def load_graph(features_path, edges_path, storage: str = "auto") -> PopulationGraph:
+def load_graph(features_path, edges_path) -> PopulationGraph:
     """Assemble a :class:`PopulationGraph` from a features CSV and an edge list."""
     features, labels, train, test = read_features_csv(features_path)
     adjacency = read_edge_list(edges_path, n_nodes=features.shape[0])
@@ -243,7 +238,6 @@ def load_graph(features_path, edges_path, storage: str = "auto") -> PopulationGr
         labels=labels,
         train_mask=train,
         test_mask=test,
-        storage=storage,
     )
 
 
@@ -254,7 +248,9 @@ def read_meta_csv(path):
     ``values`` is float64 and ``missing`` is a boolean mask. Empty cells and
     the tokens na/nan/none (any case) count as missing; a missing value is
     stored as 0.0 under the mask. Columns with any non-numeric entry are
-    treated as categorical and coded by sorted distinct value, from 0.
+    treated as categorical and coded by sorted distinct value, from 0. A
+    numeric column must hold finite values: ``inf`` or ``1e400`` raises
+    :class:`FileFormatError` naming the line and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -268,6 +264,7 @@ def read_meta_csv(path):
         if len(set(names)) != len(names):
             raise FileFormatError(f"{path}: duplicate meta-data column names")
         cells = {}
+        linenos = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -280,6 +277,7 @@ def read_meta_csv(path):
             if node in cells:
                 raise FileFormatError(f"{path}:{lineno}: duplicate node {node}")
             cells[node] = [v.strip() for v in row[1:]]
+            linenos[node] = lineno
     n = len(cells)
     if sorted(cells) != list(range(n)):
         raise FileFormatError(f"{path}: node ids must cover 0..{n - 1} exactly")
@@ -300,6 +298,12 @@ def read_meta_csv(path):
         if numeric:
             for i, v in present:
                 values[i] = float(v)
+            bad = [(linenos[i], float(v)) for i, v in present if not math.isfinite(values[i])]
+            if bad:
+                lineno, value = min(bad)
+                raise FileFormatError(
+                    f"{path}:{lineno}: column {name!r} must be finite, got {value!r}"
+                )
         else:
             codes = {v: c for c, v in enumerate(sorted({v for _, v in present}))}
             for i, v in present:

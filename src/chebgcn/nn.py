@@ -12,7 +12,6 @@ involved anywhere in training. The finite-difference comparison lives in
 the test suite instead.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,19 +302,13 @@ class GradientTape:
     dropout_masks: list
 
 
-def make_input_basis(net: Network, lap: NormalizedLaplacian, x) -> list:
-    """Precompute the first-module Chebyshev basis of x for reuse across epochs."""
-    x = np.asarray(x, dtype=np.float64)
-    max_order = max(br.order for br in net.modules[0].branches)
-    return chebyshev_apply(lap, x, max_order)
-
-
 def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
                     dropout: float = 0.0, dropout_rng=None):
     """Run the network on node features x; returns (scores, tape).
 
-    ``input_basis`` may hold :func:`make_input_basis` output for the same
-    (lap, x) pair; it only short-circuits the first module's basis build.
+    ``input_basis`` may hold ``chebyshev_apply(lap, x, k)`` for the same
+    (lap, x) pair, with k at least the first module's highest order; it only
+    short-circuits the first module's basis build.
     ``dropout`` (training only) zeroes each module-output entry with the
     given probability and rescales the survivors; it needs a Generator.
     Module inputs are left alone so the cached basis stays valid.
@@ -444,30 +437,26 @@ def masked_cross_entropy(scores, labels, mask):
     return loss, grad
 
 
-def _check_gradient(name, g):
+def _check_gradient(name, p, g):
+    if g.shape != p.shape:
+        raise ShapeMismatchError(
+            f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}"
+        )
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
 
 
-def sgd_step(params: dict, grads: dict, lr: float) -> dict:
-    """In-place vanilla gradient-descent update of every parameter."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(
-                f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}"
-            )
-        _check_gradient(name, g)
-        p -= lr * g
-    return params
-
-
 class GradientDescent:
+    """In-place gradient descent: each parameter moves by -lr times its gradient."""
+
     def __init__(self, lr: float):
         self.lr = lr
 
     def step(self, params, grads):
-        sgd_step(params, grads, self.lr)
+        for name, p in params.items():
+            g = grads[name]
+            _check_gradient(name, p, g)
+            p -= self.lr * g
 
 
 class Adam:
@@ -486,11 +475,7 @@ class Adam:
         self.t += 1
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeMismatchError(
-                    f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}"
-                )
-            _check_gradient(name, g)
+            _check_gradient(name, p, g)
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
@@ -511,49 +496,3 @@ def make_optimizer(name: str, lr: float):
     if name == "adam":
         return Adam(lr)
     raise ValueError(f"unknown optimizer {name!r}")
-
-
-def save_checkpoint(path, net: Network) -> None:
-    """Serialize architecture and float64 weights; the round trip is exact."""
-    desc = {
-        "modules": [
-            {
-                "aggregator": mod.aggregator,
-                "branches": [
-                    {
-                        "order": br.order,
-                        "d_in": br.d_in,
-                        "d_out": br.d_out,
-                        "activation": br.activation,
-                    }
-                    for br in mod.branches
-                ],
-            }
-            for mod in net.modules
-        ],
-        "classifier": net.classifier_weight is not None,
-    }
-    blob = np.frombuffer(json.dumps(desc).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, __arch__=blob, **net.parameters())
-
-
-def load_checkpoint(path) -> Network:
-    with np.load(path) as data:
-        desc = json.loads(bytes(data["__arch__"].tobytes()).decode("utf-8"))
-        modules = []
-        for mi, mdesc in enumerate(desc["modules"]):
-            branches = []
-            for si, bdesc in enumerate(mdesc["branches"]):
-                theta = data[f"modules.{mi}.branches.{si}.theta"].copy()
-                bias = data[f"modules.{mi}.branches.{si}.bias"].copy()
-                branches.append(
-                    ChebFilterLayer(theta=theta, bias=bias, activation=bdesc["activation"])
-                )
-            modules.append(InceptionModule(branches=branches, aggregator=mdesc["aggregator"]))
-        if desc["classifier"]:
-            w = data["classifier.weight"].copy()
-            b = data["classifier.bias"].copy()
-        else:
-            w = b = None
-    return Network(modules=modules, classifier_weight=w, classifier_bias=b)

@@ -52,7 +52,7 @@ class SimConfig:
             raise ValueError(f"unknown edge_weights {self.edge_weights!r}")
 
 
-def generate(config: SimConfig, storage: str = "auto") -> PopulationGraph:
+def generate(config: SimConfig) -> PopulationGraph:
     """Draw one dataset. The graph always comes from the point positions,
     regardless of feature mode, so random features leave the graph intact."""
     rng = np.random.default_rng(config.seed)
@@ -87,7 +87,6 @@ def generate(config: SimConfig, storage: str = "auto") -> PopulationGraph:
         labels=labels,
         train_mask=np.ones(total, dtype=bool),
         test_mask=np.zeros(total, dtype=bool),
-        storage=storage,
     )
 
 

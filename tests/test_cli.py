@@ -160,7 +160,7 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out.count("k = ") == 3
 
-    def test_threads_flag_matches_serial_output(self, tmp_path):
+    def test_threads_flag_matches_serial_output(self, tmp_path, capsys):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         base = dict(training={"epochs": 5}, experiment={"k_range": [1, 2], "width": 4})
         cfg_s = write_cfg(tmp_path, quick_sections(serial, **base), "s.yaml")
@@ -168,6 +168,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_s]) == 0
         assert main(["sweep", "--config", cfg_p, "--threads", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+        assert "warning:" not in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -255,6 +256,39 @@ class TestBuildGraphCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra, result, source", [
+    ("simdata", {}, "edges.txt", "env"),
+    ("build-graph", {}, "edges.txt", "config"),
+    ("train", {}, "cv.csv", "flag"),
+    ("sweep", {"experiment": {"k_range": [1, 2], "width": 4, "sweep_mode": "single"}},
+     "boxplot.csv", "flag"),
+    ("compare", {"experiment": {"k1": 1, "k2": 2, "width": 4}}, "compare.csv", "flag"),
+])
+def test_ignored_threads_warn_once_and_leave_results_unchanged(
+        tmp_path, capsys, monkeypatch, command, extra, result, source):
+    extra = {"training": {"epochs": 5}, **extra}
+    if command == "build-graph":
+        meta_fixture(tmp_path)
+        extra["affinity"] = {
+            "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv"),
+        }
+    serial, threaded = tmp_path / "one", tmp_path / "two"
+    assert main([command, "--config", write_cfg(tmp_path, quick_sections(serial, **extra))]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    sections = quick_sections(threaded, **extra)
+    argv = [command]
+    if source == "env":
+        monkeypatch.setenv("CHEBGCN_THREADS", "2")
+    elif source == "config":
+        sections["experiment"]["threads"] = 2
+    else:
+        argv += ["--threads", "2"]
+    assert main(argv + ["--config", write_cfg(tmp_path, sections, "two.yaml")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: threads = 2 is ignored") == 1
+    assert (serial / result).read_bytes() == (threaded / result).read_bytes()
+
+
 class TestErrorHandling:
     def test_unknown_preset_exits_2(self, capsys):
         assert main(["train", "--config", "no-such-preset.cfg"]) == 2
@@ -317,6 +351,17 @@ class TestErrorHandling:
         })
         assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 2
         assert "features.csv:3: feature f0 must be finite, got inf" in capsys.readouterr().err
+
+    def test_inf_meta_value_in_build_graph_exits_2_naming_line_and_column(self, tmp_path, capsys):
+        meta_fixture(tmp_path)
+        path = tmp_path / "meta.csv"
+        path.write_text(path.read_text().replace("1,52,M", "1,inf,M"))
+        sections = quick_sections(tmp_path / "res", affinity={
+            "meta": str(path), "features": str(tmp_path / "features.csv"),
+        })
+        assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 2
+        assert "meta.csv:3: column 'age' must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "res" / "edges.txt").exists()
 
     def test_env_out_is_honored(self, tmp_path, capsys, monkeypatch):
         envdir = tmp_path / "from-env"

@@ -9,7 +9,6 @@ from chebgcn.graph import (
     PopulationGraph,
     build_laplacian,
     chebyshev_apply,
-    estimate_lambda_max,
     khop_reach,
     rescale_laplacian,
     to_storage,
@@ -25,7 +24,7 @@ from conftest import (
 )
 
 
-def make_graph(adjacency, storage="auto"):
+def make_graph(adjacency):
     n = adjacency.shape[0]
     return PopulationGraph(
         adjacency=adjacency,
@@ -33,7 +32,6 @@ def make_graph(adjacency, storage="auto"):
         labels=np.zeros(n, dtype=np.int64),
         train_mask=np.ones(n, dtype=bool),
         test_mask=np.zeros(n, dtype=bool),
-        storage=storage,
     )
 
 
@@ -57,10 +55,12 @@ class TestBuildLaplacian:
 
     def test_matches_loop_oracle_on_random_graphs(self):
         rng = np.random.default_rng(7)
-        for n in (4, 9, 16):
-            a = random_adjacency(rng, n, p=0.4, weighted=True)
+        # the last graph is under the density cutoff, so it takes the CSR path
+        for n, p in ((4, 0.4), (9, 0.4), (16, 0.4), (20, 0.1)):
+            a = random_adjacency(rng, n, p=p, weighted=True)
             lap = build_laplacian(a)
             npt.assert_allclose(lap.toarray(), loop_normalized_laplacian(a), atol=1e-12)
+        assert sp.issparse(lap.matrix)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(3)
@@ -89,20 +89,32 @@ class TestBuildLaplacian:
 
     def test_sparse_and_dense_storage_agree(self):
         a = random_adjacency(np.random.default_rng(11), 14, p=0.3, weighted=True)
-        lap_s = build_laplacian(a, storage="sparse")
-        lap_d = build_laplacian(a, storage="dense")
+        dense = build_laplacian(a).toarray()
+        lap_s = NormalizedLaplacian(matrix=sp.csr_array(dense))
+        lap_d = NormalizedLaplacian(matrix=dense)
         assert sp.issparse(lap_s.matrix)
         assert not sp.issparse(lap_d.matrix)
         npt.assert_allclose(lap_s.toarray(), lap_d.toarray(), atol=1e-12)
+        lt_s, lt_d = rescale_laplacian(lap_s), rescale_laplacian(lap_d)
+        assert sp.issparse(lt_s.matrix)
+        assert not sp.issparse(lt_d.matrix)
+        npt.assert_allclose(lt_s.toarray(), lt_d.toarray(), atol=1e-12)
+
+    def test_laplacian_keeps_csr_storage_of_its_adjacency(self):
+        # 12 edges on 10 nodes: the adjacency is 24% dense, its Laplacian 34%
+        a = path_adjacency(10)
+        a[0, 5] = a[5, 0] = a[2, 7] = a[7, 2] = a[4, 9] = a[9, 4] = 1.0
+        g = make_graph(a)
+        assert sp.issparse(g.adjacency)
+        assert g.adjacency.nnz == 24
+        lap = build_laplacian(g)
+        assert sp.issparse(lap.matrix)
+        assert lap.matrix.has_canonical_format
+        assert sp.issparse(rescale_laplacian(lap).matrix)
+        npt.assert_allclose(lap.toarray(), loop_normalized_laplacian(a), atol=1e-12)
 
     def test_default_lambda_max_is_two(self):
         assert build_laplacian(path_adjacency(4)).lambda_max == 2.0
-
-    def test_estimated_lambda_close_to_true_top_eigenvalue(self):
-        a = random_adjacency(np.random.default_rng(2), 12, p=0.5)
-        lap = build_laplacian(a, estimate=True)
-        true_top = np.linalg.eigvalsh(lap.toarray()).max()
-        assert abs(lap.lambda_max - true_top) < 1e-6
 
     def test_rejects_asymmetric_input(self):
         a = np.zeros((3, 3))
@@ -192,8 +204,9 @@ class TestChebyshevApply:
         rng = np.random.default_rng(8)
         a = random_adjacency(rng, 12, p=0.3, weighted=True)
         x = rng.standard_normal((12, 4))
-        lt_s = rescale_laplacian(build_laplacian(a, storage="sparse"))
-        lt_d = rescale_laplacian(build_laplacian(a, storage="dense"))
+        dense = rescale_laplacian(build_laplacian(a)).toarray()
+        lt_s = NormalizedLaplacian(matrix=sp.csr_array(dense), lambda_max=1.0)
+        lt_d = NormalizedLaplacian(matrix=dense, lambda_max=1.0)
         for s, d in zip(chebyshev_apply(lt_s, x, 5), chebyshev_apply(lt_d, x, 5)):
             npt.assert_allclose(s, d, atol=1e-12)
 
@@ -251,11 +264,6 @@ class TestPopulationGraph:
         assert sp.issparse(make_graph(sparse_a).adjacency)
         assert not sp.issparse(make_graph(dense_a).adjacency)
 
-    def test_storage_override(self):
-        a = path_adjacency(6)
-        assert not sp.issparse(make_graph(a, storage="dense").adjacency)
-        assert sp.issparse(make_graph(a, storage="sparse").adjacency)
-
     def test_rejects_negative_weights(self):
         a = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(GraphInvariantError):
@@ -281,10 +289,12 @@ class TestPopulationGraph:
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @pytest.mark.parametrize("weight", [np.nan, np.inf])
     def test_rejects_non_finite_weights_naming_the_pair(self, storage, weight):
-        a = path_adjacency(4)
+        # a 4-node path is 37.5% dense, a 10-node path 18%
+        a = path_adjacency(4 if storage == "dense" else 10)
         a[1, 2] = a[2, 1] = weight
+        assert sp.issparse(to_storage(a)) == (storage == "sparse")
         with pytest.raises(GraphInvariantError, match=rf"finite: edge \(1, 2\) is {weight}"):
-            make_graph(a, storage=storage)
+            make_graph(a)
 
     def test_rejects_overlapping_masks(self):
         a = path_adjacency(3)
@@ -326,12 +336,4 @@ class TestPopulationGraph:
         assert g.n_features == 3
         assert g.n_classes == 3
         npt.assert_array_equal(g.degrees(), [1.0, 2.0, 2.0, 1.0])
-
-
-def test_to_storage_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        to_storage(np.eye(2), "mmap")
-
-
-def test_estimate_lambda_max_zero_matrix():
-    assert estimate_lambda_max(np.zeros((3, 3))) == 0.0
+        assert g.n_edges == 3

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from chebgcn.graph import PopulationGraph, to_storage
+from chebgcn.graph import PopulationGraph
 from chebgcn.io import (
     FileFormatError,
     load_graph,
@@ -22,9 +22,9 @@ from chebgcn.io import (
 from conftest import random_adjacency
 
 
-def tiny_graph(n=6, seed=0, storage="dense"):
+def tiny_graph(n=6, seed=0, p=0.5):
     rng = np.random.default_rng(seed)
-    adjacency = random_adjacency(rng, n, p=0.5)
+    adjacency = random_adjacency(rng, n, p=p)
     # irrational-ish weights exercise the repr round trip
     adjacency *= 1.0 + rng.random((1,))[0]
     adjacency = (adjacency + adjacency.T) / 2
@@ -36,7 +36,6 @@ def tiny_graph(n=6, seed=0, storage="dense"):
         labels=labels,
         train_mask=train,
         test_mask=~train,
-        storage=storage,
     )
 
 
@@ -49,13 +48,15 @@ def write_text(tmp_path, text, name="edges.txt"):
 class TestEdgeList:
     def test_round_trip_is_bitwise(self, tmp_path):
         g = tiny_graph()
+        assert not sp.issparse(g.adjacency)
         path = tmp_path / "edges.txt"
         write_edge_list(path, g.adjacency)
         back = read_edge_list(path, n_nodes=g.n_nodes)
         npt.assert_array_equal(back.toarray(), np.asarray(g.adjacency))
 
     def test_round_trip_from_sparse(self, tmp_path):
-        g = tiny_graph(n=12, seed=3, storage="sparse")
+        g = tiny_graph(n=12, seed=3, p=0.15)
+        assert sp.issparse(g.adjacency)
         path = tmp_path / "edges.txt"
         write_edge_list(path, g.adjacency)
         back = read_edge_list(path, n_nodes=12)
@@ -112,7 +113,7 @@ class TestEdgeList:
         assert back.has_canonical_format
         assert back.nnz == 8 and np.all(back.data != 0.0)
         # the same buffers as CSR storage of the equivalent dense array
-        expected = to_storage(back.toarray(), "sparse")
+        expected = sp.csr_array(back.toarray())
         for attr in ("data", "indices", "indptr"):
             got, want = getattr(back, attr), getattr(expected, attr)
             assert got.dtype == want.dtype
@@ -217,7 +218,7 @@ class TestWritersByteIdentity:
 
     AWKWARD = [5e-324, 1e-05, 1e16, 0.1 + 0.2]
 
-    def awkward_graph(self, storage):
+    def awkward_graph(self):
         n = 1002
         rows = np.array([0, 2, 999, 1000])
         cols = np.array([1, 1000, 1001, 1001])
@@ -229,13 +230,25 @@ class TestWritersByteIdentity:
         train = np.arange(n) % 2 == 0
         return PopulationGraph(
             adjacency=upper + upper.T, features=feats, labels=np.arange(n) % 3,
-            train_mask=train, test_mask=~train, storage=storage,
+            train_mask=train, test_mask=~train,
         )
 
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("storage", ["dense", "sparse", "sparse-unsorted"])
     def test_edge_list_bytes(self, tmp_path, storage):
-        g = self.awkward_graph(storage)
-        write_edge_list(tmp_path / "edges.txt", g.adjacency)
+        adjacency = self.awkward_graph().adjacency
+        assert sp.issparse(adjacency)
+        if storage == "dense":
+            adjacency = adjacency.toarray()
+        elif storage == "sparse-unsorted":
+            # every row's column indices reversed
+            rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
+            order = np.lexsort((-adjacency.indices, rows))
+            adjacency = sp.csr_array(
+                (adjacency.data[order], adjacency.indices[order], adjacency.indptr),
+                shape=adjacency.shape,
+            )
+            assert not adjacency.has_sorted_indices
+        write_edge_list(tmp_path / "edges.txt", adjacency)
         assert (tmp_path / "edges.txt").read_bytes() == (
             b"0 1 5e-324\n"
             b"2 1000 1e-05\n"
@@ -244,7 +257,7 @@ class TestWritersByteIdentity:
         )
 
     def test_features_bytes(self, tmp_path):
-        write_features_csv(tmp_path / "nodes.csv", self.awkward_graph("dense"))
+        write_features_csv(tmp_path / "nodes.csv", self.awkward_graph())
         lines = (tmp_path / "nodes.csv").read_bytes().split(b"\r\n")
         assert lines[:4] == [
             b"node,f0,f1,label,split",
@@ -390,18 +403,13 @@ class TestGraphRoundTrip:
     def test_save_load_preserves_everything(self, tmp_path):
         g = tiny_graph(n=10, seed=9)
         save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt")
-        back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt", storage="dense")
-        npt.assert_array_equal(np.asarray(back.adjacency), np.asarray(g.adjacency))
+        back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt")
+        assert not sp.issparse(back.adjacency)
+        npt.assert_array_equal(back.adjacency, g.adjacency)
         npt.assert_array_equal(back.features, g.features)
         npt.assert_array_equal(back.labels, g.labels)
         npt.assert_array_equal(back.train_mask, g.train_mask)
         npt.assert_array_equal(back.test_mask, g.test_mask)
-
-    def test_load_respects_storage_request(self, tmp_path):
-        g = tiny_graph(n=8, seed=10)
-        save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt")
-        sparse = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt", storage="sparse")
-        assert hasattr(sparse.adjacency, "toarray")
 
 
 class TestMetaCsv:
@@ -465,3 +473,15 @@ class TestMetaCsv:
         path.write_text("node,age\n0,1\n3,2\n")
         with pytest.raises(FileFormatError, match="node ids"):
             read_meta_csv(path)
+
+    @pytest.mark.parametrize("text, shown", [("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf")])
+    def test_non_finite_numeric_value_rejected_naming_line_and_column(self, tmp_path, text, shown):
+        # rows out of node order: the first bad line in the file is named
+        path = write_text(tmp_path, f"node,sex,age\n2,M,{text}\n0,F,61\n1,M,-inf\n", "meta.csv")
+        with pytest.raises(FileFormatError) as info:
+            read_meta_csv(path)
+        assert str(info.value) == f"{path}:2: column 'age' must be finite, got {shown}"
+
+    def test_inf_in_categorical_column_is_a_category(self, tmp_path):
+        path = write_text(tmp_path, "node,site\n0,inf\n1,paris\n", "meta.csv")
+        npt.assert_array_equal(read_meta_csv(path)["site"][0], [0.0, 1.0])

@@ -86,7 +86,7 @@ class TestGenerate:
 
     def test_edges_follow_strict_distance_threshold(self):
         cfg = SimConfig(n_per_class=20, seed=8)
-        g = generate(cfg, storage="dense")
+        g = generate(cfg)
         pos = g.features  # discriminative mode: features are the positions
         dist = pairwise_distance(pos, "euclidean")
         expected = (dist < cfg.beta).astype(float)
@@ -94,8 +94,8 @@ class TestGenerate:
         npt.assert_array_equal(dense_adj(g), expected)
 
     def test_larger_beta_is_edge_superset(self):
-        small = generate(SimConfig(n_per_class=30, seed=9, beta=0.3), storage="dense")
-        large = generate(SimConfig(n_per_class=30, seed=9, beta=0.9), storage="dense")
+        small = generate(SimConfig(n_per_class=30, seed=9, beta=0.3))
+        large = generate(SimConfig(n_per_class=30, seed=9, beta=0.9))
         s = dense_adj(small) != 0
         l = dense_adj(large) != 0
         assert (s & ~l).sum() == 0
@@ -107,7 +107,7 @@ class TestGenerate:
 
     def test_similarity_weights_match_kernel(self):
         cfg = SimConfig(n_per_class=15, seed=10, edge_weights="similarity")
-        g = generate(cfg, storage="dense")
+        g = generate(cfg)
         pos = g.features
         sim = similarity_weights(pos, SimilarityKernel(distance="euclidean"))
         gate = pairwise_distance(pos, "euclidean") < cfg.beta
@@ -117,8 +117,8 @@ class TestGenerate:
         assert (on_edges > 0).all() and (on_edges <= 1).all()
 
     def test_tight_variance_gives_denser_same_class_blocks(self):
-        loose = generate(SimConfig(n_per_class=100, variances=(1.0, 1.0), seed=11), storage="dense")
-        tight = generate(SimConfig(n_per_class=100, variances=(0.1, 0.1), seed=11), storage="dense")
+        loose = generate(SimConfig(n_per_class=100, variances=(1.0, 1.0), seed=11))
+        tight = generate(SimConfig(n_per_class=100, variances=(0.1, 0.1), seed=11))
         def within_class_edges(g):
             a = dense_adj(g) != 0
             same = g.labels[:, None] == g.labels[None, :]

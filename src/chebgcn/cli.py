@@ -9,12 +9,14 @@ Subcommands:
 
 Every subcommand takes --config (path or packaged preset name), --seed,
 --out, and --threads; flags override CHEBGCN_* environment variables, which
-override the config file. The effective config is echoed into the output
-directory as effective-config.yaml, so any run can be repeated from its own
-output.
+override the config file. train, sweep and compare run their folds in
+--threads worker processes; results do not depend on the count. The
+effective config is echoed into the output directory as
+effective-config.yaml, so any run can be repeated from its own output.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -136,17 +138,24 @@ def cmd_build_graph(cfg: dict) -> int:
     return 0
 
 
+def _summary_fingerprint(cfg: dict) -> str:
+    """Fingerprint of the config minus ``experiment.threads``, which never
+    changes results, so summary.json is the same at any thread count."""
+    exp = {k: v for k, v in cfg["experiment"].items() if k != "threads"}
+    return config_fingerprint({**cfg, "experiment": exp})
+
+
 def cmd_train(cfg: dict) -> int:
     graph = _dataset_graph(cfg)
     _check_graph(graph)
     arch = cfgmod.to_arch_spec(cfg)
     train_cfg = cfgmod.to_train_config(cfg)
-    result = run_cv(graph, arch, train_cfg)
+    result = run_cv(graph, arch, train_cfg, threads=cfg["experiment"]["threads"])
     out = _prepare_out(cfg)
     write_cv_csv(out / "cv.csv", result)
     write_summary_json(out / "summary.json", {
         "command": "train",
-        "config_fingerprint": config_fingerprint(cfg),
+        "config_fingerprint": _summary_fingerprint(cfg),
         "result": result.to_dict(),
     })
     n_ok = len(result.accuracies)
@@ -170,7 +179,7 @@ def cmd_sweep(cfg: dict) -> int:
         write_sweep_csv(out / "sweep.csv", sweep)
         write_summary_json(out / "summary.json", {
             "command": "sweep",
-            "config_fingerprint": config_fingerprint(cfg),
+            "config_fingerprint": _summary_fingerprint(cfg),
             "best": list(sweep.best),
             "cells": {f"{k1},{k2}": r.to_dict() for (k1, k2), r in sorted(sweep.grid.items())},
         })
@@ -178,11 +187,11 @@ def cmd_sweep(cfg: dict) -> int:
         print(f"swept {len(sweep.grid)} cells; best (k1, k2) = {sweep.best} "
               f"at {best.mean_accuracy:.2f} +/- {best.sd_accuracy:.2f}")
     else:
-        results = single_k_sweep(graph, lo, hi, exp["width"], train_cfg)
+        results = single_k_sweep(graph, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
         write_boxplot_csv(out / "boxplot.csv", results)
         write_summary_json(out / "summary.json", {
             "command": "sweep",
-            "config_fingerprint": config_fingerprint(cfg),
+            "config_fingerprint": _summary_fingerprint(cfg),
             "cells": {str(k): r.to_dict() for k, r in sorted(results.items())},
         })
         for k in sorted(results):
@@ -196,12 +205,13 @@ def cmd_compare(cfg: dict) -> int:
     _check_graph(graph)
     exp = cfg["experiment"]
     train_cfg = cfgmod.to_train_config(cfg)
-    comparison = compare_models(graph, exp["k1"], exp["k2"], train_cfg, width=exp["width"])
+    comparison = compare_models(graph, exp["k1"], exp["k2"], train_cfg, width=exp["width"],
+                                threads=exp["threads"])
     out = _prepare_out(cfg)
     write_compare_csv(out / "compare.csv", comparison)
     write_summary_json(out / "summary.json", {
         "command": "compare",
-        "config_fingerprint": config_fingerprint(cfg),
+        "config_fingerprint": _summary_fingerprint(cfg),
         "k1": comparison.k1,
         "k2": comparison.k2,
         "convergence_ratios": comparison.convergence_ratios,
@@ -224,6 +234,7 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "compare": cmd_compare,
 }
+TRAINING_COMMANDS = ("train", "sweep", "compare")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,10 +265,13 @@ def main(argv=None) -> int:
         cfg = cfgmod.resolve_config(
             config=args.config, seed=args.seed, out=args.out, threads=args.threads
         )
-        exp = cfg["experiment"]
-        if exp["threads"] > 1 and (args.command, exp["sweep_mode"]) != ("sweep", "pairs"):
-            _warn(f"threads = {exp['threads']} is ignored: "
-                  "only sweep in pairs mode runs in parallel")
+        if args.command in TRAINING_COMMANDS:
+            threads = cfg["experiment"]["threads"]
+            blas, cpus = cfgmod.blas_threads(os.environ), cfgmod.usable_cpus()
+            if threads * blas > cpus:
+                _warn(f"threads = {threads} workers x {blas} BLAS threads oversubscribe "
+                      f"{cpus} usable CPUs; pin BLAS (OPENBLAS_NUM_THREADS, MKL_NUM_THREADS "
+                      "or OMP_NUM_THREADS) or lower --threads")
         return COMMANDS[args.command](cfg)
     except (ConfigError, FileFormatError, AffinityError, GraphInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

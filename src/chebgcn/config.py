@@ -3,7 +3,8 @@
 Precedence, lowest to highest: built-in defaults, config file, environment
 variables (CHEBGCN_SEED, CHEBGCN_OUT, CHEBGCN_THREADS), command-line flags.
 Config files are YAML (JSON parses too); packaged presets can be named in
-place of a path.
+place of a path. The default of ``experiment.threads`` is worked out from the
+usable CPUs and the BLAS thread count in the environment.
 """
 
 import copy
@@ -61,7 +62,7 @@ DEFAULTS = {
     "experiment": {
         "folds": 10,
         "seed": 0,
-        "threads": 1,
+        "threads": 1,  # resolve_config sets usable CPUs // BLAS threads
         "out": "results",
         "k_range": [1, 6],
         "sweep_mode": "pairs",  # pairs | single
@@ -130,12 +131,40 @@ def _env_overrides(env) -> dict:
     return over
 
 
+# Variables that set a BLAS library's thread count, in the order they are read.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def blas_threads(env) -> int:
+    """Threads BLAS runs in each process: the first of BLAS_THREAD_VARS that
+    is set, when it holds a positive count; else every usable CPU, which is
+    what an unpinned BLAS uses."""
+    raw = next((env[var] for var in BLAS_THREAD_VARS if env.get(var)), "")
+    try:
+        n = int(raw.split(",")[0])
+    except ValueError:
+        n = 0
+    return n if n >= 1 else usable_cpus()
+
+
 def resolve_config(config=None, seed=None, out=None, threads=None, env=None) -> dict:
     """Merge defaults, an optional config file, env vars, and flag overrides."""
+    env = os.environ if env is None else env
     cfg = copy.deepcopy(DEFAULTS)
+    # As many workers as fill the usable CPUs when each runs blas_threads(env)
+    # BLAS threads: 1 while BLAS is unpinned.
+    cfg["experiment"]["threads"] = max(1, usable_cpus() // blas_threads(env))
     if config is not None:
         cfg = deep_merge(cfg, load_config_file(find_config(config)))
-    env_over = _env_overrides(os.environ if env is None else env)
+    env_over = _env_overrides(env)
     if env_over:
         cfg = deep_merge(cfg, {"experiment": env_over})
     flags = {}

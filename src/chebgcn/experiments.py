@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .graph import build_laplacian, chebyshev_apply, rescale_laplacian
+from .graph import NormalizedLaplacian, build_laplacian, chebyshev_apply, rescale_laplacian
 from .nn import (
     ChebFilterLayer,
     InceptionModule,
@@ -310,45 +310,97 @@ class ExperimentResult:
         }
 
 
-def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None) -> ExperimentResult:
-    """Stratified k-fold cross-validation of one architecture on one graph.
+@dataclass(frozen=True)
+class _FoldContext:
+    """Read-only inputs shared by every fold task of one map."""
 
-    Fold assignment, per-fold initialization, and the validation carve each
-    use seeds derived from ``cfg.seed``, so results are a pure function of
-    (graph, arch, cfg). Pass ``folds`` to pin the split across several runs.
+    lap: NormalizedLaplacian
+    x: np.ndarray
+    labels: np.ndarray
+    n_classes: int
+    basis: list  # chebyshev_apply(lap, x, k) for the highest first-module order of any task
+
+
+def _run_fold(ctx: _FoldContext, task):
+    """Train and test one fold; returns (accuracy, epochs), or None if it diverged.
+
+    ``task`` is (arch, cfg, fold index, train mask, test mask). Init, the
+    validation carve and dropout draw from seeds derived from ``cfg.seed`` and
+    the fold index only, so the outcome does not depend on where it runs.
     """
-    labels = graph.labels
-    x = graph.features
-    lap = rescale_laplacian(build_laplacian(graph))
-    if folds is None:
-        folds = stratified_folds(labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
-    basis = chebyshev_apply(lap, x, max_first_module_order(arch))
-    fingerprint = config_fingerprint({"arch": asdict(arch), "train": asdict(cfg)})
+    arch, cfg, fi, train, test = task
+    rng = np.random.default_rng(derive_seed(cfg.seed, "fold", fi))
+    net = build_network(arch, ctx.x.shape[1], ctx.n_classes, rng)
+    val = None
+    eff_train = train
+    if cfg.early_stop_window > 0 and cfg.stop_metric == "val":
+        val = _carve_validation(train, ctx.labels, cfg.val_fraction, derive_seed(cfg.seed, "val", fi))
+        eff_train = train & ~val
+    drop_rng = None
+    if cfg.dropout > 0.0:
+        drop_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", fi))
+    try:
+        ep = train_network(net, ctx.lap, ctx.x, ctx.labels, eff_train, cfg,
+                           input_basis=ctx.basis, val_mask=val, dropout_rng=drop_rng)
+    except (TrainingDivergence, NonFiniteGradientError):
+        return None
+    return evaluate_accuracy(net, ctx.lap, ctx.x, ctx.labels, test, input_basis=ctx.basis), ep
 
+
+# Set in each pool worker by its initializer: under fork the context is
+# inherited, under other start methods it is pickled once per worker.
+_worker_context = None
+
+
+def _init_worker(ctx: _FoldContext) -> None:
+    global _worker_context
+    _worker_context = ctx
+
+
+def _run_fold_in_worker(task):
+    return _run_fold(_worker_context, task)
+
+
+def _cross_validate(graph, cells, threads: int) -> list:
+    """One ExperimentResult per (arch, cfg, folds) cell.
+
+    Every fold of every cell is one task of a single map, so a pool balances
+    slow cells against fast ones and is never nested. The Laplacian and the
+    first-module basis are built once, here. With ``threads > 1`` the tasks
+    run in that many worker processes (at most one per task); otherwise the
+    same fold runner runs in this process.
+    """
+    tasks = [(arch, cfg, fi, train, test)
+             for arch, cfg, folds in cells
+             for fi, (train, test) in enumerate(folds)]
+    lap = rescale_laplacian(build_laplacian(graph))
+    order = max(max_first_module_order(arch) for arch, _, _ in cells)
+    ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
+                       n_classes=graph.n_classes,
+                       basis=chebyshev_apply(lap, graph.features, order))
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
+                                 initializer=_init_worker, initargs=(ctx,)) as pool:
+            outcomes = list(pool.map(_run_fold_in_worker, tasks))
+    else:
+        outcomes = [_run_fold(ctx, task) for task in tasks]
+    per_task = iter(outcomes)
+    return [_cv_result(arch, cfg, folds, [next(per_task) for _ in folds])
+            for arch, cfg, folds in cells]
+
+
+def _cv_result(arch, cfg, folds, outcomes) -> ExperimentResult:
     fold_indices = []
     accuracies = []
     epochs = []
     failed = []
-    for fi, (train, test) in enumerate(folds):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "fold", fi))
-        net = build_network(arch, graph.n_features, graph.n_classes, rng)
-        val = None
-        eff_train = train
-        if cfg.early_stop_window > 0 and cfg.stop_metric == "val":
-            val = _carve_validation(train, labels, cfg.val_fraction, derive_seed(cfg.seed, "val", fi))
-            eff_train = train & ~val
-        drop_rng = None
-        if cfg.dropout > 0.0:
-            drop_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", fi))
-        try:
-            ep = train_network(net, lap, x, labels, eff_train, cfg,
-                               input_basis=basis, val_mask=val, dropout_rng=drop_rng)
-        except (TrainingDivergence, NonFiniteGradientError):
+    for fi, outcome in enumerate(outcomes):
+        if outcome is None:
             failed.append(fi)
             continue
         fold_indices.append(fi)
-        accuracies.append(evaluate_accuracy(net, lap, x, labels, test, input_basis=basis))
-        epochs.append(ep)
+        accuracies.append(outcome[0])
+        epochs.append(outcome[1])
 
     accs = np.array(accuracies)
     mean = float(accs.mean()) if accs.size else float("nan")
@@ -360,9 +412,25 @@ def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None) -> ExperimentRes
         failed_folds=tuple(failed),
         mean_accuracy=mean,
         sd_accuracy=sd,
-        fingerprint=fingerprint,
+        fingerprint=config_fingerprint({"arch": asdict(arch), "train": asdict(cfg)}),
         fold_hash=fold_checksum(folds),
     )
+
+
+def _default_folds(graph, cfg: TrainConfig):
+    return stratified_folds(graph.labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
+
+
+def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads: int = 1) -> ExperimentResult:
+    """Stratified k-fold cross-validation of one architecture on one graph.
+
+    Fold assignment, per-fold initialization, and the validation carve each
+    use seeds derived from ``cfg.seed``, so results are a pure function of
+    (graph, arch, cfg), whatever ``threads`` is. Pass ``folds`` to pin the
+    split across several runs.
+    """
+    folds = list(_default_folds(graph, cfg) if folds is None else folds)
+    return _cross_validate(graph, [(arch, cfg, folds)], threads)[0]
 
 
 @dataclass(frozen=True)
@@ -387,12 +455,6 @@ class SweepResult:
     best: tuple
 
 
-def _sweep_cell(args):
-    graph, spec, k1, k2 = args
-    cfg = replace(spec.train, seed=derive_seed(spec.train.seed, "cell", k1, k2))
-    return (k1, k2), run_cv(graph, sequential((k1, k2), spec.width), cfg)
-
-
 def heatmap_sweep(graph, spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Cross-validate every (k1, k2) cell of the order grid.
 
@@ -400,17 +462,12 @@ def heatmap_sweep(graph, spec: SweepSpec, threads: int = 1) -> SweepResult:
     never from scheduling, so any ``threads`` value produces exactly the
     same result as a serial run.
     """
-    cells = [
-        (graph, spec, k1, k2)
-        for k1 in range(spec.k_min, spec.k_max + 1)
-        for k2 in range(spec.k_min, spec.k_max + 1)
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(_sweep_cell, cells))
-    else:
-        pairs = [_sweep_cell(c) for c in cells]
-    grid = dict(pairs)
+    cells = {}
+    for k1 in range(spec.k_min, spec.k_max + 1):
+        for k2 in range(spec.k_min, spec.k_max + 1):
+            cfg = replace(spec.train, seed=derive_seed(spec.train.seed, "cell", k1, k2))
+            cells[(k1, k2)] = (sequential((k1, k2), spec.width), cfg, _default_folds(graph, cfg))
+    grid = dict(zip(cells, _cross_validate(graph, list(cells.values()), threads)))
 
     def rank(cell):
         mean = grid[cell].mean_accuracy
@@ -422,15 +479,16 @@ def heatmap_sweep(graph, spec: SweepSpec, threads: int = 1) -> SweepResult:
     return SweepResult(grid=grid, best=best)
 
 
-def single_k_sweep(graph, k_min: int, k_max: int, width: int, cfg: TrainConfig) -> dict:
+def single_k_sweep(graph, k_min: int, k_max: int, width: int, cfg: TrainConfig,
+                   threads: int = 1) -> dict:
     """One single-filter model per order k; returns {k: ExperimentResult}."""
     if k_min < 0 or k_max < k_min:
         raise ValueError(f"bad order range [{k_min}, {k_max}]")
-    out = {}
+    cells = []
     for k in range(k_min, k_max + 1):
         cell_cfg = replace(cfg, seed=derive_seed(cfg.seed, "k", k))
-        out[k] = run_cv(graph, single_layer(k, width), cell_cfg)
-    return out
+        cells.append((single_layer(k, width), cell_cfg, _default_folds(graph, cell_cfg)))
+    return dict(zip(range(k_min, k_max + 1), _cross_validate(graph, cells, threads)))
 
 
 COMPARE_MODELS = (
@@ -450,7 +508,8 @@ class ComparisonResult:
     convergence_ratios: dict  # aggregator -> baseline epochs / inception epochs
 
 
-def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16) -> ComparisonResult:
+def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
+                   threads: int = 1) -> ComparisonResult:
     """Fixed five-way comparison on shared folds.
 
     Two-layer sequential nets with orders (k1, k2), (k1, k1), (k2, k2) are
@@ -458,7 +517,7 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16) -
     aggregator are the candidates. All five see identical folds and the
     same per-fold init streams, so equal architectures give equal numbers.
     """
-    folds = stratified_folds(graph.labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
+    folds = _default_folds(graph, cfg)
     archs = {
         "sequential-k1k2": sequential((k1, k2), width),
         "sequential-k1k1": sequential((k1, k1), width),
@@ -466,10 +525,8 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16) -
         "inception-concat": inception((k1, k2), width, "concat"),
         "inception-maxpool": inception((k1, k2), width, "maxpool"),
     }
-    results = {name: run_cv(graph, arch, cfg, folds=folds) for name, arch in archs.items()}
-    hashes = {r.fold_hash for r in results.values()}
-    if len(hashes) != 1:
-        raise RuntimeError("internal error: models ran on different folds")
+    cells = [(arch, cfg, folds) for arch in archs.values()]
+    results = dict(zip(archs, _cross_validate(graph, cells, threads)))
 
     ratios = {}
     base = results["sequential-k1k2"]

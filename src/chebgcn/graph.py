@@ -202,11 +202,14 @@ def build_laplacian(graph) -> NormalizedLaplacian:
     (L + L^T) / 2 so that it is exactly equal to its transpose despite
     roundoff.
     """
-    adj = graph.adjacency if isinstance(graph, PopulationGraph) else to_storage(graph)
-    if adj.shape[0] != adj.shape[1]:
-        raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
-    if not _is_symmetric(adj):
-        raise GraphInvariantError("adjacency must be exactly symmetric")
+    if isinstance(graph, PopulationGraph):
+        adj = graph.adjacency  # square and symmetric: checked at construction
+    else:
+        adj = to_storage(graph)
+        if adj.shape[0] != adj.shape[1]:
+            raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
+        if not _is_symmetric(adj):
+            raise GraphInvariantError("adjacency must be exactly symmetric")
 
     deg = adj.sum(axis=1)
     d_inv_sqrt = np.zeros_like(deg)
@@ -262,7 +265,10 @@ def chebyshev_apply(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> list
     if order >= 1:
         out.append(mat @ x)
     for _ in range(2, order + 1):
-        out.append(2.0 * (mat @ out[-1]) - out[-2])
+        term = mat @ out[-1]
+        term *= 2.0
+        term -= out[-2]
+        out.append(term)
     return out
 
 

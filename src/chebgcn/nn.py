@@ -124,11 +124,13 @@ def _filter_backward(layer, lap, btape, g, need_input_grad):
     c = [g @ layer.theta[r].T for r in range(k + 1)]
     mat = lap.matrix
     for r in range(k, 1, -1):
-        c[r - 1] = c[r - 1] + 2.0 * (mat @ c[r])
-        c[r - 2] = c[r - 2] - c[r]
+        step = mat @ c[r]
+        step *= 2.0
+        c[r - 1] += step
+        c[r - 2] -= c[r]
     dh = c[0]
     if k >= 1:
-        dh = dh + mat @ c[1]
+        dh += mat @ c[1]
     return dtheta, dbias, dh
 
 

@@ -15,6 +15,16 @@ def write_cfg(tmp_path, payload, name="run.yaml"):
     return str(path)
 
 
+def pin_blas(monkeypatch, blas, cpus=2):
+    """Make the CLI see ``cpus`` usable CPUs and BLAS pinned to ``blas``
+    threads (None: unpinned)."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas))
+
+
 def quick_sections(out, **extra):
     cfg = {
         "sim": {"n_per_class": 15, "variances": [0.3, 0.3], "beta": 0.8},
@@ -160,7 +170,8 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out.count("k = ") == 3
 
-    def test_threads_flag_matches_serial_output(self, tmp_path, capsys):
+    def test_threads_flag_matches_serial_output(self, tmp_path, capsys, monkeypatch):
+        pin_blas(monkeypatch, blas=1)
         serial, parallel = tmp_path / "s", tmp_path / "p"
         base = dict(training={"epochs": 5}, experiment={"k_range": [1, 2], "width": 4})
         cfg_s = write_cfg(tmp_path, quick_sections(serial, **base), "s.yaml")
@@ -256,37 +267,51 @@ class TestBuildGraphCommand:
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, extra, result, source", [
-    ("simdata", {}, "edges.txt", "env"),
-    ("build-graph", {}, "edges.txt", "config"),
-    ("train", {}, "cv.csv", "flag"),
-    ("sweep", {"experiment": {"k_range": [1, 2], "width": 4, "sweep_mode": "single"}},
-     "boxplot.csv", "flag"),
-    ("compare", {"experiment": {"k1": 1, "k2": 2, "width": 4}}, "compare.csv", "flag"),
+@pytest.mark.parametrize("command, mode, result", [
+    ("train", "pairs", "cv.csv"),
+    ("compare", "pairs", "compare.csv"),
+    ("sweep", "single", "boxplot.csv"),
+    ("sweep", "pairs", "sweep.csv"),
 ])
-def test_ignored_threads_warn_once_and_leave_results_unchanged(
-        tmp_path, capsys, monkeypatch, command, extra, result, source):
-    extra = {"training": {"epochs": 5}, **extra}
+def test_results_do_not_depend_on_threads(tmp_path, command, mode, result):
+    out = tmp_path / "res"
+    sections = quick_sections(out, training={"epochs": 5, "optimizer": "adam", "dropout": 0.2},
+                              experiment={"k_range": [1, 2], "k1": 1, "k2": 2, "width": 4,
+                                          "sweep_mode": mode})
+    cfg = write_cfg(tmp_path, sections)
+    outputs = []
+    for threads in ("1", "2"):
+        assert main([command, "--config", cfg, "--threads", threads]) == 0
+        outputs.append([(out / name).read_bytes() for name in (result, "summary.json")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, blas, threads, warns", [
+    ("train", None, None, False),  # unpinned BLAS: the default stays 1
+    ("train", 1, None, False),  # pinned: the default fills the CPUs
+    ("compare", None, "2", True),
+    ("sweep", None, "2", True),  # pairs mode
+    ("sweep", 1, "3", True),
+    ("train", 2, "1", False),
+    ("simdata", None, "2", False),  # trains nothing
+    ("build-graph", None, "2", False),
+])
+def test_oversubscription_warns_once(tmp_path, capsys, monkeypatch, command, blas, threads, warns):
+    pin_blas(monkeypatch, blas)
+    extra = {"training": {"epochs": 2},
+             "experiment": {"k_range": [1, 1], "k1": 1, "k2": 1, "width": 2}}
     if command == "build-graph":
         meta_fixture(tmp_path)
         extra["affinity"] = {
             "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv"),
         }
-    serial, threaded = tmp_path / "one", tmp_path / "two"
-    assert main([command, "--config", write_cfg(tmp_path, quick_sections(serial, **extra))]) == 0
-    assert "warning:" not in capsys.readouterr().err
-    sections = quick_sections(threaded, **extra)
-    argv = [command]
-    if source == "env":
-        monkeypatch.setenv("CHEBGCN_THREADS", "2")
-    elif source == "config":
-        sections["experiment"]["threads"] = 2
-    else:
-        argv += ["--threads", "2"]
-    assert main(argv + ["--config", write_cfg(tmp_path, sections, "two.yaml")]) == 0
+    argv = [command, "--config", write_cfg(tmp_path, quick_sections(tmp_path / "res", **extra))]
+    if threads is not None:
+        argv += ["--threads", threads]
+    assert main(argv) == 0
     err = capsys.readouterr().err
-    assert err.count("warning: threads = 2 is ignored") == 1
-    assert (serial / result).read_bytes() == (threaded / result).read_bytes()
+    assert err.count("warning:") == warns
+    assert ("oversubscribe 2 usable CPUs" in err) == warns
 
 
 class TestErrorHandling:

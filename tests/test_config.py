@@ -113,6 +113,20 @@ class TestResolvePrecedence:
         assert cfg["experiment"]["out"] == "c"
         assert cfg["experiment"]["threads"] == 4
 
+    @pytest.mark.parametrize("env, threads", [
+        ({}, 1),  # unpinned BLAS already uses every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6),
+        ({"OMP_NUM_THREADS": "2"}, 3),
+        ({"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),  # the first one set counts
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),  # 0: BLAS picks, so unpinned
+        ({"OMP_NUM_THREADS": "²"}, 1),  # not a count: unpinned
+        ({"OMP_NUM_THREADS": "2,1"}, 3),  # nested OpenMP levels: the outer one
+        ({"OPENBLAS_NUM_THREADS": "1", "CHEBGCN_THREADS": "4"}, 4),
+    ])
+    def test_default_threads_fill_the_usable_cpus(self, monkeypatch, env, threads):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(6)))
+        assert resolve_config(env=env)["experiment"]["threads"] == threads
+
     def test_bad_env_integer_rejected(self):
         with pytest.raises(ConfigError, match="CHEBGCN_SEED"):
             resolve_config(env={"CHEBGCN_SEED": "lots"})

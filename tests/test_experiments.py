@@ -355,6 +355,15 @@ class TestRunCv:
         assert np.isnan(res.mean_accuracy)
         assert res.sd_accuracy == 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_worker_processes_give_the_serial_result(self, toy_graph):
+        # At lr 1e153 Adam's steps overflow the scores in fold 0 only.
+        cfg = quick_cfg(epochs=30, lr=1e153, optimizer="adam", early_stop_window=5,
+                        stop_metric="val", val_fraction=0.2, dropout=0.3, weight_decay=1e-3)
+        serial = run_cv(toy_graph, single_layer(2, 8), cfg, threads=1)
+        assert serial.failed_folds == (0,)
+        assert serial == run_cv(toy_graph, single_layer(2, 8), cfg, threads=2)
+
     def test_to_dict_round_trips_through_json(self, toy_graph):
         res = run_cv(toy_graph, single_layer(1, 4), quick_cfg(epochs=5))
         payload = json.loads(json.dumps(res.to_dict()))

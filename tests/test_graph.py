@@ -210,6 +210,18 @@ class TestChebyshevApply:
         for s, d in zip(chebyshev_apply(lt_s, x, 5), chebyshev_apply(lt_d, x, 5)):
             npt.assert_allclose(s, d, atol=1e-12)
 
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+    def test_in_place_recurrence_is_bitwise_the_out_of_place_one(self, storage):
+        rng = np.random.default_rng(9)
+        dense = rescale_laplacian(build_laplacian(random_adjacency(rng, 15, p=0.3))).toarray()
+        lt = NormalizedLaplacian(matrix=storage(dense), lambda_max=1.0)
+        x = rng.standard_normal((15, 3))
+        expected = [x, lt.matrix @ x]
+        for _ in range(2, 7):
+            expected.append(2.0 * (lt.matrix @ expected[-1]) - expected[-2])
+        for got, want in zip(chebyshev_apply(lt, x, 6), expected, strict=True):
+            npt.assert_array_equal(got, want)
+
     def test_rejects_bad_inputs(self):
         lt = rescale_laplacian(build_laplacian(path_adjacency(3)))
         with pytest.raises(ValueError):

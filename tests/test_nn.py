@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from chebgcn.graph import NormalizedLaplacian, build_laplacian, chebyshev_apply, rescale_laplacian
 from chebgcn.nn import (
@@ -14,6 +15,8 @@ from chebgcn.nn import (
     NonFiniteGradientError,
     ShapeMismatchError,
     StaleTapeError,
+    _filter_backward,
+    _filter_forward,
     gc_forward,
     inception_forward,
     masked_cross_entropy,
@@ -363,6 +366,22 @@ class TestNetworkBackward:
         _, tape = network_forward(net, lt, rng.standard_normal((5, 3)))
         with pytest.raises(ShapeMismatchError):
             network_backward(tape, np.zeros((5, 7)))
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+def test_in_place_reverse_recurrence_is_bitwise_the_out_of_place_one(storage):
+    rng = np.random.default_rng(3)
+    lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=3).toarray()), lambda_max=1.0)
+    layer = ChebFilterLayer.create(4, 3, 5, rng)
+    g = rng.standard_normal((12, 5))
+    _, btape = _filter_forward(layer, lt, rng.standard_normal((12, 3)))
+    _, _, dh = _filter_backward(layer, lt, btape, g, need_input_grad=True)
+    g = g * btape.relu_mask
+    c = [g @ layer.theta[r].T for r in range(5)]
+    for r in range(4, 1, -1):
+        c[r - 1] = c[r - 1] + 2.0 * (lt.matrix @ c[r])
+        c[r - 2] = c[r - 2] - c[r]
+    npt.assert_array_equal(dh, c[0] + lt.matrix @ c[1])
 
 
 class TestDropout:

@@ -61,8 +61,6 @@ from .nn import (
     NonFiniteGradientError,
     ShapeMismatchError,
     StaleTapeError,
-    gc_forward,
-    inception_forward,
     masked_cross_entropy,
     network_backward,
     network_forward,

@@ -139,9 +139,10 @@ def cmd_build_graph(cfg: dict) -> int:
 
 
 def _summary_fingerprint(cfg: dict) -> str:
-    """Fingerprint of the config minus ``experiment.threads``, which never
-    changes results, so summary.json is the same at any thread count."""
-    exp = {k: v for k, v in cfg["experiment"].items() if k != "threads"}
+    """Fingerprint of the config minus ``experiment.threads`` and
+    ``experiment.out``, which never change results, so summary.json is the
+    same at any thread count and in any output directory."""
+    exp = {k: v for k, v in cfg["experiment"].items() if k not in ("threads", "out")}
     return config_fingerprint({**cfg, "experiment": exp})
 
 

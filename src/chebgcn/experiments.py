@@ -228,7 +228,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     follow the usual convention: dropout is on for the update pass only.
     """
     if input_basis is None:
-        input_basis = chebyshev_apply(lap, x, max(br.order for br in net.modules[0].branches))
+        input_basis = chebyshev_apply(lap, x, net.modules[0].order)
     if cfg.dropout > 0.0 and dropout_rng is None:
         dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
@@ -541,42 +541,32 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
     return ComparisonResult(k1=k1, k2=k2, results=results, convergence_ratios=ratios)
 
 
-def write_cv_csv(path, result: ExperimentResult) -> None:
+def _write_fold_rows(path, key_names, keyed_results) -> None:
+    """One (key..., fold, accuracy, epochs) row per successful fold of each
+    (key tuple, ExperimentResult) pair, in the order given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["fold", "accuracy", "epochs"])
-        for fi, acc, ep in zip(result.fold_indices, result.accuracies, result.epochs):
-            writer.writerow([fi, repr(acc), ep])
+        writer.writerow([*key_names, "fold", "accuracy", "epochs"])
+        for key, res in keyed_results:
+            for fi, acc, ep in zip(res.fold_indices, res.accuracies, res.epochs):
+                writer.writerow([*key, fi, repr(acc), ep])
+
+
+def write_cv_csv(path, result: ExperimentResult) -> None:
+    _write_fold_rows(path, (), [((), result)])
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "fold", "accuracy", "epochs"])
-        for k1, k2 in sorted(sweep.grid):
-            res = sweep.grid[(k1, k2)]
-            for fi, acc, ep in zip(res.fold_indices, res.accuracies, res.epochs):
-                writer.writerow([k1, k2, fi, repr(acc), ep])
+    _write_fold_rows(path, ("k1", "k2"), [(cell, sweep.grid[cell]) for cell in sorted(sweep.grid)])
 
 
 def write_boxplot_csv(path, results_by_k: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "fold", "accuracy", "epochs"])
-        for k in sorted(results_by_k):
-            res = results_by_k[k]
-            for fi, acc, ep in zip(res.fold_indices, res.accuracies, res.epochs):
-                writer.writerow([k, fi, repr(acc), ep])
+    _write_fold_rows(path, ("k",), [((k,), results_by_k[k]) for k in sorted(results_by_k)])
 
 
 def write_compare_csv(path, comparison: ComparisonResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "fold", "accuracy", "epochs"])
-        for name in COMPARE_MODELS:
-            res = comparison.results[name]
-            for fi, acc, ep in zip(res.fold_indices, res.accuracies, res.epochs):
-                writer.writerow([name, fi, repr(acc), ep])
+    _write_fold_rows(path, ("model",),
+                     [((name,), comparison.results[name]) for name in COMPARE_MODELS])
 
 
 def write_summary_json(path, payload: dict) -> None:

@@ -3,8 +3,9 @@
 A filter layer applies a learned spectral filter of a chosen polynomial
 order to a node-feature matrix. A module runs several such filters of
 different orders in parallel over the same input and aggregates them by
-column concatenation or elementwise max. A network stacks modules and ends
-in an optional dense classifier over per-node outputs.
+column concatenation or elementwise max; its branches share one Chebyshev
+basis, built up to the highest branch order. A network stacks modules and
+ends in an optional dense classifier over per-node outputs.
 
 Gradients are computed in closed form by reverse mode through the same
 Chebyshev recurrence the forward pass uses; no numeric differentiation is
@@ -85,67 +86,6 @@ class ChebFilterLayer:
 
 
 @dataclass
-class _BranchTape:
-    basis: list  # [T_0(L) H, ..., T_k(L) H]
-    relu_mask: np.ndarray | None
-
-
-def _filter_forward(layer, lap, h, basis=None):
-    if basis is None:
-        basis = chebyshev_apply(lap, h, layer.order)
-    else:
-        if len(basis) < layer.order + 1:
-            raise ShapeMismatchError(
-                f"cached basis has {len(basis)} terms, layer needs {layer.order + 1}"
-            )
-        basis = list(basis[: layer.order + 1])
-    z = basis[0] @ layer.theta[0]
-    for r in range(1, layer.order + 1):
-        z += basis[r] @ layer.theta[r]
-    z += layer.bias
-    if layer.activation == "relu":
-        mask = z > 0.0
-        return z * mask, _BranchTape(basis=basis, relu_mask=mask)
-    return z, _BranchTape(basis=basis, relu_mask=None)
-
-
-def _filter_backward(layer, lap, btape, g, need_input_grad):
-    if layer.activation == "relu":
-        g = g * btape.relu_mask
-    k = layer.order
-    dtheta = np.empty_like(layer.theta)
-    for r in range(k + 1):
-        dtheta[r] = btape.basis[r].T @ g
-    dbias = g.sum(axis=0)
-    if not need_input_grad:
-        return dtheta, dbias, None
-    # Reverse mode through T_r = 2 L T_{r-1} - T_{r-2}; L is symmetric, so the
-    # adjoint of "multiply by L" is again "multiply by L".
-    c = [g @ layer.theta[r].T for r in range(k + 1)]
-    mat = lap.matrix
-    for r in range(k, 1, -1):
-        step = mat @ c[r]
-        step *= 2.0
-        c[r - 1] += step
-        c[r - 2] -= c[r]
-    dh = c[0]
-    if k >= 1:
-        dh += mat @ c[1]
-    return dtheta, dbias, dh
-
-
-def gc_forward(layer: ChebFilterLayer, lap: NormalizedLaplacian, h) -> np.ndarray:
-    """Apply one filter layer to a (n_nodes, d_in) signal."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape != (lap.n_nodes, layer.d_in):
-        raise ShapeMismatchError(
-            f"expected input of shape ({lap.n_nodes}, {layer.d_in}), got {h.shape}"
-        )
-    out, _ = _filter_forward(layer, lap, h)
-    return out
-
-
-@dataclass
 class InceptionModule:
     """Parallel filter branches over one input, joined by an aggregator.
 
@@ -171,6 +111,11 @@ class InceptionModule:
                 raise ShapeMismatchError("maxpool aggregation requires equal branch widths")
 
     @property
+    def order(self) -> int:
+        """Highest branch order: the module's Chebyshev basis ends at T_order."""
+        return max(br.order for br in self.branches)
+
+    @property
     def d_in(self) -> int:
         return self.branches[0].d_in
 
@@ -183,35 +128,82 @@ class InceptionModule:
 
 @dataclass
 class _ModuleTape:
-    branch_tapes: list
+    basis: list  # [T_0(L) H, ..., T_K(L) H], K at least the module's highest order
+    relu_masks: list  # per branch: where its pre-activation was positive, or None
     winners: np.ndarray | None  # maxpool: branch index that won each output cell
 
 
 def _module_forward(module, lap, h, basis=None):
+    """Run every branch off one Chebyshev basis; returns (output, tape).
+
+    The basis up to the module's highest order holds each lower-order
+    branch's basis as a prefix, so it is built once (or taken from
+    ``basis``) and every branch slices it.
+    """
+    if basis is None:
+        basis = chebyshev_apply(lap, h, module.order)
     outs = []
-    tapes = []
+    relu_masks = []
     for br in module.branches:
-        o, t = _filter_forward(br, lap, h, basis)
-        outs.append(o)
-        tapes.append(t)
+        z = basis[0] @ br.theta[0]
+        for r in range(1, br.order + 1):
+            z += basis[r] @ br.theta[r]
+        z += br.bias
+        mask = None
+        if br.activation == "relu":
+            mask = z > 0.0
+            z = z * mask
+        outs.append(z)
+        relu_masks.append(mask)
     if module.aggregator == "concat":
-        return np.concatenate(outs, axis=1), _ModuleTape(branch_tapes=tapes, winners=None)
+        return np.concatenate(outs, axis=1), _ModuleTape(basis, relu_masks, winners=None)
     stacked = np.stack(outs)
     # argmax picks the lowest branch index on ties, which keeps the backward
     # routing deterministic and idempotent.
     winners = np.argmax(stacked, axis=0)
-    return stacked.max(axis=0), _ModuleTape(branch_tapes=tapes, winners=winners)
+    return stacked.max(axis=0), _ModuleTape(basis, relu_masks, winners)
 
 
-def inception_forward(module: InceptionModule, lap: NormalizedLaplacian, h) -> np.ndarray:
-    """Apply one module to a (n_nodes, d_in) signal."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape != (lap.n_nodes, module.d_in):
-        raise ShapeMismatchError(
-            f"expected input of shape ({lap.n_nodes}, {module.d_in}), got {h.shape}"
-        )
-    out, _ = _module_forward(module, lap, h)
-    return out
+def _module_backward(module, lap, mtape, g, need_input_grad):
+    """Per-branch (dtheta, dbias) for a module output gradient ``g``, and the
+    input gradient when ``need_input_grad`` (else None).
+
+    Every branch's coefficients c_r = g_branch theta_r^T are summed first, so
+    the input gradient takes one reverse pass of the recurrence, as long as
+    the module's highest order.
+    """
+    if module.aggregator == "concat":
+        splits = np.cumsum([br.d_out for br in module.branches])[:-1]
+        branch_gs = np.split(g, splits, axis=1)
+    else:
+        branch_gs = [g * (mtape.winners == si) for si in range(len(module.branches))]
+    grads = []
+    c = [None] * (module.order + 1)
+    for br, mask, bg in zip(module.branches, mtape.relu_masks, branch_gs):
+        if mask is not None:
+            bg = bg * mask
+        dtheta = np.empty_like(br.theta)
+        for r in range(br.order + 1):
+            dtheta[r] = mtape.basis[r].T @ bg
+        grads.append((dtheta, bg.sum(axis=0)))
+        if need_input_grad:
+            for r in range(br.order + 1):
+                term = bg @ br.theta[r].T
+                c[r] = term if c[r] is None else c[r] + term
+    if not need_input_grad:
+        return grads, None
+    # Reverse mode through T_r = 2 L T_{r-1} - T_{r-2}; L is symmetric, so the
+    # adjoint of "multiply by L" is again "multiply by L".
+    mat = lap.matrix
+    for r in range(module.order, 1, -1):
+        step = mat @ c[r]
+        step *= 2.0
+        c[r - 1] += step
+        c[r - 2] -= c[r]
+    dh = c[0]
+    if module.order >= 1:
+        dh += mat @ c[1]
+    return grads, dh
 
 
 @dataclass
@@ -320,10 +312,14 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
         raise ShapeMismatchError(
             f"expected input of shape ({lap.n_nodes}, {net.d_in}), got {x.shape}"
         )
-    if input_basis is not None and (
-        len(input_basis) == 0 or input_basis[0].shape != x.shape
-    ):
-        raise ShapeMismatchError("input_basis does not match the given signal")
+    if input_basis is not None:
+        need = net.modules[0].order + 1
+        if len(input_basis) < need:
+            raise ShapeMismatchError(
+                f"input_basis has {len(input_basis)} terms, the first module needs {need}"
+            )
+        if input_basis[0].shape != x.shape:
+            raise ShapeMismatchError("input_basis does not match the given signal")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     if dropout > 0.0 and dropout_rng is None:
@@ -380,24 +376,13 @@ def network_backward(tape: GradientTape, score_grad) -> dict:
         grads["classifier.bias"] = g.sum(axis=0)
         g = g @ net.classifier_weight.T
     for mi in reversed(range(len(net.modules))):
-        mod = net.modules[mi]
-        mtape = tape.module_tapes[mi]
         if tape.dropout_masks[mi] is not None:
             g = g * tape.dropout_masks[mi]
-        if mod.aggregator == "concat":
-            splits = np.cumsum([br.d_out for br in mod.branches])[:-1]
-            branch_gs = np.split(g, splits, axis=1)
-        else:
-            branch_gs = [g * (mtape.winners == si) for si in range(len(mod.branches))]
-        need_input_grad = mi > 0
-        dh = None
-        for si, (br, btape, bg) in enumerate(zip(mod.branches, mtape.branch_tapes, branch_gs)):
-            dtheta, dbias, dinput = _filter_backward(br, tape.lap, btape, bg, need_input_grad)
+        branch_grads, g = _module_backward(net.modules[mi], tape.lap, tape.module_tapes[mi], g,
+                                           need_input_grad=mi > 0)
+        for si, (dtheta, dbias) in enumerate(branch_grads):
             grads[f"modules.{mi}.branches.{si}.theta"] = dtheta
             grads[f"modules.{mi}.branches.{si}.bias"] = dbias
-            if need_input_grad:
-                dh = dinput if dh is None else dh + dinput
-        g = dh
     return grads
 
 

@@ -113,6 +113,14 @@ class TestTrainCommand:
                      "--out", str(second)]) == 0
         assert (first / "cv.csv").read_bytes() == (second / "cv.csv").read_bytes()
 
+    def test_summary_does_not_depend_on_the_output_directory(self, tmp_path):
+        cfg = write_cfg(tmp_path, quick_sections(tmp_path / "unused"))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("cv.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_train_mask_from_files_must_cover_for_cv(self, tmp_path):
         # cv refolds all nodes, so a dataset with its own test split still works
         rng = np.random.default_rng(0)

@@ -15,10 +15,8 @@ from chebgcn.nn import (
     NonFiniteGradientError,
     ShapeMismatchError,
     StaleTapeError,
-    _filter_backward,
-    _filter_forward,
-    gc_forward,
-    inception_forward,
+    _module_backward,
+    _module_forward,
     masked_cross_entropy,
     network_backward,
     network_forward,
@@ -30,6 +28,28 @@ from conftest import dense_cheb_matrices, path_adjacency, random_adjacency
 def make_lap(n, seed=0, p=0.4):
     a = random_adjacency(np.random.default_rng(seed), n, p=p)
     return rescale_laplacian(build_laplacian(a))
+
+
+def inception_forward(module, lt, h):
+    """One module's output: the scores of a one-module network without a classifier."""
+    scores, _ = network_forward(Network(modules=[module]), lt, h)
+    return scores
+
+
+def gc_forward(layer, lt, h):
+    """One filter layer's output: a one-branch module."""
+    return inception_forward(InceptionModule(branches=[layer]), lt, h)
+
+
+def filter_reference(layer, lt, h):
+    """sum_r T_r(L) H theta_r + bias, then the activation, in the engine's
+    order of operations, so a one-branch module must match it bit for bit."""
+    basis = chebyshev_apply(lt, h, layer.order)
+    z = basis[0] @ layer.theta[0]
+    for r in range(1, layer.order + 1):
+        z += basis[r] @ layer.theta[r]
+    z += layer.bias
+    return np.maximum(z, 0.0) if layer.activation == "relu" else z
 
 
 def scratch_forward(net, lt_dense, x):
@@ -111,6 +131,7 @@ class TestInceptionModule:
         for agg in ("concat", "maxpool"):
             mod = InceptionModule(branches=[layer], aggregator=agg)
             npt.assert_array_equal(inception_forward(mod, lt, h), gc_forward(layer, lt, h))
+            npt.assert_array_equal(inception_forward(mod, lt, h), filter_reference(layer, lt, h))
 
     def test_identical_branches_maxpool_equals_one_branch(self):
         lt = make_lap(6, seed=7)
@@ -158,6 +179,17 @@ def small_network(rng, d_in=3, n_classes=2, aggregator="concat"):
     return Network(modules=[mod1, mod2], classifier_weight=w, classifier_bias=np.zeros(n_classes))
 
 
+def multi_branch_network(rng):
+    """Two modules of several branches on 3 input features; the second has
+    orders {3, 5, 10}."""
+    mod1 = InceptionModule(branches=[ChebFilterLayer.create(k, 3, 4, rng) for k in (1, 2)])
+    mod2 = InceptionModule(
+        branches=[ChebFilterLayer.create(k, mod1.d_out, 4, rng) for k in (3, 5, 10)]
+    )
+    w = rng.standard_normal((mod2.d_out, 2)) * 0.5
+    return Network(modules=[mod1, mod2], classifier_weight=w, classifier_bias=np.zeros(2))
+
+
 class TestNetworkForward:
     def test_reduces_to_gc_forward_plus_classifier(self):
         lt = make_lap(5, seed=20)
@@ -173,6 +205,7 @@ class TestNetworkForward:
         )
         scores, _ = network_forward(net, lt, x)
         npt.assert_array_equal(scores, gc_forward(layer, lt, x) @ w + b)
+        npt.assert_array_equal(scores, filter_reference(layer, lt, x) @ w + b)
 
     def test_forward_is_bitwise_repeatable(self):
         lt = make_lap(9, seed=22)
@@ -203,6 +236,34 @@ class TestNetworkForward:
         s2, _ = network_forward(net, lt, x, input_basis=basis)
         npt.assert_array_equal(s1, s2)
 
+    def test_short_cached_basis_rejected_with_both_counts(self):
+        lt = make_lap(8, seed=35)
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((8, 3))
+        net = small_network(rng)  # first module's highest order is 2
+        with pytest.raises(ShapeMismatchError, match="has 2 terms.*needs 3"):
+            network_forward(net, lt, x, input_basis=chebyshev_apply(lt, x, 1))
+        with pytest.raises(ShapeMismatchError, match="has 0 terms.*needs 3"):
+            network_forward(net, lt, x, input_basis=[])
+
+    def test_one_basis_per_module(self, monkeypatch):
+        calls = []
+
+        def counting_apply(lap, h, order):
+            calls.append(order)
+            return chebyshev_apply(lap, h, order)
+
+        monkeypatch.setattr("chebgcn.nn.chebyshev_apply", counting_apply)
+        lt = make_lap(10, seed=37)
+        rng = np.random.default_rng(38)
+        x = rng.standard_normal((10, 3))
+        net = multi_branch_network(rng)
+        network_forward(net, lt, x)
+        assert calls == [2, 10]
+        calls.clear()
+        network_forward(net, lt, x, input_basis=chebyshev_apply(lt, x, 2))
+        assert calls == [10]
+
     def test_no_classifier_mode(self):
         lt = make_lap(6, seed=32)
         rng = np.random.default_rng(33)
@@ -210,7 +271,7 @@ class TestNetworkForward:
         layer = ChebFilterLayer.create(1, 3, 2, rng)
         net = Network(modules=[InceptionModule(branches=[layer])])
         scores, _ = network_forward(net, lt, x)
-        npt.assert_array_equal(scores, gc_forward(layer, lt, x))
+        npt.assert_array_equal(scores, filter_reference(layer, lt, x))
 
     def test_localization_of_score_rows(self):
         # One module of max order 2: score rows move only within 2 hops.
@@ -368,20 +429,100 @@ class TestNetworkBackward:
             network_backward(tape, np.zeros((5, 7)))
 
 
+def reverse_pass(lt, c):
+    """Out-of-place reverse pass of the Chebyshev recurrence over
+    coefficients c_0..c_k; returns d(loss)/d(input)."""
+    c = list(c)
+    for r in range(len(c) - 1, 1, -1):
+        c[r - 1] = c[r - 1] + 2.0 * (lt.matrix @ c[r])
+        c[r - 2] = c[r - 2] - c[r]
+    return c[0] + lt.matrix @ c[1] if len(c) > 1 else c[0]
+
+
+def per_branch_input_gradient(module, lt, mtape, g):
+    """The input gradient as the sum of one reverse pass per branch."""
+    if module.aggregator == "concat":
+        branch_gs = np.split(g, np.cumsum([br.d_out for br in module.branches])[:-1], axis=1)
+    else:
+        branch_gs = [g * (mtape.winners == si) for si in range(len(module.branches))]
+    dh = None
+    for br, mask, bg in zip(module.branches, mtape.relu_masks, branch_gs):
+        if mask is not None:
+            bg = bg * mask
+        d = reverse_pass(lt, [bg @ br.theta[r].T for r in range(br.order + 1)])
+        dh = d if dh is None else dh + d
+    return dh
+
+
 @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
 def test_in_place_reverse_recurrence_is_bitwise_the_out_of_place_one(storage):
     rng = np.random.default_rng(3)
     lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=3).toarray()), lambda_max=1.0)
     layer = ChebFilterLayer.create(4, 3, 5, rng)
+    module = InceptionModule(branches=[layer])
     g = rng.standard_normal((12, 5))
-    _, btape = _filter_forward(layer, lt, rng.standard_normal((12, 3)))
-    _, _, dh = _filter_backward(layer, lt, btape, g, need_input_grad=True)
-    g = g * btape.relu_mask
-    c = [g @ layer.theta[r].T for r in range(5)]
-    for r in range(4, 1, -1):
-        c[r - 1] = c[r - 1] + 2.0 * (lt.matrix @ c[r])
-        c[r - 2] = c[r - 2] - c[r]
-    npt.assert_array_equal(dh, c[0] + lt.matrix @ c[1])
+    _, mtape = _module_forward(module, lt, rng.standard_normal((12, 3)))
+    _, dh = _module_backward(module, lt, mtape, g, need_input_grad=True)
+    g = g * mtape.relu_masks[0]
+    npt.assert_array_equal(dh, reverse_pass(lt, [g @ layer.theta[r].T for r in range(5)]))
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("aggregator", ["concat", "maxpool"])
+def test_one_reverse_pass_matches_the_sum_of_per_branch_passes(storage, aggregator):
+    # Summing the branch coefficients before one reverse pass reorders the
+    # floating-point sums, so multi-branch modules agree to roundoff; a
+    # single branch takes the same operations and agrees bit for bit.
+    for seed in range(5):
+        rng = np.random.default_rng(200 + seed)
+        lt = NormalizedLaplacian(matrix=storage(make_lap(15, seed=seed).toarray()),
+                                 lambda_max=1.0)
+        h = rng.standard_normal((15, 3))
+        for orders in ((3, 5, 10), (0, 4), (6,)):
+            module = InceptionModule(
+                branches=[ChebFilterLayer.create(k, 3, 4, rng) for k in orders],
+                aggregator=aggregator,
+            )
+            for br in module.branches:
+                br.bias += 0.1 * rng.standard_normal(4)
+            _, mtape = _module_forward(module, lt, h)
+            g = rng.standard_normal((15, module.d_out))
+            grads, dh = _module_backward(module, lt, mtape, g, need_input_grad=True)
+            ref = per_branch_input_gradient(module, lt, mtape, g)
+            if len(orders) == 1:
+                npt.assert_array_equal(dh, ref)
+            else:
+                assert np.abs(dh - ref).max() <= 1e-13 * np.abs(ref).max()
+            no_input, none = _module_backward(module, lt, mtape, g, need_input_grad=False)
+            assert none is None
+            for (dt, db), (dt2, db2) in zip(grads, no_input):
+                npt.assert_array_equal(dt, dt2)
+                npt.assert_array_equal(db, db2)
+
+
+class CountingMatrix(np.ndarray):
+    """A dense matrix that counts its products with ``@``."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def test_module_after_the_first_runs_its_highest_order_once_each_way(monkeypatch):
+    # orders {3, 5, 10} after the first module: one basis up to T_10 forward
+    # and one reverse pass of length 10 backward, 10 products each
+    rng = np.random.default_rng(7)
+    lt = NormalizedLaplacian(matrix=make_lap(12, seed=7).toarray().view(CountingMatrix))
+    x = rng.standard_normal((12, 3))
+    net = multi_branch_network(rng)
+    basis = chebyshev_apply(lt, x, 2)
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    scores, tape = network_forward(net, lt, x, input_basis=basis)
+    assert CountingMatrix.products == 10
+    network_backward(tape, np.ones_like(scores))
+    assert CountingMatrix.products == 20
 
 
 class TestDropout:

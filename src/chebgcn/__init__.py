@@ -13,8 +13,6 @@ from .affinity import (
     SimilarityKernel,
     build_affinity,
     binarize_edges,
-    fuse,
-    mix_graphs,
     pairwise_distance,
     similarity_weights,
 )
@@ -55,7 +53,6 @@ from .nn import (
     Adam,
     ChebFilterLayer,
     GradientDescent,
-    GradientTape,
     InceptionModule,
     Network,
     NonFiniteGradientError,

@@ -156,31 +156,6 @@ def similarity_weights(features: np.ndarray, kernel: SimilarityKernel) -> np.nda
     return weights
 
 
-def fuse(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Elementwise product of a weight matrix and a boolean edge gate."""
-    weights = np.asarray(weights, dtype=np.float64)
-    edges = np.asarray(edges)
-    if weights.shape != edges.shape:
-        raise AffinityError(f"shape mismatch: weights {weights.shape}, edges {edges.shape}")
-    return weights * edges.astype(np.float64)
-
-
-def mix_graphs(matrices) -> np.ndarray:
-    """Plain average of equally shaped adjacency matrices (float64)."""
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if not mats:
-        raise AffinityError("mix_graphs needs at least one matrix")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise AffinityError("all mixed matrices must share one shape")
-    out = np.zeros(shape)
-    for m in mats:
-        out += m
-    out /= len(mats)
-    return out
-
-
 def build_affinity(
     elements,
     features: np.ndarray,
@@ -208,23 +183,24 @@ def build_affinity(
             raise AffinityError("all meta-data elements must cover the same nodes")
     if mode not in ("single", "mixed", "mixed_nosim"):
         raise AffinityError(f"unknown mode {mode!r}")
-    if kernel is None:
-        kernel = SimilarityKernel()
-
-    gates = [binarize_edges(m, strict=strict) for m in elements]
-    if mode == "mixed_nosim":
-        return mix_graphs(gates)
-    weights = similarity_weights(features, kernel)
     if mode == "single":
-        if element is None:
-            chosen = 0
-        else:
-            names = [m.name for m in elements]
-            if element not in names:
-                raise AffinityError(f"no meta-data element named {element!r} (have {names})")
-            chosen = names.index(element)
-        return fuse(weights, gates[chosen])
-    return mix_graphs([fuse(weights, g) for g in gates])
+        names = [m.name for m in elements]
+        if element is not None and element not in names:
+            raise AffinityError(f"no meta-data element named {element!r} (have {names})")
+        elements = [elements[0 if element is None else names.index(element)]]
+
+    weights = None
+    if mode != "mixed_nosim":
+        weights = similarity_weights(features, SimilarityKernel() if kernel is None else kernel)
+        if weights.shape[0] != n:
+            raise AffinityError(f"features cover {weights.shape[0]} nodes but meta-data {n}")
+    # Every term is non-negative, so starting the sum from zeros is exact.
+    out = np.zeros((n, n))
+    for m in elements:
+        gate = binarize_edges(m, strict=strict)
+        out += gate if weights is None else weights * gate
+    out /= len(elements)
+    return out
 
 
 def affinity_graph(

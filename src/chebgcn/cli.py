@@ -99,6 +99,9 @@ def cmd_build_graph(cfg: dict) -> int:
     features, labels, train, test = read_features_csv(aff["features"])
     columns = read_meta_csv(aff["meta"])
     names = aff["elements"] if aff["elements"] is not None else list(columns)
+    unused = [name for name in aff["betas"] if name not in names]
+    if unused:
+        raise ConfigError(f"affinity.betas: {unused} name no element in use {names}")
     elements = []
     for name in names:
         if name not in columns:

@@ -8,6 +8,7 @@ usable CPUs and the BLAS thread count in the environment.
 """
 
 import copy
+import math
 import os
 from importlib import resources
 
@@ -260,7 +261,17 @@ def validate_config(cfg: dict) -> None:
              "affinity.mode must be single, mixed, or mixed_nosim")
     _require(aff["distance"] in ("correlation", "euclidean"),
              "affinity.distance must be correlation or euclidean")
+    names = aff["elements"]
+    _require(names is None or (isinstance(names, list) and names
+                               and all(isinstance(name, str) for name in names)),
+             "affinity.elements must be a non-empty list of meta-data column names")
     _require(isinstance(aff["betas"], dict), "affinity.betas must map element names to numbers")
+    for name, beta in aff["betas"].items():
+        _require(isinstance(beta, (int, float)) and not isinstance(beta, bool)
+                 and math.isfinite(beta) and beta >= 0,
+                 f"affinity.betas.{name} must be a number >= 0, got {beta!r}")
+    _require(aff["element"] is None or aff["mode"] == "single",
+             f"affinity.element applies only in single mode, not {aff['mode']!r}")
 
 
 def to_sim_config(cfg: dict) -> SimConfig:

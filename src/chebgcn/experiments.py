@@ -135,10 +135,6 @@ def inception(orders, width: int, aggregator: str = "concat") -> ArchSpec:
     return ArchSpec(modules=(ModuleSpec(branches=branches, aggregator=aggregator),))
 
 
-def max_first_module_order(arch: ArchSpec) -> int:
-    return max(b.order for b in arch.modules[0].branches)
-
-
 def build_network(arch: ArchSpec, d_in: int, n_classes: int, rng) -> Network:
     """Instantiate an architecture with Glorot weights and zero biases.
 
@@ -298,16 +294,7 @@ class ExperimentResult:
     fold_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "fold_indices": list(self.fold_indices),
-            "accuracies": list(self.accuracies),
-            "epochs": list(self.epochs),
-            "failed_folds": list(self.failed_folds),
-            "mean_accuracy": self.mean_accuracy,
-            "sd_accuracy": self.sd_accuracy,
-            "fingerprint": self.fingerprint,
-            "fold_hash": self.fold_hash,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -374,7 +361,7 @@ def _cross_validate(graph, cells, threads: int) -> list:
              for arch, cfg, folds in cells
              for fi, (train, test) in enumerate(folds)]
     lap = rescale_laplacian(build_laplacian(graph))
-    order = max(max_first_module_order(arch) for arch, _, _ in cells)
+    order = max(b.order for arch, _, _ in cells for b in arch.modules[0].branches)
     ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
                        n_classes=graph.n_classes,
                        basis=chebyshev_apply(lap, graph.features, order))

@@ -166,21 +166,18 @@ class PopulationGraph:
 
 @dataclass(frozen=True)
 class NormalizedLaplacian:
-    """A symmetric graph Laplacian together with an upper spectral estimate.
+    """A symmetric graph Laplacian, read-only.
 
-    ``matrix`` is I - D^{-1/2} A D^{-1/2} (or its Chebyshev-domain rescaling),
-    CSR or dense. ``lambda_max`` bounds the largest eigenvalue from above;
-    the symmetric normalization guarantees 2.0 is always valid.
+    ``matrix`` is I - D^{-1/2} A D^{-1/2}, with spectrum inside [0, 2], or its
+    Chebyshev-domain rescaling L - I, with spectrum inside [-1, 1]; CSR or
+    dense.
     """
 
     matrix: object
-    lambda_max: float = 2.0
 
     def __post_init__(self):
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise GraphInvariantError(f"Laplacian must be square, got {self.matrix.shape}")
-        if not np.isfinite(self.lambda_max):
-            raise GraphInvariantError("lambda_max must be finite")
         _freeze(self.matrix)
 
     @property
@@ -228,20 +225,17 @@ def build_laplacian(graph) -> NormalizedLaplacian:
 
 
 def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
-    """Map a Laplacian to the Chebyshev domain: 2 L / lambda_max - I.
+    """Map a normalized Laplacian to the Chebyshev domain: 2 L / 2 - I = L - I.
 
-    With the default ``lambda_max = 2`` this is exactly L - I, with spectrum
-    inside [-1, 1]. The returned Laplacian carries ``lambda_max = 1.0``.
+    The largest eigenvalue of L is at most 2, so the result's spectrum lies
+    inside [-1, 1].
     """
-    if not lap.lambda_max > 0.0:
-        raise GraphInvariantError(f"lambda_max must be positive, got {lap.lambda_max}")
-    scale = 2.0 / lap.lambda_max
     n = lap.n_nodes
     if sp.issparse(lap.matrix):
-        scaled = _canonical_csr(lap.matrix * scale - sp.eye_array(n, format="csr"))
+        scaled = _canonical_csr(lap.matrix - sp.eye_array(n, format="csr"))
     else:
-        scaled = lap.matrix * scale - np.eye(n)
-    return NormalizedLaplacian(matrix=scaled, lambda_max=1.0)
+        scaled = lap.matrix - np.eye(n)
+    return NormalizedLaplacian(matrix=scaled)
 
 
 def chebyshev_apply(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> list[np.ndarray]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import SimilarityKernel, fuse, similarity_weights
+from .affinity import SimilarityKernel, pairwise_distance, similarity_weights
 from .graph import PopulationGraph
 
 FEATURE_MODES = ("discriminative", "random")
@@ -66,15 +66,12 @@ def generate(config: SimConfig) -> PopulationGraph:
         positions[c * n : (c + 1) * n] = rng.normal(mean, np.sqrt(var), size=(n, 2))
         labels[c * n : (c + 1) * n] = c
 
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    close = dist < config.beta
+    close = pairwise_distance(positions, "euclidean") < config.beta
     np.fill_diagonal(close, False)
     if config.edge_weights == "binary":
         adjacency = close.astype(np.float64)
     else:
-        sim = similarity_weights(positions, SimilarityKernel(distance="euclidean"))
-        adjacency = fuse(sim, close)
+        adjacency = similarity_weights(positions, SimilarityKernel(distance="euclidean")) * close
 
     if config.feature_mode == "discriminative":
         features = positions

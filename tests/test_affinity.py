@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from chebgcn import affinity
 from chebgcn.affinity import (
     AffinityError,
     MetaElement,
@@ -11,8 +12,6 @@ from chebgcn.affinity import (
     affinity_graph,
     binarize_edges,
     build_affinity,
-    fuse,
-    mix_graphs,
     pairwise_distance,
     similarity_weights,
 )
@@ -137,56 +136,75 @@ class TestSimilarityWeights:
             SimilarityKernel(sigma=0.0)
 
 
+def gate_loop(meta, i, j):
+    """Scalar reference for one entry of binarize_edges."""
+    return i != j and abs(meta.values[i] - meta.values[j]) <= meta.beta
+
+
 class TestFuse:
+    """single mode: the similarity weights times one element's gate."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(2)
+        self.x = rng.standard_normal((6, 4))
+        self.kernel = SimilarityKernel(distance="correlation", sigma=1.0)
+        self.w = similarity_weights(self.x, self.kernel)
+
+    def single(self, values, beta=0.0):
+        return build_affinity([MetaElement("m", values, beta)], self.x, self.kernel)
+
     def test_zero_gate_kills_everything(self):
-        w = np.random.default_rng(0).uniform(size=(4, 4))
-        npt.assert_array_equal(fuse(w, np.zeros((4, 4), dtype=bool)), np.zeros((4, 4)))
+        npt.assert_array_equal(self.single(np.arange(6.0)), np.zeros((6, 6)))
 
     def test_full_gate_keeps_offdiagonal(self):
-        rng = np.random.default_rng(1)
-        w = rng.uniform(size=(5, 5))
-        e = ~np.eye(5, dtype=bool)
-        fused = fuse(w, e)
-        npt.assert_array_equal(fused[e], w[e])
-        npt.assert_array_equal(fused.diagonal(), np.zeros(5))
+        fused = self.single(np.ones(6))
+        e = ~np.eye(6, dtype=bool)
+        npt.assert_array_equal(fused[e], self.w[e])
+        npt.assert_array_equal(fused.diagonal(), np.zeros(6))
 
     def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(2)
-        w = rng.uniform(size=(6, 6))
-        e = rng.random((6, 6)) < 0.5
-        fused = fuse(w, e)
+        meta = MetaElement("m", np.random.default_rng(3).uniform(0, 4, size=6), beta=1.0)
+        fused = build_affinity([meta], self.x, self.kernel)
         for i in range(6):
             for j in range(6):
-                assert fused[i, j] == (w[i, j] if e[i, j] else 0.0)
+                assert fused[i, j] == (self.w[i, j] if gate_loop(meta, i, j) else 0.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(AffinityError):
-            fuse(np.zeros((3, 3)), np.zeros((4, 4), dtype=bool))
+        with pytest.raises(AffinityError, match="features cover 6 nodes"):
+            build_affinity([MetaElement("m", np.ones(4), 0.0)], self.x, self.kernel)
 
 
 class TestMixGraphs:
+    """mixed_nosim mode: the plain average of the elements' gates."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.x = rng.standard_normal((7, 3))
+        self.elements = [MetaElement(f"m{k}", rng.integers(0, 2, size=7).astype(float), 0.0)
+                         for k in range(3)]
+
     def test_single_graph_unchanged(self):
-        a = np.random.default_rng(0).uniform(size=(4, 4))
-        npt.assert_array_equal(mix_graphs([a]), a)
+        meta = self.elements[0]
+        mixed = build_affinity([meta], self.x, mode="mixed_nosim")
+        npt.assert_array_equal(mixed, binarize_edges(meta).astype(float))
 
     def test_identical_graphs_unchanged(self):
-        a = np.random.default_rng(1).uniform(size=(4, 4))
-        npt.assert_allclose(mix_graphs([a, a]), a, atol=1e-15)
+        meta = self.elements[1]
+        mixed = build_affinity([meta, meta], self.x, mode="mixed_nosim")
+        npt.assert_array_equal(mixed, binarize_edges(meta).astype(float))
 
     def test_three_binary_gates_mean(self):
-        rng = np.random.default_rng(5)
-        gates = [rng.random((7, 7)) < 0.5 for _ in range(3)]
-        mixed = mix_graphs(gates)
+        mixed = build_affinity(self.elements, self.x, mode="mixed_nosim")
         allowed = {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}
         for i in range(7):
             for j in range(7):
-                expected = (int(gates[0][i, j]) + int(gates[1][i, j]) + int(gates[2][i, j])) / 3.0
-                assert mixed[i, j] == expected
-                assert any(abs(mixed[i, j] - v) < 1e-15 for v in allowed)
+                g0, g1, g2 = (float(gate_loop(m, i, j)) for m in self.elements)
+                assert mixed[i, j] == (g0 + g1 + g2) / 3
+                assert mixed[i, j] in allowed
 
     def test_empty_list_rejected(self):
         with pytest.raises(AffinityError):
-            mix_graphs([])
+            build_affinity([], self.x, mode="mixed_nosim")
 
 
 class TestBuildAffinity:
@@ -203,10 +221,19 @@ class TestBuildAffinity:
 
     def test_single_mode_is_composition(self):
         got = build_affinity(self.elements[:1], self.x, self.kernel, mode="single")
-        expected = fuse(
-            similarity_weights(self.x, self.kernel), binarize_edges(self.elements[0])
-        )
+        expected = similarity_weights(self.x, self.kernel) * binarize_edges(self.elements[0])
         npt.assert_array_equal(got, expected)
+
+    def test_single_mode_gates_only_the_chosen_element(self, monkeypatch):
+        calls = []
+
+        def counting(meta, strict=False):
+            calls.append(meta.name)
+            return binarize_edges(meta, strict=strict)
+
+        monkeypatch.setattr(affinity, "binarize_edges", counting)
+        build_affinity(self.elements, self.x, self.kernel, mode="single", element="site")
+        assert calls == ["site"]
 
     def test_mixed_of_identical_elements_equals_single(self):
         same = [self.elements[0], self.elements[0]]
@@ -217,11 +244,13 @@ class TestBuildAffinity:
         )
 
     def test_mixed_matches_bruteforce(self):
-        got = build_affinity(self.elements, self.x, self.kernel, mode="mixed")
+        three = self.elements[:3]
+        got = build_affinity(three, self.x, self.kernel, mode="mixed")
         w = similarity_weights(self.x, self.kernel)
-        per = [fuse(w, binarize_edges(m)) for m in self.elements]
-        expected = sum(per) / len(per)
-        npt.assert_allclose(got, expected, atol=1e-15)
+        for i in range(10):
+            for j in range(10):
+                t0, t1, t2 = (w[i, j] if gate_loop(m, i, j) else 0.0 for m in three)
+                assert got[i, j] == (t0 + t1 + t2) / 3
 
     def test_mixed_nosim_entries_in_unit_interval(self):
         got = build_affinity(self.elements, self.x, mode="mixed_nosim")
@@ -235,9 +264,7 @@ class TestBuildAffinity:
         by_name = build_affinity(
             self.elements, self.x, self.kernel, mode="single", element="site"
         )
-        expected = fuse(
-            similarity_weights(self.x, self.kernel), binarize_edges(self.elements[2])
-        )
+        expected = similarity_weights(self.x, self.kernel) * binarize_edges(self.elements[2])
         npt.assert_array_equal(by_name, expected)
         with pytest.raises(AffinityError, match="ethnicity"):
             build_affinity(self.elements, self.x, self.kernel, element="ethnicity")

@@ -265,6 +265,27 @@ class TestBuildGraphCommand:
         assert main(["build-graph", "--config", cfg]) == 2
         assert "no column 'weight'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("affinity, field", [
+        ({"betas": {"agee": 2.0}}, "affinity.betas"),
+        ({"elements": ["age"], "betas": {"age": 2.0, "sex": 0.0}}, "affinity.betas"),
+        ({"betas": {"age": "two"}}, "affinity.betas.age"),
+        ({"element": "sex"}, "affinity.element "),
+        ({"elements": "age"}, "affinity.elements must be a non-empty list"),
+    ])
+    def test_bad_affinity_config_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                          affinity, field):
+        meta_fixture(tmp_path)
+        out = tmp_path / "res"
+        sections = quick_sections(out, affinity={
+            "meta": str(tmp_path / "meta.csv"),
+            "features": str(tmp_path / "features.csv"),
+            **affinity,
+        })
+        assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (out / "edges.txt").exists()
+
     def test_requires_input_files(self, tmp_path, capsys):
         sections = quick_sections(tmp_path / "res", affinity={
             "meta": str(tmp_path / "nope.csv"),

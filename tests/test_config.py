@@ -201,6 +201,24 @@ class TestValidateConfig:
                            "affinity.distance")
         self.check_rejects(lambda c: c["affinity"].update({"betas": [1, 2]}), "betas")
 
+    @pytest.mark.parametrize("beta", ["two", True, -1.0, float("inf"), None])
+    def test_affinity_beta_must_be_a_non_negative_number(self, beta):
+        self.check_rejects(lambda c: c["affinity"].update({"betas": {"age": beta}}),
+                           "affinity.betas.age")
+
+    @pytest.mark.parametrize("elements", ["age", [], ["age", 3]])
+    def test_affinity_elements_must_be_a_list_of_names(self, elements):
+        self.check_rejects(lambda c: c["affinity"].update({"elements": elements}),
+                           "affinity.elements")
+
+    @pytest.mark.parametrize("mode", ["mixed", "mixed_nosim"])
+    def test_affinity_element_only_in_single_mode(self, mode):
+        self.check_rejects(lambda c: c["affinity"].update({"mode": mode, "element": "site"}),
+                           "affinity.element ")
+        cfg = self.base()
+        cfg["affinity"].update({"mode": "single", "element": "site", "betas": {"site": 0}})
+        validate_config(cfg)
+
 
 class TestTranslation:
     def test_sim_seed_derived_from_experiment_seed(self):

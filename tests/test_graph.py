@@ -113,9 +113,6 @@ class TestBuildLaplacian:
         assert sp.issparse(rescale_laplacian(lap).matrix)
         npt.assert_allclose(lap.toarray(), loop_normalized_laplacian(a), atol=1e-12)
 
-    def test_default_lambda_max_is_two(self):
-        assert build_laplacian(path_adjacency(4)).lambda_max == 2.0
-
     def test_rejects_asymmetric_input(self):
         a = np.zeros((3, 3))
         a[0, 1] = 1.0
@@ -125,11 +122,11 @@ class TestBuildLaplacian:
 
 class TestRescale:
     def test_identity_laplacian_maps_to_zero(self):
-        lt = rescale_laplacian(NormalizedLaplacian(matrix=np.eye(3), lambda_max=2.0))
+        lt = rescale_laplacian(NormalizedLaplacian(matrix=np.eye(3)))
         npt.assert_array_equal(lt.toarray(), np.zeros((3, 3)))
 
     def test_two_node_graph(self):
-        lap = NormalizedLaplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]), lambda_max=2.0)
+        lap = NormalizedLaplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         npt.assert_array_equal(
             rescale_laplacian(lap).toarray(), np.array([[0.0, -1.0], [-1.0, 0.0]])
         )
@@ -147,10 +144,6 @@ class TestRescale:
             rescale_laplacian(lap).toarray(), lap.toarray() - np.eye(10)
         )
 
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(GraphInvariantError):
-            rescale_laplacian(NormalizedLaplacian(np.eye(2), lambda_max=0.0))
-
 
 class TestChebyshevApply:
     def test_order_zero_returns_input(self):
@@ -161,7 +154,7 @@ class TestChebyshevApply:
         npt.assert_array_equal(out[0], x)
 
     def test_order_one_on_zero_operator(self):
-        lt = NormalizedLaplacian(np.zeros((3, 3)), lambda_max=1.0)
+        lt = NormalizedLaplacian(np.zeros((3, 3)))
         x = np.arange(6, dtype=float).reshape(3, 2)
         out = chebyshev_apply(lt, x, 1)
         npt.assert_array_equal(out[0], x)
@@ -205,8 +198,8 @@ class TestChebyshevApply:
         a = random_adjacency(rng, 12, p=0.3, weighted=True)
         x = rng.standard_normal((12, 4))
         dense = rescale_laplacian(build_laplacian(a)).toarray()
-        lt_s = NormalizedLaplacian(matrix=sp.csr_array(dense), lambda_max=1.0)
-        lt_d = NormalizedLaplacian(matrix=dense, lambda_max=1.0)
+        lt_s = NormalizedLaplacian(matrix=sp.csr_array(dense))
+        lt_d = NormalizedLaplacian(matrix=dense)
         for s, d in zip(chebyshev_apply(lt_s, x, 5), chebyshev_apply(lt_d, x, 5)):
             npt.assert_allclose(s, d, atol=1e-12)
 
@@ -214,7 +207,7 @@ class TestChebyshevApply:
     def test_in_place_recurrence_is_bitwise_the_out_of_place_one(self, storage):
         rng = np.random.default_rng(9)
         dense = rescale_laplacian(build_laplacian(random_adjacency(rng, 15, p=0.3))).toarray()
-        lt = NormalizedLaplacian(matrix=storage(dense), lambda_max=1.0)
+        lt = NormalizedLaplacian(matrix=storage(dense))
         x = rng.standard_normal((15, 3))
         expected = [x, lt.matrix @ x]
         for _ in range(2, 7):

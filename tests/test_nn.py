@@ -90,7 +90,7 @@ class TestGcForward:
         # With a zero rescaled Laplacian, T_1 = 0 and T_2 = -I, so the output
         # collapses to H (theta_0 - theta_2 + theta_4). Checked against the
         # dense matrix oracle.
-        lt = NormalizedLaplacian(np.zeros((4, 4)), lambda_max=1.0)
+        lt = NormalizedLaplacian(np.zeros((4, 4)))
         rng = np.random.default_rng(3)
         h = rng.standard_normal((4, 2))
         layer = ChebFilterLayer(
@@ -457,7 +457,7 @@ def per_branch_input_gradient(module, lt, mtape, g):
 @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
 def test_in_place_reverse_recurrence_is_bitwise_the_out_of_place_one(storage):
     rng = np.random.default_rng(3)
-    lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=3).toarray()), lambda_max=1.0)
+    lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=3).toarray()))
     layer = ChebFilterLayer.create(4, 3, 5, rng)
     module = InceptionModule(branches=[layer])
     g = rng.standard_normal((12, 5))
@@ -475,8 +475,7 @@ def test_one_reverse_pass_matches_the_sum_of_per_branch_passes(storage, aggregat
     # single branch takes the same operations and agrees bit for bit.
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
-        lt = NormalizedLaplacian(matrix=storage(make_lap(15, seed=seed).toarray()),
-                                 lambda_max=1.0)
+        lt = NormalizedLaplacian(matrix=storage(make_lap(15, seed=seed).toarray()))
         h = rng.standard_normal((15, 3))
         for orders in ((3, 5, 10), (0, 4), (6,)):
             module = InceptionModule(

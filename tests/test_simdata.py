@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from chebgcn.affinity import SimilarityKernel, fuse, pairwise_distance, similarity_weights
+from chebgcn.affinity import SimilarityKernel, pairwise_distance, similarity_weights
 from chebgcn.simdata import SimConfig, generate, stratified_folds
 
 
@@ -112,7 +112,7 @@ class TestGenerate:
         sim = similarity_weights(pos, SimilarityKernel(distance="euclidean"))
         gate = pairwise_distance(pos, "euclidean") < cfg.beta
         np.fill_diagonal(gate, False)
-        npt.assert_array_equal(dense_adj(g), fuse(sim, gate))
+        npt.assert_array_equal(dense_adj(g), sim * gate)
         on_edges = dense_adj(g)[gate]
         assert (on_edges > 0).all() and (on_edges <= 1).all()
 

@@ -171,8 +171,9 @@ def build_affinity(
         "mixed"       -- mean over elements of Sim * E_m
         "mixed_nosim" -- mean over elements of E_m (pure meta-data graph)
 
-    ``kernel`` defaults to the correlation kernel with automatic bandwidth;
-    it is unused by mixed_nosim.
+    ``element`` names the element of single mode; the other modes raise if
+    it is given. ``kernel`` defaults to the correlation kernel with automatic
+    bandwidth; it is unused by mixed_nosim.
     """
     elements = list(elements)
     if not elements:
@@ -188,6 +189,8 @@ def build_affinity(
         if element is not None and element not in names:
             raise AffinityError(f"no meta-data element named {element!r} (have {names})")
         elements = [elements[0 if element is None else names.index(element)]]
+    elif element is not None:
+        raise AffinityError(f"element {element!r} applies only in single mode, not {mode!r}")
 
     weights = None
     if mode != "mixed_nosim":

@@ -62,12 +62,22 @@ def _require_file(path, field):
 
 
 def _dataset_graph(cfg: dict) -> PopulationGraph:
+    """The dataset to cross-validate, once it is known to fill every fold."""
     ds = cfg["dataset"]
     if ds["source"] == "sim":
-        return generate(cfgmod.to_sim_config(cfg))
-    _require_file(ds["features"], "dataset.features")
-    _require_file(ds["edges"], "dataset.edges")
-    return load_graph(ds["features"], ds["edges"])
+        graph = generate(cfgmod.to_sim_config(cfg))
+    else:
+        _require_file(ds["features"], "dataset.features")
+        _require_file(ds["edges"], "dataset.edges")
+        graph = load_graph(ds["features"], ds["edges"])
+    # Folds are dealt round-robin within each class, so the largest class
+    # must hold a node for every fold.
+    folds = cfg["experiment"]["folds"]
+    largest = int(np.unique(graph.labels, return_counts=True)[1].max())
+    if folds > largest:
+        raise ConfigError(f"experiment.folds is {folds}, but the largest class of the "
+                          f"{graph.n_nodes} nodes has {largest}, so at most {largest} folds fit")
+    return graph
 
 
 def _prepare_out(cfg: dict) -> Path:

@@ -8,32 +8,38 @@ usable CPUs and the BLAS thread count in the environment.
 """
 
 import copy
-import math
+import numbers
 import os
+import typing
+from dataclasses import fields
 from importlib import resources
 
 import yaml
 
+from .affinity import SimilarityKernel
 from .experiments import ArchSpec, BranchSpec, ModuleSpec, TrainConfig, derive_seed
 from .simdata import SimConfig
 
 ENV_PREFIX = "CHEBGCN_"
 
+
+def _defaults(cls, *skip) -> dict:
+    """A dataclass's field defaults as config values: tuples become lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
+# The keys a module mapping may leave out, with their values.
+_MODULE_DEFAULTS = {"width": 16, **_defaults(ModuleSpec, "branches")}
+
+# A key that sets a dataclass field takes its default from that dataclass.
 DEFAULTS = {
     "dataset": {
         "source": "sim",  # sim | files
         "features": None,
         "edges": None,
     },
-    "sim": {
-        "n_per_class": 300,
-        "means": [-1.0, 1.0],
-        "variances": [0.5, 0.1],
-        "beta": 0.5,
-        "feature_mode": "discriminative",
-        "edge_weights": "binary",
-        "seed": None,  # None: derived from experiment.seed
-    },
+    "sim": {**_defaults(SimConfig), "seed": None},  # seed None: derived from experiment.seed
     "affinity": {
         "meta": None,
         "features": None,
@@ -41,28 +47,17 @@ DEFAULTS = {
         "betas": {},
         "mode": "mixed",
         "element": None,
-        "distance": "correlation",
-        "sigma": None,
+        **_defaults(SimilarityKernel),
         "strict": False,
     },
     "architecture": {
-        "modules": [{"orders": [1], "width": 16, "aggregator": "concat"}],
-        "classifier": True,
-        "activation": "relu",
+        "modules": [{"orders": [1], **_MODULE_DEFAULTS}],
+        **_defaults(ArchSpec, "modules"),
     },
-    "training": {
-        "epochs": 200,
-        "lr": 0.2,
-        "optimizer": "sgd",
-        "early_stop_window": 0,
-        "stop_metric": "val",
-        "val_fraction": 0.1,
-        "dropout": 0.0,
-        "weight_decay": 0.0,
-    },
+    "training": _defaults(TrainConfig, "n_folds", "seed"),
     "experiment": {
-        "folds": 10,
-        "seed": 0,
+        "folds": TrainConfig.n_folds,
+        "seed": TrainConfig.seed,
         "threads": 1,  # resolve_config sets usable CPUs // BLAS threads
         "out": "results",
         "k_range": [1, 6],
@@ -72,6 +67,27 @@ DEFAULTS = {
         "k2": 10,
     },
 }
+
+# Kinds of keys that set no dataclass field, where no check below implies one.
+_KEY_KINDS = {
+    "dataset": {"features": str | None, "edges": str | None},
+    "affinity": {"meta": str | None, "features": str | None, "element": str | None,
+                 "strict": bool},
+    "experiment": dict.fromkeys(("folds", "seed", "threads", "k1", "k2", "width"), int),
+}
+
+# How a config value of each annotated kind is worded in errors.
+_KIND_WORDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               tuple: "a list of numbers", type(None): "null"}
+
+
+def _is(kind, value) -> bool:
+    """Whether a config value is of an annotated kind: int and float take no
+    bool, tuple takes a list of numbers."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_is(float, v) for v in value)
+    abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, abstract) and (kind is bool or not isinstance(value, bool))
 
 
 class ConfigError(ValueError):
@@ -186,8 +202,30 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def _check_kind(name: str, kind, value) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` is of ``kind``,
+    an annotation such as ``int`` or ``str | None``."""
+    kinds = typing.get_args(kind) or (kind,)
+    _require(any(_is(k, value) for k in kinds),
+             f"{name} must be {' or '.join(_KIND_WORDS[k] for k in kinds)}, got {value!r}")
+
+
+def _checked(section: str, cls, values: dict, **fixed):
+    """Build ``cls`` from config ``values``, each checked against its field's
+    annotation (lists become tuples), and ``fixed`` fields; its ValueError or
+    TypeError becomes a ConfigError under ``section``."""
+    kinds = typing.get_type_hints(cls)
+    for key, value in values.items():
+        _check_kind(f"{section}.{key}", kinds[key], value)
+    values = {k: tuple(v) if kinds[k] is tuple else v for k, v in values.items()}
+    try:
+        return cls(**values, **fixed)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def validate_config(cfg: dict) -> None:
-    """Structural and range checks; raises ConfigError naming the field."""
+    """Layout, type and range checks; raises ConfigError naming the field."""
     unknown = set(cfg) - set(DEFAULTS)
     _require(not unknown, f"unknown config sections: {sorted(unknown)}")
     for section, defaults in DEFAULTS.items():
@@ -195,6 +233,8 @@ def validate_config(cfg: dict) -> None:
         _require(isinstance(block, dict), f"{section}: must be a mapping")
         bad = set(block) - set(defaults)
         _require(not bad, f"{section}: unknown keys {sorted(bad)}")
+        for key, kind in _KEY_KINDS.get(section, {}).items():
+            _check_kind(f"{section}.{key}", kind, block[key])
 
     ds = cfg["dataset"]
     _require(ds["source"] in ("sim", "files"), "dataset.source must be 'sim' or 'files'")
@@ -203,10 +243,6 @@ def validate_config(cfg: dict) -> None:
         _require(ds["edges"], "dataset.edges is required when dataset.source is 'files'")
 
     exp = cfg["experiment"]
-    for field in ("folds", "seed", "threads", "k1", "k2", "width"):
-        _require(isinstance(exp[field], int) and not isinstance(exp[field], bool),
-                 f"experiment.{field} must be an integer")
-    _require(exp["folds"] >= 2, "experiment.folds must be at least 2")
     _require(exp["threads"] >= 1, "experiment.threads must be at least 1")
     _require(exp["width"] >= 1, "experiment.width must be at least 1")
     _require(exp["k1"] >= 0 and exp["k2"] >= 0, "experiment.k1 and k2 must be >= 0")
@@ -214,47 +250,11 @@ def validate_config(cfg: dict) -> None:
     kr = exp["k_range"]
     _require(
         isinstance(kr, (list, tuple)) and len(kr) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in kr)
-        and 0 <= kr[0] <= kr[1],
+        and all(_is(int, v) for v in kr) and 0 <= kr[0] <= kr[1],
         "experiment.k_range must be [lo, hi] with 0 <= lo <= hi",
     )
     _require(exp["sweep_mode"] in ("pairs", "single"),
              "experiment.sweep_mode must be 'pairs' or 'single'")
-
-    arch = cfg["architecture"]
-    mods = arch["modules"]
-    _require(isinstance(mods, list) and mods, "architecture.modules must be a non-empty list")
-    for i, m in enumerate(mods):
-        _require(isinstance(m, dict), f"architecture.modules[{i}] must be a mapping")
-        bad = set(m) - {"orders", "width", "aggregator"}
-        _require(not bad, f"architecture.modules[{i}]: unknown keys {sorted(bad)}")
-        orders = m.get("orders")
-        _require(
-            isinstance(orders, (list, tuple)) and orders
-            and all(isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in orders),
-            f"architecture.modules[{i}].orders must be a non-empty list of ints >= 0",
-        )
-        width = m.get("width", 16)
-        _require(isinstance(width, int) and width >= 1,
-                 f"architecture.modules[{i}].width must be an integer >= 1")
-        _require(m.get("aggregator", "concat") in ("concat", "maxpool"),
-                 f"architecture.modules[{i}].aggregator must be 'concat' or 'maxpool'")
-
-    # Numeric ranges of the remaining sections are enforced by the dataclass
-    # constructors; surface those errors under the section name.
-    try:
-        to_train_config(cfg)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"training: {exc}") from None
-    if ds["source"] == "sim":
-        try:
-            to_sim_config(cfg)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"sim: {exc}") from None
 
     aff = cfg["affinity"]
     _require(aff["mode"] in ("single", "mixed", "mixed_nosim"),
@@ -267,56 +267,47 @@ def validate_config(cfg: dict) -> None:
              "affinity.elements must be a non-empty list of meta-data column names")
     _require(isinstance(aff["betas"], dict), "affinity.betas must map element names to numbers")
     for name, beta in aff["betas"].items():
-        _require(isinstance(beta, (int, float)) and not isinstance(beta, bool)
-                 and math.isfinite(beta) and beta >= 0,
+        _require(_is(float, beta) and 0 <= beta < float("inf"),
                  f"affinity.betas.{name} must be a number >= 0, got {beta!r}")
     _require(aff["element"] is None or aff["mode"] == "single",
              f"affinity.element applies only in single mode, not {aff['mode']!r}")
+    _checked("affinity", SimilarityKernel, {f.name: aff[f.name] for f in fields(SimilarityKernel)})
+
+    to_sim_config(cfg)
+    to_train_config(cfg)
+    to_arch_spec(cfg)
 
 
 def to_sim_config(cfg: dict) -> SimConfig:
-    s = cfg["sim"]
-    seed = s["seed"]
-    if seed is None:
-        seed = derive_seed(cfg["experiment"]["seed"], "sim")
-    return SimConfig(
-        n_per_class=s["n_per_class"],
-        means=tuple(s["means"]),
-        variances=tuple(s["variances"]),
-        beta=s["beta"],
-        feature_mode=s["feature_mode"],
-        edge_weights=s["edge_weights"],
-        seed=seed,
-    )
+    sim = cfg["sim"]
+    seed = derive_seed(cfg["experiment"]["seed"], "sim") if sim["seed"] is None else sim["seed"]
+    return _checked("sim", SimConfig, {**sim, "seed": seed})
 
 
 def to_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["training"]
-    e = cfg["experiment"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        lr=t["lr"],
-        optimizer=t["optimizer"],
-        early_stop_window=t["early_stop_window"],
-        stop_metric=t["stop_metric"],
-        val_fraction=t["val_fraction"],
-        dropout=t["dropout"],
-        weight_decay=t["weight_decay"],
-        n_folds=e["folds"],
-        seed=e["seed"],
-    )
+    exp = cfg["experiment"]
+    return _checked("training", TrainConfig, cfg["training"], n_folds=exp["folds"], seed=exp["seed"])
 
 
 def to_arch_spec(cfg: dict) -> ArchSpec:
     arch = cfg["architecture"]
-    modules = tuple(
-        ModuleSpec(
-            branches=tuple(BranchSpec(k, m.get("width", 16)) for k in m["orders"]),
-            aggregator=m.get("aggregator", "concat"),
-        )
-        for m in arch["modules"]
-    )
-    return ArchSpec(modules=modules, classifier=arch["classifier"], activation=arch["activation"])
+    _require(isinstance(arch["modules"], list), "architecture.modules must be a list of mappings")
+    modules = []
+    for i, m in enumerate(arch["modules"]):
+        where = f"architecture.modules[{i}]"
+        _require(isinstance(m, dict), f"{where} must be a mapping")
+        bad = set(m) - {"orders", *_MODULE_DEFAULTS}
+        _require(not bad, f"{where}: unknown keys {sorted(bad)}")
+        m = {**_MODULE_DEFAULTS, **m}
+        orders = m.get("orders")
+        _require(isinstance(orders, list) and orders,
+                 f"{where}.orders must be a non-empty list of ints >= 0")
+        branches = tuple(_checked(where, BranchSpec, {"order": k, "width": m["width"]})
+                         for k in orders)
+        modules.append(_checked(where, ModuleSpec, {"aggregator": m["aggregator"]},
+                                branches=branches))
+    values = {k: v for k, v in arch.items() if k != "modules"}
+    return _checked("architecture", ArchSpec, values, modules=tuple(modules))
 
 
 def effective_yaml(cfg: dict) -> str:

@@ -16,6 +16,8 @@ import numpy as np
 
 from .graph import NormalizedLaplacian, build_laplacian, chebyshev_apply, rescale_laplacian
 from .nn import (
+    ACTIVATIONS,
+    AGGREGATORS,
     ChebFilterLayer,
     InceptionModule,
     Network,
@@ -74,8 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.early_stop_window < 0:
@@ -86,8 +88,8 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be at least 2")
 
@@ -109,6 +111,12 @@ class ModuleSpec:
     branches: tuple
     aggregator: str = "concat"
 
+    def __post_init__(self):
+        if not self.branches:
+            raise ValueError("a module needs at least one branch")
+        if self.aggregator not in AGGREGATORS:
+            raise ValueError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -117,6 +125,12 @@ class ArchSpec:
     modules: tuple
     classifier: bool = True
     activation: str = "relu"
+
+    def __post_init__(self):
+        if not self.modules:
+            raise ValueError("modules must not be empty")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 def single_layer(order: int, width: int) -> ArchSpec:

@@ -42,8 +42,10 @@ class SimConfig:
             raise ValueError("means and variances must give one scalar per class")
         if len(self.means) < 2:
             raise ValueError("need at least two classes")
-        if any(v <= 0 for v in self.variances):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError(f"means must be finite, got {self.means}")
+        if not all(0.0 < v < np.inf for v in self.variances):
+            raise ValueError(f"variances must be positive and finite, got {self.variances}")
         if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
         if self.feature_mode not in FEATURE_MODES:

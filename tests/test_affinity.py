@@ -269,6 +269,11 @@ class TestBuildAffinity:
         with pytest.raises(AffinityError, match="ethnicity"):
             build_affinity(self.elements, self.x, self.kernel, element="ethnicity")
 
+    @pytest.mark.parametrize("mode", ["mixed", "mixed_nosim"])
+    def test_element_outside_single_mode_rejected(self, mode):
+        with pytest.raises(AffinityError, match="'site' applies only in single mode"):
+            build_affinity(self.elements, self.x, self.kernel, mode=mode, element="site")
+
     def test_outputs_symmetric_zero_diagonal(self):
         for mode in ("single", "mixed", "mixed_nosim"):
             a = build_affinity(self.elements, self.x, self.kernel, mode=mode)

@@ -353,6 +353,23 @@ class TestErrorHandling:
         assert main(["train", "--config", cfg]) == 2
         assert "training" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, payload, message", [
+        ("architecture", {"activation": "tanh"}, "architecture: activation must be one of"),
+        ("training", {"epochs": 2.5}, "training.epochs must be an integer, got 2.5"),
+        ("architecture", {"classifier": "no"}, "architecture.classifier must be true or false"),
+        ("training", {"lr": float("inf")}, "training: lr must be positive and finite"),
+        ("experiment", {"folds": 100},
+         "experiment.folds is 100, but the largest class of the 30 nodes has 15"),
+    ])
+    def test_bad_config_value_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                       section, payload, message):
+        out = tmp_path / "res"
+        cfg = write_cfg(tmp_path, quick_sections(out, **{section: payload}))
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_bad_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CHEBGCN_SEED", "many")
         cfg = write_cfg(tmp_path, quick_sections(tmp_path / "res"))

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 import yaml
@@ -18,6 +19,65 @@ from chebgcn.config import (
     validate_config,
 )
 from chebgcn.experiments import derive_seed
+
+
+DEFAULT_YAML = """\
+affinity:
+  betas: {}
+  distance: correlation
+  element: null
+  elements: null
+  features: null
+  meta: null
+  mode: mixed
+  sigma: null
+  strict: false
+architecture:
+  activation: relu
+  classifier: true
+  modules:
+  - aggregator: concat
+    orders:
+    - 1
+    width: 16
+dataset:
+  edges: null
+  features: null
+  source: sim
+experiment:
+  folds: 10
+  k1: 1
+  k2: 10
+  k_range:
+  - 1
+  - 6
+  out: results
+  seed: 0
+  sweep_mode: pairs
+  threads: 1
+  width: 16
+sim:
+  beta: 0.5
+  edge_weights: binary
+  feature_mode: discriminative
+  means:
+  - -1.0
+  - 1.0
+  n_per_class: 300
+  seed: null
+  variances:
+  - 0.5
+  - 0.1
+training:
+  dropout: 0.0
+  early_stop_window: 0
+  epochs: 200
+  lr: 0.2
+  optimizer: sgd
+  stop_metric: val
+  val_fraction: 0.1
+  weight_decay: 0.0
+"""
 
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
@@ -220,6 +280,30 @@ class TestValidateConfig:
         validate_config(cfg)
 
 
+def leaf_paths(node, path=()):
+    """Key paths to every leaf of a DEFAULTS node; lists of mappings are walked into."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if (isinstance(value, dict) and value) or (isinstance(value, list)
+                                                   and isinstance(value[0], dict)):
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+class TestEveryFieldIsChecked:
+    @pytest.mark.parametrize("path", list(leaf_paths(DEFAULTS)), ids=str)
+    def test_value_of_the_wrong_kind_names_the_field(self, path):
+        cfg = copy.deepcopy(DEFAULTS)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        # A mapping where no mapping belongs; betas, which is one, gets a list.
+        node[path[-1]] = [1] if path == ("affinity", "betas") else {"wrong": 1}
+        name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            validate_config(cfg)
+
+
 class TestTranslation:
     def test_sim_seed_derived_from_experiment_seed(self):
         cfg = copy.deepcopy(DEFAULTS)
@@ -273,6 +357,11 @@ class TestEffectiveYaml:
         path.write_text(effective_yaml(cfg))
         again = resolve_config(config=str(path), env={})
         assert again == cfg
+
+    def test_defaults_render_as_pinned(self):
+        # The sim, training and architecture defaults come from the dataclasses
+        # they build; this pins what effective-config.yaml says for them.
+        assert effective_yaml(resolve_config(env={})) == DEFAULT_YAML
 
     def test_rendering_is_canonical(self):
         cfg = resolve_config(env={})

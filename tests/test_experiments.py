@@ -90,6 +90,7 @@ class TestTrainConfig:
             {"epochs": 0},
             {"lr": 0.0},
             {"lr": -1.0},
+            {"lr": float("inf")},
             {"optimizer": "lbfgs"},
             {"early_stop_window": -1},
             {"stop_metric": "test"},
@@ -98,6 +99,8 @@ class TestTrainConfig:
             {"dropout": 1.0},
             {"dropout": -0.1},
             {"weight_decay": -0.01},
+            {"weight_decay": float("inf")},
+            {"weight_decay": float("nan")},
             {"n_folds": 1},
         ],
     )
@@ -128,6 +131,16 @@ class TestArchSpecs:
             BranchSpec(-1, 4)
         with pytest.raises(ValueError):
             BranchSpec(2, 0)
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: ModuleSpec(branches=()), "at least one branch"),
+        (lambda: ModuleSpec(branches=(BranchSpec(1, 4),), aggregator="sum"), "aggregator"),
+        (lambda: ArchSpec(modules=()), "modules"),
+        (lambda: ArchSpec(modules=single_layer(1, 4).modules, activation="tanh"), "activation"),
+    ], ids=["no-branch", "aggregator", "no-module", "activation"])
+    def test_bad_module_or_architecture_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_build_network_is_seed_deterministic(self):
         arch = inception((1, 3), 4)

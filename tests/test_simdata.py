@@ -28,6 +28,12 @@ class TestSimConfig:
             SimConfig(means=(0.0, 1.0), variances=(1.0,))
         with pytest.raises(ValueError):
             SimConfig(variances=(1.0, 0.0))
+        with pytest.raises(ValueError, match="variances"):
+            SimConfig(variances=(float("inf"), 1.0))
+        with pytest.raises(ValueError, match="variances"):
+            SimConfig(variances=(float("nan"), 1.0))
+        with pytest.raises(ValueError, match="means"):
+            SimConfig(means=(0.0, float("nan")))
         with pytest.raises(ValueError):
             SimConfig(beta=-0.1)
         with pytest.raises(ValueError):

@@ -140,12 +140,14 @@ def similarity_weights(features: np.ndarray, kernel: SimilarityKernel) -> np.nda
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise AffinityError("similarity needs a 2-D feature matrix with at least 2 nodes")
-    rho = pairwise_distance(x, kernel.distance)
-    if kernel.sigma is not None:
-        sigma = kernel.sigma
-    else:
-        n = x.shape[0]
-        off = ~np.eye(n, dtype=bool)
+    return _gaussian_weights(pairwise_distance(x, kernel.distance), kernel.sigma)
+
+
+def _gaussian_weights(rho: np.ndarray, sigma: float | None) -> np.ndarray:
+    """exp(-rho^2 / (2 sigma^2)) of a pairwise distance matrix, zero on the
+    diagonal; ``sigma=None`` takes the mean off-diagonal distance."""
+    if sigma is None:
+        off = ~np.eye(rho.shape[0], dtype=bool)
         sigma = float(rho[off].mean())
         if sigma <= 0.0:
             raise AffinityError(

@@ -77,17 +77,26 @@ _KEY_KINDS = {
 }
 
 # How a config value of each annotated kind is worded in errors.
-_KIND_WORDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
-               tuple: "a list of numbers", type(None): "null"}
+_KIND_WORDS = {int: "an integer", float: "a number within float range", str: "a string",
+               bool: "true or false", tuple: "a list of numbers within float range",
+               type(None): "null"}
 
 
 def _is(kind, value) -> bool:
     """Whether a config value is of an annotated kind: int and float take no
-    bool, tuple takes a list of numbers."""
+    bool, float takes no integer too large for a float, tuple takes a list
+    of numbers."""
     if kind is tuple:
         return isinstance(value, list) and all(_is(float, v) for v in value)
     abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    return isinstance(value, abstract) and (kind is bool or not isinstance(value, bool))
+    if not (isinstance(value, abstract) and (kind is bool or not isinstance(value, bool))):
+        return False
+    if kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return True
 
 
 class ConfigError(ValueError):
@@ -286,6 +295,7 @@ def to_sim_config(cfg: dict) -> SimConfig:
 
 def to_train_config(cfg: dict) -> TrainConfig:
     exp = cfg["experiment"]
+    _require(exp["folds"] >= 2, f"experiment.folds must be at least 2, got {exp['folds']}")
     return _checked("training", TrainConfig, cfg["training"], n_folds=exp["folds"], seed=exp["seed"])
 
 

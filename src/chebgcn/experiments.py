@@ -9,6 +9,7 @@ byte-identical results.
 import csv
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -21,7 +22,6 @@ from .nn import (
     ChebFilterLayer,
     InceptionModule,
     Network,
-    NonFiniteGradientError,
     glorot_uniform,
     make_optimizer,
     masked_cross_entropy,
@@ -153,7 +153,8 @@ def build_network(arch: ArchSpec, d_in: int, n_classes: int, rng) -> Network:
     """Instantiate an architecture with Glorot weights and zero biases.
 
     The rng is consumed in a fixed order (modules, then branches, then the
-    classifier), so equal specs and seeds give identical networks.
+    classifier), so equal specs and seeds give identical networks. A list of
+    Generators gives a fold stack whose fold f is the network rng[f] gives.
     """
     modules = []
     width_in = d_in
@@ -167,7 +168,7 @@ def build_network(arch: ArchSpec, d_in: int, n_classes: int, rng) -> Network:
         width_in = module.d_out
     if arch.classifier:
         w = glorot_uniform(rng, width_in, n_classes, (width_in, n_classes))
-        b = np.zeros(n_classes)
+        b = np.zeros(w.shape[:-2] + (n_classes,))
         return Network(modules=modules, classifier_weight=w, classifier_bias=b)
     return Network(modules=modules)
 
@@ -229,60 +230,121 @@ def _carve_validation(train_mask, labels, fraction, seed):
 
 
 def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
-                  input_basis=None, val_mask=None, dropout_rng=None) -> int:
-    """Train in place; returns the number of epochs actually run.
+                  input_basis=None, val_mask=None, dropout_rng=None):
+    """Train a network, or every fold of a stack, in place; returns the epochs run.
 
-    Raises :class:`TrainingDivergence` on a non-finite loss. With early
-    stopping enabled the network ends at its best-epoch weights even when
-    the epoch budget runs out first. Dropout and the monitored loss both
-    follow the usual convention: dropout is on for the update pass only.
+    A single network returns an int and raises :class:`TrainingDivergence`
+    on a non-finite loss or gradient. A stack of F folds takes (F, N) masks
+    and one dropout Generator per fold, and returns one entry per fold: its
+    epochs, or None if it diverged. A fold that diverges, or stops early,
+    leaves the stack and the others train on, so each fold ends bitwise where
+    training it alone would. With early stopping enabled a fold ends at its
+    best-epoch weights even when the epoch budget runs out first. Dropout
+    and the monitored loss both follow the usual convention: dropout is on
+    for the update pass only.
     """
+    train_mask = np.asarray(train_mask, dtype=bool)
+    val_mask = None if val_mask is None else np.asarray(val_mask, dtype=bool)
+    if net.folds is None:
+        if cfg.dropout > 0.0 and dropout_rng is None:
+            dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
+        (epochs,) = train_network(net.map(lambda p: p[None]), lap, x, labels, train_mask[None],
+                                  cfg, input_basis, None if val_mask is None else val_mask[None],
+                                  [dropout_rng])
+        if epochs is None:
+            raise TrainingDivergence("non-finite training loss or gradient")
+        return epochs
     if input_basis is None:
         input_basis = chebyshev_apply(lap, x, net.modules[0].order)
-    if cfg.dropout > 0.0 and dropout_rng is None:
-        dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
-    params = net.parameters()
-    stopper = None
-    monitor_mask = None
+    epochs = [cfg.epochs] * net.folds
+    active = np.arange(net.folds)  # stack position -> fold
+    stoppers = []
     if cfg.early_stop_window > 0:
-        stopper = EarlyStopper(cfg.early_stop_window)
-        use_val = cfg.stop_metric == "val" and val_mask is not None and bool(val_mask.any())
-        monitor_mask = val_mask if use_val else train_mask
+        stoppers = [EarlyStopper(cfg.early_stop_window) for _ in active]
+        monitor_mask = train_mask
+        if cfg.stop_metric == "val" and val_mask is not None:
+            monitor_mask = np.where(val_mask.any(axis=1)[:, None], val_mask, train_mask)
+    work = net
 
-    epochs_run = cfg.epochs
+    def write_back():
+        if work is not net:
+            for name, p in net.parameters().items():
+                p[active] = work.parameters()[name]
+
+    def keep_only(kept):
+        """Shrink the stack to the positions where ``kept`` holds."""
+        nonlocal work, active, stoppers
+        write_back()
+        work = work.map(lambda p: p[kept])
+        optimizer.take(kept)
+        active = active[kept]
+        stoppers = [s for s, k in zip(stoppers, kept) if k]
+
     for epoch in range(1, cfg.epochs + 1):
-        scores, tape = network_forward(net, lap, x, input_basis,
-                                       dropout=cfg.dropout, dropout_rng=dropout_rng)
-        loss, grad = masked_cross_entropy(scores, labels, train_mask)
-        if not np.isfinite(loss):
-            raise TrainingDivergence(f"non-finite training loss at epoch {epoch}")
+        rngs = [dropout_rng[f] for f in active] if cfg.dropout > 0.0 else None
+        scores, tape = network_forward(work, lap, x, input_basis, dropout=cfg.dropout,
+                                       dropout_rng=rngs)
+        losses, grad = masked_cross_entropy(scores, labels, train_mask[active])
         grads = network_backward(tape, grad)
         if cfg.weight_decay > 0.0:
-            for name, p in params.items():
+            for name, p in work.parameters().items():
                 grads[name] = grads[name] + cfg.weight_decay * p
-        optimizer.step(params, grads)
-        if stopper is not None:
-            scores, _ = network_forward(net, lap, x, input_basis)
-            monitor_loss, _ = masked_cross_entropy(scores, labels, monitor_mask)
-            if not np.isfinite(monitor_loss):
-                raise TrainingDivergence(f"non-finite monitored loss at epoch {epoch}")
-            if stopper.update(monitor_loss, state_fn=net.get_state):
-                epochs_run = epoch
+        finite = np.isfinite(losses)
+        for g in grads.values():
+            finite &= np.isfinite(g.reshape(active.size, -1)).all(axis=1)
+        if not finite.all():
+            for f in active[~finite]:
+                epochs[f] = None
+            keep_only(finite)
+            grads = {name: g[finite] for name, g in grads.items()}
+            if not active.size:
                 break
-    if stopper is not None and stopper.best_state is not None:
-        net.set_state(stopper.best_state)
-    return epochs_run
+        optimizer.step(work.parameters(), grads)
+        if stoppers:
+            scores, _ = network_forward(work, lap, x, input_basis)
+            monitor_losses, _ = masked_cross_entropy(scores, labels, monitor_mask[active])
+            going = np.zeros(active.size, dtype=bool)
+            for i, (f, loss) in enumerate(zip(active, monitor_losses)):
+                if not np.isfinite(loss):
+                    epochs[f] = None
+                elif stoppers[i].update(loss, state_fn=lambda i=i: {
+                        name: p[i].copy() for name, p in work.parameters().items()}):
+                    epochs[f] = epoch
+                else:
+                    continue
+                going[i] = True
+            if going.any():
+                stopped = [(f, s.best_state) for f, s, g in zip(active, stoppers, going) if g]
+                keep_only(~going)
+                for f, state in stopped:
+                    if epochs[f] is not None:
+                        _restore(net, f, state)
+                if not active.size:
+                    break
+    write_back()
+    for f, stopper in zip(active, stoppers):
+        if stopper.best_state is not None:
+            _restore(net, f, stopper.best_state)
+    return epochs
 
 
-def evaluate_accuracy(net, lap, x, labels, mask, input_basis=None) -> float:
-    """Percent of masked nodes whose argmax score matches the label."""
+def _restore(net, fold, state) -> None:
+    for name, p in net.parameters().items():
+        p[fold] = state[name]
+
+
+def evaluate_accuracy(net, lap, x, labels, mask, input_basis=None):
+    """Percent of masked nodes whose argmax score matches the label; for a
+    stack, (F, N) masks give one percentage per fold."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise ValueError("mask selects no nodes")
     scores, _ = network_forward(net, lap, x, input_basis)
-    pred = scores.argmax(axis=1)
-    return 100.0 * float(np.mean(pred[mask] == np.asarray(labels)[mask]))
+    hits = scores.argmax(axis=-1) == np.asarray(labels)
+    if net.folds is None:
+        return 100.0 * float(np.mean(hits[mask]))
+    return [100.0 * float(np.mean(h[m])) for h, m in zip(hits, mask)]
 
 
 def fold_checksum(folds) -> str:
@@ -322,30 +384,41 @@ class _FoldContext:
     basis: list  # chebyshev_apply(lap, x, k) for the highest first-module order of any task
 
 
-def _run_fold(ctx: _FoldContext, task):
-    """Train and test one fold; returns (accuracy, epochs), or None if it diverged.
+def _run_folds(ctx: _FoldContext, task):
+    """Train and test a chunk of one cell's folds as one stack; returns one
+    (accuracy, epochs) per fold, or None where it diverged.
 
-    ``task`` is (arch, cfg, fold index, train mask, test mask). Init, the
-    validation carve and dropout draw from seeds derived from ``cfg.seed`` and
-    the fold index only, so the outcome does not depend on where it runs.
+    ``task`` is (arch, cfg, chunk), with chunk a tuple of (fold index, train
+    mask, test mask). Init, the validation carve and dropout draw from seeds
+    derived from ``cfg.seed`` and the fold index only, and each fold of a
+    stack trains bitwise as it would alone, so the outcome does not depend on
+    the chunk or on where it runs.
     """
-    arch, cfg, fi, train, test = task
-    rng = np.random.default_rng(derive_seed(cfg.seed, "fold", fi))
-    net = build_network(arch, ctx.x.shape[1], ctx.n_classes, rng)
+    arch, cfg, chunk = task
+    indices = [fi for fi, _, _ in chunk]
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, "fold", fi)) for fi in indices]
+    net = build_network(arch, ctx.x.shape[1], ctx.n_classes, rngs)
+    train = np.array([t for _, t, _ in chunk])
+    test = np.array([t for _, _, t in chunk])
     val = None
-    eff_train = train
     if cfg.early_stop_window > 0 and cfg.stop_metric == "val":
-        val = _carve_validation(train, ctx.labels, cfg.val_fraction, derive_seed(cfg.seed, "val", fi))
-        eff_train = train & ~val
-    drop_rng = None
+        val = np.array([_carve_validation(t, ctx.labels, cfg.val_fraction,
+                                          derive_seed(cfg.seed, "val", fi))
+                        for fi, t, _ in chunk])
+        train = train & ~val
+    drop_rngs = None
     if cfg.dropout > 0.0:
-        drop_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", fi))
-    try:
-        ep = train_network(net, ctx.lap, ctx.x, ctx.labels, eff_train, cfg,
-                           input_basis=ctx.basis, val_mask=val, dropout_rng=drop_rng)
-    except (TrainingDivergence, NonFiniteGradientError):
-        return None
-    return evaluate_accuracy(net, ctx.lap, ctx.x, ctx.labels, test, input_basis=ctx.basis), ep
+        drop_rngs = [np.random.default_rng(derive_seed(cfg.seed, "dropout", fi)) for fi in indices]
+    epochs = train_network(net, ctx.lap, ctx.x, ctx.labels, train, cfg,
+                           input_basis=ctx.basis, val_mask=val, dropout_rng=drop_rngs)
+    done = [i for i, ep in enumerate(epochs) if ep is not None]
+    outcomes = [None] * len(chunk)
+    if done:
+        accs = evaluate_accuracy(net.map(lambda p: p[done]), ctx.lap, ctx.x, ctx.labels,
+                                 test[done], input_basis=ctx.basis)
+        for i, acc in zip(done, accs):
+            outcomes[i] = (acc, epochs[i])
+    return outcomes
 
 
 # Set in each pool worker by its initializer: under fork the context is
@@ -358,22 +431,53 @@ def _init_worker(ctx: _FoldContext) -> None:
     _worker_context = ctx
 
 
-def _run_fold_in_worker(task):
-    return _run_fold(_worker_context, task)
+def _run_folds_in_worker(task):
+    return _run_folds(_worker_context, task)
+
+
+# Bytes one stack may hold in the Chebyshev basis of a module past the
+# first, which grows with the folds: past the 2 MiB L2 cache of the machine
+# measured, 10-fold stacks of order-10 modules ran slower than one fold alone.
+STACK_BASIS_BYTES = 2 * 2**20
+
+
+def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, workers: int) -> int:
+    """Folds per stack: enough to give each worker one stack per cell, but no
+    more than keep a later module's basis within STACK_BASIS_BYTES.
+
+    NumPy runs a product with a dimension of 1 as a matrix-vector kernel
+    chosen by the operands' strides, so a width-1 layer or output would
+    round differently in a stack than alone; such nets train one fold at a
+    time.
+    """
+    widths = [b.width for m in arch.modules for b in m.branches] + [n_classes]
+    if min(widths) < 2:
+        return 1
+    size = math.ceil(n_folds / workers)
+    for prev, mod in zip(arch.modules, arch.modules[1:]):
+        widths = [b.width for b in prev.branches]
+        d_in = sum(widths) if prev.aggregator == "concat" else widths[0]
+        fold_bytes = (max(b.order for b in mod.branches) + 1) * n_nodes * d_in * 8
+        size = min(size, max(1, STACK_BASIS_BYTES // fold_bytes))
+    return size
 
 
 def _cross_validate(graph, cells, threads: int) -> list:
     """One ExperimentResult per (arch, cfg, folds) cell.
 
-    Every fold of every cell is one task of a single map, so a pool balances
-    slow cells against fast ones and is never nested. The Laplacian and the
-    first-module basis are built once, here. With ``threads > 1`` the tasks
-    run in that many worker processes (at most one per task); otherwise the
-    same fold runner runs in this process.
+    Each cell's folds are cut into chunks of ``_stack_size`` folds, at most
+    ceil(folds / threads), and every chunk of every cell is one task of a
+    single map that trains it as one fold stack; a pool so balances slow
+    cells against fast ones and is never nested. The Laplacian and the first-module basis are built
+    once, here. With ``threads > 1`` the tasks run in that many worker
+    processes (at most one per task); otherwise the same runner runs in this
+    process.
     """
-    tasks = [(arch, cfg, fi, train, test)
-             for arch, cfg, folds in cells
-             for fi, (train, test) in enumerate(folds)]
+    tasks = []
+    for arch, cfg, folds in cells:
+        indexed = [(fi, train, test) for fi, (train, test) in enumerate(folds)]
+        size = _stack_size(arch, graph.n_nodes, graph.n_classes, len(indexed), threads)
+        tasks += [(arch, cfg, tuple(indexed[i:i + size])) for i in range(0, len(indexed), size)]
     lap = rescale_laplacian(build_laplacian(graph))
     order = max(b.order for arch, _, _ in cells for b in arch.modules[0].branches)
     ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
@@ -382,11 +486,11 @@ def _cross_validate(graph, cells, threads: int) -> list:
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
                                  initializer=_init_worker, initargs=(ctx,)) as pool:
-            outcomes = list(pool.map(_run_fold_in_worker, tasks))
+            per_task = list(pool.map(_run_folds_in_worker, tasks))
     else:
-        outcomes = [_run_fold(ctx, task) for task in tasks]
-    per_task = iter(outcomes)
-    return [_cv_result(arch, cfg, folds, [next(per_task) for _ in folds])
+        per_task = [_run_folds(ctx, task) for task in tasks]
+    outcomes = iter([outcome for chunk in per_task for outcome in chunk])
+    return [_cv_result(arch, cfg, folds, [next(outcomes) for _ in folds])
             for arch, cfg, folds in cells]
 
 

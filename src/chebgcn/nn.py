@@ -7,15 +7,25 @@ column concatenation or elementwise max; its branches share one Chebyshev
 basis, built up to the highest branch order. A network stacks modules and
 ends in an optional dense classifier over per-node outputs.
 
+A network may also be a stack of F networks of one shape, one per
+cross-validation fold: every parameter then carries a leading fold axis,
+and the folds train together. Hidden states are (N, F * width) with each
+fold's columns side by side, so the first module's products run as one wide
+product off the shared input basis and the Chebyshev recurrence of later
+modules runs once for the whole stack. Each fold still gets bitwise the
+values it would get alone; a single network is the F-less case of the same
+code.
+
 Gradients are computed in closed form by reverse mode through the same
 Chebyshev recurrence the forward pass uses; no numeric differentiation is
 involved anywhere in training. The finite-difference comparison lives in
 the test suite instead.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import NormalizedLaplacian, chebyshev_apply
 
@@ -35,9 +45,65 @@ class NonFiniteGradientError(FloatingPointError):
     """A parameter update was attempted with NaN or infinite gradients."""
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
+    """Uniform Glorot draw from one Generator, or from each of a list of them
+    stacked on a leading fold axis."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    if isinstance(rng, np.random.Generator):
+        return rng.uniform(-limit, limit, size=shape)
+    return np.stack([r.uniform(-limit, limit, size=shape) for r in rng])
+
+
+def _fold_view(a, folds):
+    """(N, F * w) fold-major columns as an (F, N, w) view."""
+    return a.reshape(a.shape[0], folds, -1).transpose(1, 0, 2)
+
+
+# (shape and strides of a, columns of b, folds) -> whether one wide product
+# gives every fold the bits of its own product. The answer depends on the
+# BLAS build and the shapes only, so one cache serves every caller.
+_WIDE_IS_EXACT = {}
+
+
+def _fold_matmul(a, b, folds):
+    """``a @ b`` for b of ``folds`` equal column blocks, each block's columns
+    bitwise ``a @ block``.
+
+    BLAS picks its kernel from a product's shape, and its small-matrix
+    kernels sum in another order than the blocked ones, so a wide product can
+    round differently from a narrow one. One wide product is used where a
+    probe on random columns, run once per shape, shows that it matches the
+    per-fold products; elsewhere each block is its own product. SciPy sums
+    each row of a sparse product in the same order at any width.
+    """
+    if folds == 1 or sp.issparse(a):
+        return a @ b
+    key = (a.shape, a.strides, b.shape[1], folds)
+    if key not in _WIDE_IS_EXACT:
+        probe = np.random.default_rng(0).standard_normal((a.shape[1], b.shape[1]))
+        _WIDE_IS_EXACT[key] = np.array_equal(a @ probe, _per_fold_matmul(a, probe, folds))
+    return a @ b if _WIDE_IS_EXACT[key] else _per_fold_matmul(a, b, folds)
+
+
+def _per_fold_matmul(a, b, folds):
+    w = b.shape[1] // folds
+    return np.concatenate(
+        [a @ np.ascontiguousarray(b[:, f * w:(f + 1) * w]) for f in range(folds)], axis=1)
+
+
+def _fold_basis(lap, h, order, folds):
+    """chebyshev_apply on a fold stack (N, F * d); each fold's columns are
+    bitwise the basis of that fold alone."""
+    mat = lap.matrix
+    out = [h]
+    if order >= 1:
+        out.append(_fold_matmul(mat, h, folds))
+    for _ in range(2, order + 1):
+        term = _fold_matmul(mat, out[-1], folds)
+        term *= 2.0
+        term -= out[-2]
+        out.append(term)
+    return out
 
 
 @dataclass
@@ -45,7 +111,8 @@ class ChebFilterLayer:
     """One spectral filter: theta has shape (order + 1, d_in, d_out).
 
     Slice r of theta weights the order-r Chebyshev basis signal. The layer
-    output is sum_r T_r(L) H theta_r + bias, optionally through ReLU.
+    output is sum_r T_r(L) H theta_r + bias, optionally through ReLU. In a
+    fold stack theta is (F, order + 1, d_in, d_out) and bias (F, d_out).
     """
 
     theta: np.ndarray
@@ -55,34 +122,40 @@ class ChebFilterLayer:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.theta.ndim != 3:
+        if self.theta.ndim not in (3, 4):
             raise ShapeMismatchError(
-                f"theta must be (order + 1, d_in, d_out), got shape {self.theta.shape}"
+                f"theta must be ([F,] order + 1, d_in, d_out), got shape {self.theta.shape}"
             )
-        if self.bias.shape != (self.theta.shape[2],):
+        if self.bias.shape != self.theta.shape[:-3] + self.theta.shape[-1:]:
             raise ShapeMismatchError(
-                f"bias shape {self.bias.shape} does not match d_out {self.theta.shape[2]}"
+                f"bias shape {self.bias.shape} does not match theta {self.theta.shape}"
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
+    def folds(self):
+        """Folds in the stack, or None for a single layer."""
+        return self.theta.shape[0] if self.theta.ndim == 4 else None
+
+    @property
     def order(self) -> int:
-        return self.theta.shape[0] - 1
+        return self.theta.shape[-3] - 1
 
     @property
     def d_in(self) -> int:
-        return self.theta.shape[1]
+        return self.theta.shape[-2]
 
     @property
     def d_out(self) -> int:
-        return self.theta.shape[2]
+        return self.theta.shape[-1]
 
     @classmethod
     def create(cls, order, d_in, d_out, rng, activation="relu"):
-        """Glorot-initialized layer; the effective fan-in is (order + 1) * d_in."""
+        """Glorot-initialized layer; the effective fan-in is (order + 1) * d_in.
+        A list of Generators gives a fold stack, fold f drawn from rng[f]."""
         theta = glorot_uniform(rng, (order + 1) * d_in, d_out, (order + 1, d_in, d_out))
-        return cls(theta=theta, bias=np.zeros(d_out), activation=activation)
+        return cls(theta=theta, bias=np.zeros(theta.shape[:-3] + (d_out,)), activation=activation)
 
 
 @dataclass
@@ -105,10 +178,16 @@ class InceptionModule:
         d_in = self.branches[0].d_in
         if any(br.d_in != d_in for br in self.branches):
             raise ShapeMismatchError("all branches of a module must share d_in")
+        if any(br.folds != self.folds for br in self.branches):
+            raise ShapeMismatchError("all branches of a module must share the fold count")
         if self.aggregator == "maxpool":
             d_out = self.branches[0].d_out
             if any(br.d_out != d_out for br in self.branches):
                 raise ShapeMismatchError("maxpool aggregation requires equal branch widths")
+
+    @property
+    def folds(self):
+        return self.branches[0].folds
 
     @property
     def order(self) -> int:
@@ -133,22 +212,41 @@ class _ModuleTape:
     winners: np.ndarray | None  # maxpool: branch index that won each output cell
 
 
+def _wide(theta_r):
+    """(F, d, w) weights as one (d, F * w) matrix, fold-major in columns."""
+    return theta_r.transpose(1, 0, 2).reshape(theta_r.shape[1], -1)
+
+
 def _module_forward(module, lap, h, basis=None):
     """Run every branch off one Chebyshev basis; returns (output, tape).
 
-    The basis up to the module's highest order holds each lower-order
-    branch's basis as a prefix, so it is built once (or taken from
-    ``basis``) and every branch slices it.
+    ``h`` is the (N, d_in) input that every fold shares, or a fold stack
+    (N, F * d_in); the output is (N, F * d_out). The basis up to the module's
+    highest order holds each lower-order branch's basis as a prefix, so it is
+    built once (or taken from ``basis``) and every branch slices it. Off a
+    shared basis each order takes one wide product for all folds; off a
+    stacked one, one batched product over the folds.
     """
+    folds = module.folds or 1
+    stacked = h.shape[1] != module.d_in
     if basis is None:
-        basis = chebyshev_apply(lap, h, module.order)
+        basis = (_fold_basis(lap, h, module.order, folds) if stacked
+                 else chebyshev_apply(lap, h, module.order))
     outs = []
     relu_masks = []
     for br in module.branches:
-        z = basis[0] @ br.theta[0]
-        for r in range(1, br.order + 1):
-            z += basis[r] @ br.theta[r]
-        z += br.bias
+        theta = br.theta.reshape((folds,) + br.theta.shape[-3:])
+        if stacked:
+            z = np.empty((h.shape[0], folds * br.d_out))
+            zf = _fold_view(z, folds)
+            np.matmul(_fold_view(basis[0], folds), theta[:, 0], out=zf)
+            for r in range(1, br.order + 1):
+                zf += np.matmul(_fold_view(basis[r], folds), theta[:, r])
+        else:
+            z = _fold_matmul(basis[0], _wide(theta[:, 0]), folds)
+            for r in range(1, br.order + 1):
+                z += _fold_matmul(basis[r], _wide(theta[:, r]), folds)
+        z += br.bias.reshape(-1)
         mask = None
         if br.activation == "relu":
             mask = z > 0.0
@@ -156,12 +254,15 @@ def _module_forward(module, lap, h, basis=None):
         outs.append(z)
         relu_masks.append(mask)
     if module.aggregator == "concat":
-        return np.concatenate(outs, axis=1), _ModuleTape(basis, relu_masks, winners=None)
-    stacked = np.stack(outs)
+        n = h.shape[0]
+        out = outs[0] if len(outs) == 1 else np.concatenate(
+            [z.reshape(n, folds, -1) for z in outs], axis=2).reshape(n, -1)
+        return out, _ModuleTape(basis, relu_masks, winners=None)
+    stacked_outs = np.stack(outs)
     # argmax picks the lowest branch index on ties, which keeps the backward
     # routing deterministic and idempotent.
-    winners = np.argmax(stacked, axis=0)
-    return stacked.max(axis=0), _ModuleTape(basis, relu_masks, winners)
+    winners = np.argmax(stacked_outs, axis=0)
+    return stacked_outs.max(axis=0), _ModuleTape(basis, relu_masks, winners)
 
 
 def _module_backward(module, lap, mtape, g, need_input_grad):
@@ -172,9 +273,14 @@ def _module_backward(module, lap, mtape, g, need_input_grad):
     the input gradient takes one reverse pass of the recurrence, as long as
     the module's highest order.
     """
+    folds = module.folds or 1
+    n = g.shape[0]
+    stacked = mtape.basis[0].shape[1] != module.d_in
     if module.aggregator == "concat":
-        splits = np.cumsum([br.d_out for br in module.branches])[:-1]
-        branch_gs = np.split(g, splits, axis=1)
+        g3 = g.reshape(n, folds, module.d_out)
+        ends = np.cumsum([br.d_out for br in module.branches])
+        branch_gs = [g3[:, :, end - br.d_out:end].reshape(n, -1)
+                     for br, end in zip(module.branches, ends)]
     else:
         branch_gs = [g * (mtape.winners == si) for si in range(len(module.branches))]
     grads = []
@@ -182,33 +288,48 @@ def _module_backward(module, lap, mtape, g, need_input_grad):
     for br, mask, bg in zip(module.branches, mtape.relu_masks, branch_gs):
         if mask is not None:
             bg = bg * mask
-        dtheta = np.empty_like(br.theta)
+        theta = br.theta.reshape((folds,) + br.theta.shape[-3:])
+        bg3 = _fold_view(bg, folds)
+        dtheta = np.empty_like(theta)
         for r in range(br.order + 1):
-            dtheta[r] = mtape.basis[r].T @ bg
-        grads.append((dtheta, bg.sum(axis=0)))
+            if stacked:
+                np.matmul(_fold_view(mtape.basis[r], folds).transpose(0, 2, 1), bg3,
+                          out=dtheta[:, r])
+            else:
+                wide = _fold_matmul(mtape.basis[r].T, bg, folds)
+                dtheta[:, r] = _fold_view(wide, folds)
+        grads.append((dtheta.reshape(br.theta.shape), bg.sum(axis=0).reshape(br.bias.shape)))
         if need_input_grad:
             for r in range(br.order + 1):
-                term = bg @ br.theta[r].T
-                c[r] = term if c[r] is None else c[r] + term
+                if c[r] is None:
+                    c[r] = np.empty((n, folds * br.d_in))
+                    np.matmul(bg3, theta[:, r].transpose(0, 2, 1), out=_fold_view(c[r], folds))
+                else:
+                    cf = _fold_view(c[r], folds)
+                    cf += np.matmul(bg3, theta[:, r].transpose(0, 2, 1))
     if not need_input_grad:
         return grads, None
     # Reverse mode through T_r = 2 L T_{r-1} - T_{r-2}; L is symmetric, so the
     # adjoint of "multiply by L" is again "multiply by L".
     mat = lap.matrix
     for r in range(module.order, 1, -1):
-        step = mat @ c[r]
+        step = _fold_matmul(mat, c[r], folds)
         step *= 2.0
         c[r - 1] += step
         c[r - 2] -= c[r]
     dh = c[0]
     if module.order >= 1:
-        dh += mat @ c[1]
+        dh += _fold_matmul(mat, c[1], folds)
     return grads, dh
 
 
 @dataclass
 class Network:
-    """A stack of modules, optionally followed by a per-node dense classifier."""
+    """A stack of modules, optionally followed by a per-node dense classifier.
+
+    In a fold stack every parameter has a leading axis of ``folds`` entries;
+    scores are then (F, N, n_classes).
+    """
 
     modules: list
     classifier_weight: np.ndarray | None = None
@@ -222,19 +343,27 @@ class Network:
                 raise ShapeMismatchError(
                     f"module input width {nxt.d_in} does not match previous output {prev.d_out}"
                 )
+        if any(mod.folds != self.folds for mod in self.modules):
+            raise ShapeMismatchError("all modules of a network must share the fold count")
         if (self.classifier_weight is None) != (self.classifier_bias is None):
             raise ValueError("classifier weight and bias must be given together")
         if self.classifier_weight is not None:
             self.classifier_weight = np.asarray(self.classifier_weight, dtype=np.float64)
             self.classifier_bias = np.asarray(self.classifier_bias, dtype=np.float64)
             w = self.classifier_weight
-            if w.ndim != 2 or w.shape[0] != self.modules[-1].d_out:
+            lead = () if self.folds is None else (self.folds,)
+            if w.ndim != len(lead) + 2 or w.shape[:-1] != lead + (self.modules[-1].d_out,):
                 raise ShapeMismatchError(
-                    f"classifier weight must be ({self.modules[-1].d_out}, n_classes), "
-                    f"got {w.shape}"
+                    f"classifier weight must be ({self.modules[-1].d_out}, n_classes) "
+                    f"after the fold axis, got {w.shape}"
                 )
-            if self.classifier_bias.shape != (w.shape[1],):
+            if self.classifier_bias.shape != lead + w.shape[-1:]:
                 raise ShapeMismatchError("classifier bias does not match weight columns")
+
+    @property
+    def folds(self):
+        """Folds in the stack, or None for a single network."""
+        return self.modules[0].folds
 
     @property
     def d_in(self) -> int:
@@ -243,7 +372,7 @@ class Network:
     @property
     def d_out(self) -> int:
         if self.classifier_weight is not None:
-            return self.classifier_weight.shape[1]
+            return self.classifier_weight.shape[-1]
         return self.modules[-1].d_out
 
     def parameters(self) -> dict:
@@ -257,6 +386,22 @@ class Network:
             out["classifier.weight"] = self.classifier_weight
             out["classifier.bias"] = self.classifier_bias
         return out
+
+    def map(self, fn) -> "Network":
+        """A network of this shape whose every parameter is ``fn`` of this
+        one's: ``lambda p: p[None]`` views a network as a one-fold stack,
+        ``lambda p: p[idx]`` copies some folds of a stack."""
+        modules = [
+            InceptionModule(
+                branches=[ChebFilterLayer(fn(br.theta), fn(br.bias), br.activation)
+                          for br in mod.branches],
+                aggregator=mod.aggregator,
+            )
+            for mod in self.modules
+        ]
+        if self.classifier_weight is None:
+            return Network(modules=modules)
+        return Network(modules, fn(self.classifier_weight), fn(self.classifier_bias))
 
     def get_state(self) -> dict:
         return {k: v.copy() for k, v in self.parameters().items()}
@@ -280,7 +425,7 @@ class Network:
             for mod in self.modules
         )
         clf = None if self.classifier_weight is None else self.classifier_weight.shape
-        return (mods, clf)
+        return (mods, clf, self.folds)
 
 
 @dataclass
@@ -298,14 +443,17 @@ class GradientTape:
 
 def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
                     dropout: float = 0.0, dropout_rng=None):
-    """Run the network on node features x; returns (scores, tape).
+    """Run the network, or every fold of a stack, on node features x; returns
+    (scores, tape).
 
     ``input_basis`` may hold ``chebyshev_apply(lap, x, k)`` for the same
     (lap, x) pair, with k at least the first module's highest order; it only
     short-circuits the first module's basis build.
     ``dropout`` (training only) zeroes each module-output entry with the
-    given probability and rescales the survivors; it needs a Generator.
-    Module inputs are left alone so the cached basis stays valid.
+    given probability and rescales the survivors; it needs a Generator, or
+    for a stack a list of one Generator per fold, each drawing what its fold
+    would draw alone. Module inputs are left alone so the cached basis stays
+    valid.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape != (lap.n_nodes, net.d_in):
@@ -322,8 +470,14 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
             raise ShapeMismatchError("input_basis does not match the given signal")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-    if dropout > 0.0 and dropout_rng is None:
-        raise ValueError("dropout needs a random generator")
+    folds = net.folds or 1
+    if dropout > 0.0:
+        if dropout_rng is None:
+            raise ValueError("dropout needs a random generator")
+        rngs = [dropout_rng] if net.folds is None else list(dropout_rng)
+        if len(rngs) != folds:
+            raise ValueError(f"dropout needs one generator per fold, got {len(rngs)} for {folds}")
+    n = x.shape[0]
     h = x
     module_tapes = []
     dropout_masks = []
@@ -332,17 +486,21 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
         h, mtape = _module_forward(mod, lap, h, basis)
         module_tapes.append(mtape)
         if dropout > 0.0:
-            keep = dropout_rng.random(h.shape) >= dropout
-            mask = keep / (1.0 - dropout)
+            keep = np.stack([rng.random((n, mod.d_out)) >= dropout for rng in rngs], axis=1)
+            mask = keep.reshape(n, -1) / (1.0 - dropout)
             h = h * mask
             dropout_masks.append(mask)
         else:
             dropout_masks.append(None)
     classifier_input = h
+    h3 = _fold_view(h, folds)
     if net.classifier_weight is not None:
-        scores = h @ net.classifier_weight + net.classifier_bias
+        w = net.classifier_weight.reshape((folds,) + net.classifier_weight.shape[-2:])
+        scores = np.matmul(h3, w) + net.classifier_bias.reshape(folds, 1, -1)
     else:
-        scores = h
+        scores = np.ascontiguousarray(h3)
+    if net.folds is None:
+        scores = scores[0]
     tape = GradientTape(
         net=net,
         net_fingerprint=net.fingerprint(),
@@ -370,11 +528,19 @@ def network_backward(tape: GradientTape, score_grad) -> dict:
         raise ShapeMismatchError(
             f"score gradient shape {g.shape} does not match scores {tape.scores_shape}"
         )
+    folds = net.folds or 1
+    g3 = g.reshape((folds,) + g.shape[-2:])
     grads = {}
     if net.classifier_weight is not None:
-        grads["classifier.weight"] = tape.classifier_input.T @ g
-        grads["classifier.bias"] = g.sum(axis=0)
-        g = g @ net.classifier_weight.T
+        w = net.classifier_weight
+        h3 = _fold_view(tape.classifier_input, folds)
+        grads["classifier.weight"] = np.matmul(h3.transpose(0, 2, 1), g3).reshape(w.shape)
+        grads["classifier.bias"] = g3.sum(axis=1).reshape(net.classifier_bias.shape)
+        w3 = w.reshape((folds,) + w.shape[-2:])
+        g = np.empty_like(tape.classifier_input)
+        np.matmul(g3, w3.transpose(0, 2, 1), out=_fold_view(g, folds))
+    else:
+        g = g3.transpose(1, 0, 2).reshape(g3.shape[1], -1)
     for mi in reversed(range(len(net.modules))):
         if tape.dropout_masks[mi] is not None:
             g = g * tape.dropout_masks[mi]
@@ -389,6 +555,8 @@ def network_backward(tape: GradientTape, score_grad) -> dict:
 def masked_cross_entropy(scores, labels, mask):
     """Mean cross-entropy over masked rows; returns (loss, d(loss)/d(scores)).
 
+    Scores (F, N, C) of a fold stack take an (F, N) mask and give one loss
+    per fold, each the mean over that fold's own rows, as it would be alone.
     Softmax is computed with the usual max-shift so large scores stay
     finite. Gradient rows outside the mask are exactly zero, and each masked
     row's gradient sums to zero up to roundoff.
@@ -396,32 +564,37 @@ def masked_cross_entropy(scores, labels, mask):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
-    if scores.ndim != 2:
-        raise ShapeMismatchError(f"scores must be 2-D, got shape {scores.shape}")
-    n = scores.shape[0]
-    if labels.shape != (n,) or mask.shape != (n,):
-        raise ShapeMismatchError("labels and mask must be 1-D with one entry per row")
-    m = int(mask.sum())
-    if m == 0:
+    if scores.ndim not in (2, 3):
+        raise ShapeMismatchError(f"scores must be ([F,] N, C), got shape {scores.shape}")
+    n, n_classes = scores.shape[-2:]
+    if labels.shape != (n,) or mask.shape != scores.shape[:-1]:
+        raise ShapeMismatchError("labels must be 1-D with one entry per row, and the mask "
+                                 "one entry per row of each fold")
+    s3 = scores.reshape(-1, n, n_classes)
+    m3 = mask.reshape(-1, n)
+    counts = m3.sum(axis=1)
+    if not counts.all():
         raise ValueError("mask selects no rows; loss is undefined")
-    picked = labels[mask]
-    if picked.min() < 0 or picked.max() >= scores.shape[1]:
+    picked = labels[m3.any(axis=0)]
+    if picked.min() < 0 or picked.max() >= n_classes:
         raise ValueError("a masked label is outside [0, n_classes)")
-    sub = scores[mask]
     with np.errstate(over="ignore", invalid="ignore"):
         # the shift can land at -inf for extreme score gaps (exp maps that to
         # 0), and already non-finite scores pass through as nan for callers
         # that check the loss
-        shifted = sub - sub.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = s3 - s3.max(axis=2, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     logp = shifted - logz
-    rows = np.arange(m)
-    loss = float(-logp[rows, picked].mean())
+    # rows outside every mask may carry any label; they get no gradient
+    rows, cols = np.arange(n), np.clip(labels, 0, n_classes - 1)
+    label_logp = logp[:, rows, cols]
+    losses = np.array([-label_logp[f][m].mean() for f, m in enumerate(m3)])
     probs = np.exp(logp)
-    probs[rows, picked] -= 1.0
-    grad = np.zeros_like(scores)
-    grad[mask] = probs / m
-    return loss, grad
+    probs[:, rows, cols] -= 1.0
+    grad = np.where(m3[:, :, None], probs / counts[:, None, None], 0.0)
+    if scores.ndim == 2:
+        return float(losses[0]), grad[0]
+    return losses, grad
 
 
 def _check_gradient(name, p, g):
@@ -434,10 +607,15 @@ def _check_gradient(name, p, g):
 
 
 class GradientDescent:
-    """In-place gradient descent: each parameter moves by -lr times its gradient."""
+    """In-place gradient descent: each parameter moves by -lr times its gradient.
+
+    Updates are elementwise, so the parameters may be fold stacks."""
 
     def __init__(self, lr: float):
         self.lr = lr
+
+    def take(self, folds) -> None:
+        """Keep the state of these folds of a stack only (plain descent has none)."""
 
     def step(self, params, grads):
         for name, p in params.items():
@@ -447,7 +625,8 @@ class GradientDescent:
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name."""
+    """Adam with bias correction; state is keyed by parameter name and, for
+    fold stacks, carries the fold axis too."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -475,6 +654,11 @@ class Adam:
             m_hat = m / (1.0 - self.beta1**self.t)
             v_hat = v / (1.0 - self.beta2**self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def take(self, folds) -> None:
+        """Keep the moments of these folds of a stack only."""
+        self._m = {k: v[folds] for k, v in self._m.items()}
+        self._v = {k: v[folds] for k, v in self._v.items()}
 
 
 def make_optimizer(name: str, lr: float):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import SimilarityKernel, pairwise_distance, similarity_weights
+from .affinity import _gaussian_weights, pairwise_distance
 from .graph import PopulationGraph
 
 FEATURE_MODES = ("discriminative", "random")
@@ -68,12 +68,13 @@ def generate(config: SimConfig) -> PopulationGraph:
         positions[c * n : (c + 1) * n] = rng.normal(mean, np.sqrt(var), size=(n, 2))
         labels[c * n : (c + 1) * n] = c
 
-    close = pairwise_distance(positions, "euclidean") < config.beta
+    dist = pairwise_distance(positions, "euclidean")
+    close = dist < config.beta
     np.fill_diagonal(close, False)
     if config.edge_weights == "binary":
         adjacency = close.astype(np.float64)
     else:
-        adjacency = similarity_weights(positions, SimilarityKernel(distance="euclidean")) * close
+        adjacency = _gaussian_weights(dist, None) * close
 
     if config.feature_mode == "discriminative":
         features = positions

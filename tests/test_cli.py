@@ -358,6 +358,8 @@ class TestErrorHandling:
         ("training", {"epochs": 2.5}, "training.epochs must be an integer, got 2.5"),
         ("architecture", {"classifier": "no"}, "architecture.classifier must be true or false"),
         ("training", {"lr": float("inf")}, "training: lr must be positive and finite"),
+        ("training", {"lr": 10**400}, "training.lr must be a number within float range, got 1"),
+        ("experiment", {"folds": 1}, "experiment.folds must be at least 2, got 1"),
         ("experiment", {"folds": 100},
          "experiment.folds is 100, but the largest class of the 30 nodes has 15"),
     ])

@@ -222,6 +222,27 @@ class TestValidateConfig:
     def test_fold_minimum(self):
         self.check_rejects(lambda c: c["experiment"].update({"folds": 1}), "folds")
 
+    def test_fold_minimum_names_the_experiment_key(self):
+        self.check_rejects(lambda c: c["experiment"].update({"folds": 1}),
+                           r"^experiment\.folds must be at least 2, got 1$")
+
+    @pytest.mark.parametrize("name, value", [
+        ("training.lr", 10**400),
+        ("training.weight_decay", 10**400),
+        ("training.dropout", 10**400),
+        ("training.val_fraction", -10**400),
+        ("sim.beta", 10**400),
+        ("sim.means", [0, 10**400]),
+        ("sim.variances", [1, 10**400]),
+        ("affinity.sigma", 10**400),
+        ("affinity.betas.age", 10**400),
+    ], ids=lambda v: v if isinstance(v, str) else "1e400")
+    def test_integers_too_large_for_a_float_are_rejected_naming_the_field(self, name, value):
+        section, key, *sub = name.split(".")
+        value = {sub[0]: value} if sub else value
+        self.check_rejects(lambda c: c[section].update({key: value}),
+                           f"^{name} must be a (list of )?number")
+
     def test_thread_minimum(self):
         self.check_rejects(lambda c: c["experiment"].update({"threads": 0}), "threads")
 

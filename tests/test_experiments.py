@@ -3,6 +3,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from chebgcn.experiments import (
     COMPARE_MODELS,
@@ -15,6 +16,7 @@ from chebgcn.experiments import (
     TrainConfig,
     TrainingDivergence,
     _carve_validation,
+    _stack_size,
     build_network,
     compare_models,
     config_fingerprint,
@@ -35,7 +37,7 @@ from chebgcn.experiments import (
     write_summary_json,
     write_sweep_csv,
 )
-from chebgcn.graph import build_laplacian, rescale_laplacian
+from chebgcn.graph import NormalizedLaplacian, build_laplacian, rescale_laplacian
 from chebgcn.nn import ChebFilterLayer, InceptionModule, Network, masked_cross_entropy, network_forward
 from chebgcn.simdata import SimConfig, generate, stratified_folds
 
@@ -321,6 +323,81 @@ class TestFoldChecksum:
         a = stratified_folds(labels, 4, seed=0)
         b = stratified_folds(labels, 4, seed=1)
         assert fold_checksum(a) != fold_checksum(b)
+
+
+class TestFoldStacks:
+    """A stack of folds trains each fold bitwise as training it alone does."""
+
+    # two modules: the first runs off the shared input basis, the second off
+    # the stacked one; the first has two branches of unequal order
+    ARCH = ArchSpec(modules=(
+        ModuleSpec(branches=(BranchSpec(1, 4), BranchSpec(3, 4))),
+        ModuleSpec(branches=(BranchSpec(2, 5),)),
+    ))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+    @pytest.mark.parametrize("kw, arch, diverged", [
+        (dict(epochs=25), ARCH, ()),
+        (dict(epochs=20, lr=0.01, optimizer="adam", weight_decay=1e-3), ARCH, ()),
+        (dict(epochs=60, dropout=0.3, early_stop_window=3, stop_metric="val",
+              val_fraction=0.2), ARCH, ()),
+        (dict(epochs=80, lr=2.5, early_stop_window=4, stop_metric="train"), ARCH, ()),
+        # Adam's steps overflow the scores of the middle fold only
+        (dict(epochs=30, lr=1e153, optimizer="adam", early_stop_window=5, stop_metric="val",
+              val_fraction=0.2, dropout=0.3, weight_decay=1e-3), single_layer(2, 8), (1,)),
+    ])
+    def test_each_fold_ends_where_it_would_alone(self, toy_graph, storage, kw, arch, diverged):
+        cfg = quick_cfg(**kw)
+        lap = rescale_laplacian(build_laplacian(toy_graph))
+        lap = NormalizedLaplacian(matrix=storage(lap.toarray()))
+        x, labels = toy_graph.features, toy_graph.labels
+        train = np.array([t for t, _ in stratified_folds(labels, 3, seed=5)])
+        val = None
+        if cfg.stop_metric == "val" and cfg.early_stop_window:
+            val = np.array([_carve_validation(t, labels, cfg.val_fraction, seed=f)
+                            for f, t in enumerate(train)])
+            train = train & ~val
+
+        def rngs(base):
+            return [np.random.default_rng(base + f) for f in range(len(train))]
+
+        stack = build_network(arch, 2, 2, rngs(140))
+        epochs = train_network(stack, lap, x, labels, train, cfg, val_mask=val,
+                               dropout_rng=rngs(240))
+        assert tuple(f for f, ep in enumerate(epochs) if ep is None) == diverged
+        for f in range(len(train)):
+            alone = build_network(arch, 2, 2, rngs(140)[f])
+            try:
+                ran = train_network(alone, lap, x, labels, train[f], cfg,
+                                    val_mask=None if val is None else val[f],
+                                    dropout_rng=rngs(240)[f])
+            except TrainingDivergence:
+                ran = None
+            assert ran == epochs[f]
+            if ran is None:
+                continue
+            for name, p in alone.parameters().items():
+                npt.assert_array_equal(stack.parameters()[name][f], p, err_msg=name)
+            one = stack.map(lambda p: p[[f]])
+            assert (evaluate_accuracy(one, lap, x, labels, ~train[[f]])
+                    == [evaluate_accuracy(alone, lap, x, labels, ~train[f])])
+
+    def test_uneven_chunks_give_the_serial_result(self, toy_graph):
+        # 10 folds over 3 workers are stacks of 4, 4 and 2
+        arch = sequential((2, 1), 4)
+        assert _stack_size(arch, toy_graph.n_nodes, 2, 10, 3) == 4
+        cfg = quick_cfg(epochs=20, n_folds=10, dropout=0.2, early_stop_window=3,
+                        stop_metric="val", val_fraction=0.2)
+        results = [run_cv(toy_graph, arch, cfg, threads=t) for t in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+
+    def test_width_one_nets_and_deep_bases_get_smaller_stacks(self):
+        assert _stack_size(sequential((2, 1), 1), 100, 2, 10, 1) == 1
+        assert _stack_size(single_layer(2, 4), 100, 1, 10, 1) == 1
+        assert _stack_size(single_layer(10, 16), 10_000, 2, 10, 1) == 10
+        # order 10 past the first module: 11 * 600 * 16 * 8 bytes per fold
+        assert _stack_size(sequential((1, 10), 16), 600, 2, 10, 1) == 2
 
 
 class TestRunCv:

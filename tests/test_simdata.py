@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from chebgcn import affinity, simdata
 from chebgcn.affinity import SimilarityKernel, pairwise_distance, similarity_weights
 from chebgcn.simdata import SimConfig, generate, stratified_folds
 
@@ -121,6 +122,18 @@ class TestGenerate:
         npt.assert_array_equal(dense_adj(g), sim * gate)
         on_edges = dense_adj(g)[gate]
         assert (on_edges > 0).all() and (on_edges <= 1).all()
+
+    def test_similarity_graph_takes_one_distance_matrix(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return pairwise_distance(*args, **kwargs)
+
+        monkeypatch.setattr(simdata, "pairwise_distance", counted)
+        monkeypatch.setattr(affinity, "pairwise_distance", counted)
+        generate(SimConfig(n_per_class=15, seed=10, edge_weights="similarity"))
+        assert calls == [("euclidean",)]
 
     def test_tight_variance_gives_denser_same_class_blocks(self):
         loose = generate(SimConfig(n_per_class=100, variances=(1.0, 1.0), seed=11))

@@ -25,7 +25,6 @@ from .experiments import (
     SweepResult,
     SweepSpec,
     TrainConfig,
-    TrainingDivergence,
     build_network,
     compare_models,
     derive_seed,

@@ -18,6 +18,11 @@ import numpy as np
 from .graph import PopulationGraph
 
 
+# Bytes of one row block of the Euclidean distance's (rows, N, d) difference
+# array; simdata's 600 x 2 positions fit in one block.
+_DISTANCE_BLOCK_BYTES = 8 * 2**20
+
+
 class AffinityError(ValueError):
     """Invalid input to an affinity-graph construction."""
 
@@ -91,8 +96,13 @@ def pairwise_distance(features: np.ndarray, metric: str = "correlation") -> np.n
         raise AffinityError(f"features must be 2-D, got shape {x.shape}")
     n = x.shape[0]
     if metric == "euclidean":
-        diff = x[:, None, :] - x[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
+        # row blocks keep the (rows, N, d) temporaries bounded; each entry is
+        # bitwise what one broadcast over all rows gives
+        dist = np.empty((n, n))
+        rows = max(1, _DISTANCE_BLOCK_BYTES // max(1, 8 * n * x.shape[1]))
+        for s in range(0, n, rows):
+            diff = x[s:s + rows, None, :] - x[None, :, :]
+            dist[s:s + rows] = np.sqrt((diff * diff).sum(axis=-1))
     elif metric == "correlation":
         if x.shape[1] < 2:
             raise AffinityError("correlation distance needs at least 2 features per node")

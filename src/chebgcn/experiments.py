@@ -22,6 +22,7 @@ from .nn import (
     ChebFilterLayer,
     InceptionModule,
     Network,
+    ShapeMismatchError,
     glorot_uniform,
     make_optimizer,
     masked_cross_entropy,
@@ -29,10 +30,6 @@ from .nn import (
     network_forward,
 )
 from .simdata import stratified_folds
-
-
-class TrainingDivergence(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 def derive_seed(*parts) -> int:
@@ -231,29 +228,22 @@ def _carve_validation(train_mask, labels, fraction, seed):
 
 def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
                   input_basis=None, val_mask=None, dropout_rng=None):
-    """Train a network, or every fold of a stack, in place; returns the epochs run.
+    """Train every fold of a stack in place; returns the epochs run per fold.
 
-    A single network returns an int and raises :class:`TrainingDivergence`
-    on a non-finite loss or gradient. A stack of F folds takes (F, N) masks
-    and one dropout Generator per fold, and returns one entry per fold: its
-    epochs, or None if it diverged. A fold that diverges, or stops early,
-    leaves the stack and the others train on, so each fold ends bitwise where
-    training it alone would. With early stopping enabled a fold ends at its
-    best-epoch weights even when the epoch budget runs out first. Dropout
-    and the monitored loss both follow the usual convention: dropout is on
-    for the update pass only.
+    A stack of F folds (a single network is ``net.map(lambda p: p[None])``)
+    takes (F, N) masks and, with dropout, one Generator per fold. Each
+    fold's entry is its epochs, or None if it diverged: a fold that
+    diverges, or stops early, leaves the stack and the others train on, so
+    each fold ends bitwise where training it alone would. With early
+    stopping enabled a fold ends at its best-epoch weights even when the
+    epoch budget runs out first. Dropout and the monitored loss both follow
+    the usual convention: dropout is on for the update pass only.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = None if val_mask is None else np.asarray(val_mask, dtype=bool)
-    if net.folds is None:
-        if cfg.dropout > 0.0 and dropout_rng is None:
-            dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
-        (epochs,) = train_network(net.map(lambda p: p[None]), lap, x, labels, train_mask[None],
-                                  cfg, input_basis, None if val_mask is None else val_mask[None],
-                                  [dropout_rng])
-        if epochs is None:
-            raise TrainingDivergence("non-finite training loss or gradient")
-        return epochs
+    _require_stack(net, lap, train_mask=train_mask, val_mask=val_mask)
+    if cfg.dropout > 0.0 and dropout_rng is None:
+        raise ValueError("dropout needs one random generator per fold")
     if input_basis is None:
         input_basis = chebyshev_apply(lap, x, net.modules[0].order)
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
@@ -329,21 +319,32 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     return epochs
 
 
+def _require_stack(net, lap, **masks) -> None:
+    """Reject a network without a fold axis, and masks that are not (F, N)."""
+    if net.folds is None:
+        raise ValueError("expected a fold stack; pass a single network as "
+                         "net.map(lambda p: p[None])")
+    for name, mask in masks.items():
+        if mask is not None and mask.shape != (net.folds, lap.n_nodes):
+            raise ShapeMismatchError(
+                f"{name} must be (folds, nodes) = ({net.folds}, {lap.n_nodes}), got {mask.shape}"
+            )
+
+
 def _restore(net, fold, state) -> None:
     for name, p in net.parameters().items():
         p[fold] = state[name]
 
 
 def evaluate_accuracy(net, lap, x, labels, mask, input_basis=None):
-    """Percent of masked nodes whose argmax score matches the label; for a
-    stack, (F, N) masks give one percentage per fold."""
+    """Percent of masked nodes whose argmax score matches the label, one per
+    fold of a stack given (F, N) masks."""
     mask = np.asarray(mask, dtype=bool)
+    _require_stack(net, lap, mask=mask)
     if not mask.any(axis=-1).all():
         raise ValueError("mask selects no nodes")
     scores, _ = network_forward(net, lap, x, input_basis)
     hits = scores.argmax(axis=-1) == np.asarray(labels)
-    if net.folds is None:
-        return 100.0 * float(np.mean(hits[mask]))
     return [100.0 * float(np.mean(h[m])) for h, m in zip(hits, mask)]
 
 

@@ -248,9 +248,10 @@ def read_meta_csv(path):
     ``values`` is float64 and ``missing`` is a boolean mask. Empty cells and
     the tokens na/nan/none (any case) count as missing; a missing value is
     stored as 0.0 under the mask. Columns with any non-numeric entry are
-    treated as categorical and coded by sorted distinct value, from 0. A
-    numeric column must hold finite values: ``inf`` or ``1e400`` raises
-    :class:`FileFormatError` naming the line and the column.
+    treated as categorical and coded by sorted distinct value, from 0. Node
+    ids and the cells of a numeric column must be plain numbers (see the
+    module docstring), and numeric cells finite: ``1_000``, ``inf`` or
+    ``1e400`` raises :class:`FileFormatError` naming the line and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -271,9 +272,11 @@ def read_meta_csv(path):
             if len(row) != len(header):
                 raise FileFormatError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                node = int(row[0])
+                node = _number(row[0], int)
             except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: bad node id {row[0]!r}") from None
+                raise FileFormatError(
+                    f"{path}:{lineno}: column 'node' must be a plain int, got {row[0]!r}"
+                ) from None
             if node in cells:
                 raise FileFormatError(f"{path}:{lineno}: duplicate node {node}")
             cells[node] = [v.strip() for v in row[1:]]
@@ -296,14 +299,18 @@ def read_meta_csv(path):
                 numeric = False
                 break
         if numeric:
+            bad = []
             for i, v in present:
-                values[i] = float(v)
-            bad = [(linenos[i], float(v)) for i, v in present if not math.isfinite(values[i])]
+                try:
+                    values[i] = value = _number(v, float)
+                except ValueError:
+                    bad.append((linenos[i], f"must be a plain number, got {v!r}"))
+                    continue
+                if not math.isfinite(value):
+                    bad.append((linenos[i], f"must be finite, got {value!r}"))
             if bad:
-                lineno, value = min(bad)
-                raise FileFormatError(
-                    f"{path}:{lineno}: column {name!r} must be finite, got {value!r}"
-                )
+                lineno, why = min(bad)
+                raise FileFormatError(f"{path}:{lineno}: column {name!r} {why}")
         else:
             codes = {v: c for c, v in enumerate(sorted({v for _, v in present}))}
             for i, v in present:

@@ -12,9 +12,9 @@ cross-validation fold: every parameter then carries a leading fold axis,
 and the folds train together. Hidden states are (N, F * width) with each
 fold's columns side by side, so the first module's products run as one wide
 product off the shared input basis and the Chebyshev recurrence of later
-modules runs once for the whole stack. Each fold still gets bitwise the
-values it would get alone; a single network is the F-less case of the same
-code.
+modules runs once for the whole stack wherever its wide products are exact.
+Each fold still gets bitwise the values it would get alone; a single network
+is the F-less case of the same code.
 
 Gradients are computed in closed form by reverse mode through the same
 Chebyshev recurrence the forward pass uses; no numeric differentiation is
@@ -65,24 +65,30 @@ def _fold_view(a, folds):
 _WIDE_IS_EXACT = {}
 
 
-def _fold_matmul(a, b, folds):
-    """``a @ b`` for b of ``folds`` equal column blocks, each block's columns
-    bitwise ``a @ block``.
+def _wide_is_exact(a, cols, folds):
+    """Whether ``a @ b`` for any b of ``cols`` columns gives each of its
+    ``folds`` column blocks the bits of ``a @ block``.
 
     BLAS picks its kernel from a product's shape, and its small-matrix
     kernels sum in another order than the blocked ones, so a wide product can
-    round differently from a narrow one. One wide product is used where a
-    probe on random columns, run once per shape, shows that it matches the
-    per-fold products; elsewhere each block is its own product. SciPy sums
-    each row of a sparse product in the same order at any width.
+    round differently from a narrow one. A probe on random columns, run once
+    per shape, decides. SciPy sums each row of a sparse product in the same
+    order at any width.
     """
     if folds == 1 or sp.issparse(a):
-        return a @ b
-    key = (a.shape, a.strides, b.shape[1], folds)
+        return True
+    key = (a.shape, a.strides, cols, folds)
     if key not in _WIDE_IS_EXACT:
-        probe = np.random.default_rng(0).standard_normal((a.shape[1], b.shape[1]))
+        probe = np.random.default_rng(0).standard_normal((a.shape[1], cols))
         _WIDE_IS_EXACT[key] = np.array_equal(a @ probe, _per_fold_matmul(a, probe, folds))
-    return a @ b if _WIDE_IS_EXACT[key] else _per_fold_matmul(a, b, folds)
+    return _WIDE_IS_EXACT[key]
+
+
+def _fold_matmul(a, b, folds):
+    """``a @ b`` for b of ``folds`` equal column blocks, each block's columns
+    bitwise ``a @ block``: one wide product where it is exact, else one
+    product per block."""
+    return a @ b if _wide_is_exact(a, b.shape[1], folds) else _per_fold_matmul(a, b, folds)
 
 
 def _per_fold_matmul(a, b, folds):
@@ -93,17 +99,14 @@ def _per_fold_matmul(a, b, folds):
 
 def _fold_basis(lap, h, order, folds):
     """chebyshev_apply on a fold stack (N, F * d); each fold's columns are
-    bitwise the basis of that fold alone."""
-    mat = lap.matrix
-    out = [h]
-    if order >= 1:
-        out.append(_fold_matmul(mat, h, folds))
-    for _ in range(2, order + 1):
-        term = _fold_matmul(mat, out[-1], folds)
-        term *= 2.0
-        term -= out[-2]
-        out.append(term)
-    return out
+    bitwise the basis of that fold alone. One recurrence runs on the whole
+    stack where its wide products are exact, else one runs per fold."""
+    if _wide_is_exact(lap.matrix, h.shape[1], folds):
+        return chebyshev_apply(lap, h, order)
+    w = h.shape[1] // folds
+    per_fold = [chebyshev_apply(lap, np.ascontiguousarray(h[:, f * w:(f + 1) * w]), order)
+                for f in range(folds)]
+    return [np.concatenate(terms, axis=1) for terms in zip(*per_fold)]
 
 
 @dataclass
@@ -230,8 +233,7 @@ def _module_forward(module, lap, h, basis=None):
     folds = module.folds or 1
     stacked = h.shape[1] != module.d_in
     if basis is None:
-        basis = (_fold_basis(lap, h, module.order, folds) if stacked
-                 else chebyshev_apply(lap, h, module.order))
+        basis = _fold_basis(lap, h, module.order, folds if stacked else 1)
     outs = []
     relu_masks = []
     for br in module.branches:
@@ -402,19 +404,6 @@ class Network:
         if self.classifier_weight is None:
             return Network(modules=modules)
         return Network(modules, fn(self.classifier_weight), fn(self.classifier_bias))
-
-    def get_state(self) -> dict:
-        return {k: v.copy() for k, v in self.parameters().items()}
-
-    def set_state(self, state: dict) -> None:
-        """Copy values into the existing parameter arrays (identity preserved)."""
-        params = self.parameters()
-        if set(state) != set(params):
-            raise KeyError(
-                f"state keys {sorted(state)} do not match parameters {sorted(params)}"
-            )
-        for k, v in params.items():
-            np.copyto(v, state[k])
 
     def fingerprint(self) -> tuple:
         mods = tuple(
@@ -624,15 +613,18 @@ class GradientDescent:
             p -= self.lr * g
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction; state is keyed by parameter name and, for
     fold stacks, carries the fold axis too."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {}
         self._v = {}
@@ -647,13 +639,13 @@ class Adam:
                 self._v[name] = np.zeros_like(p)
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - _ADAM_BETA1**self.t)
+            v_hat = v / (1.0 - _ADAM_BETA2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     def take(self, folds) -> None:
         """Keep the moments of these folds of a stack only."""

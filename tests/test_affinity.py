@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -118,6 +119,22 @@ class TestSimilarityWeights:
         np.fill_diagonal(expected, 0.0)
         got = similarity_weights(x, SimilarityKernel(distance="euclidean"))
         npt.assert_allclose(got, expected, atol=1e-15)
+
+    def test_euclidean_row_blocks_match_one_broadcast(self):
+        x = np.random.default_rng(15).standard_normal((300, 200))
+        diff = x[:, None, :] - x[None, :, :]
+        want = np.sqrt((diff * diff).sum(axis=-1))
+        np.fill_diagonal(want, 0.0)
+        del diff
+        tracemalloc.start()
+        try:
+            got = pairwise_distance(x, "euclidean")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(got, want)
+        # one broadcast over all rows peaks at 275 MB here
+        assert peak < 32 * 2**20
 
     def test_constant_row_rejected_for_correlation(self):
         x = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +15,6 @@ from chebgcn.experiments import (
     ModuleSpec,
     SweepSpec,
     TrainConfig,
-    TrainingDivergence,
     _carve_validation,
     _stack_size,
     build_network,
@@ -38,7 +38,14 @@ from chebgcn.experiments import (
     write_sweep_csv,
 )
 from chebgcn.graph import NormalizedLaplacian, build_laplacian, rescale_laplacian
-from chebgcn.nn import ChebFilterLayer, InceptionModule, Network, masked_cross_entropy, network_forward
+from chebgcn.nn import (
+    ChebFilterLayer,
+    InceptionModule,
+    Network,
+    ShapeMismatchError,
+    masked_cross_entropy,
+    network_forward,
+)
 from chebgcn.simdata import SimConfig, generate, stratified_folds
 
 
@@ -223,6 +230,21 @@ def identity_readout_net(d):
     return Network(modules=[InceptionModule(branches=[layer])])
 
 
+def train_alone(net, lap, x, labels, mask, cfg, val_mask=None, dropout_rng=None):
+    """Train one network as a one-fold stack; returns its epochs, or None if
+    it diverged. The stack's parameters are views of ``net``'s, so ``net``
+    ends trained."""
+    (epochs,) = train_network(net.map(lambda p: p[None]), lap, x, labels, mask[None], cfg,
+                              val_mask=None if val_mask is None else val_mask[None],
+                              dropout_rng=[dropout_rng])
+    return epochs
+
+
+def accuracy_alone(net, lap, x, labels, mask):
+    (acc,) = evaluate_accuracy(net.map(lambda p: p[None]), lap, x, labels, mask[None])
+    return acc
+
+
 class TestTrainAndEvaluate:
     def test_training_reduces_loss(self, toy_graph):
         lap = rescale_laplacian(build_laplacian(toy_graph))
@@ -231,7 +253,7 @@ class TestTrainAndEvaluate:
         mask = np.ones(toy_graph.n_nodes, dtype=bool)
         net = build_network(single_layer(2, 8), 2, 2, np.random.default_rng(0))
         before, _ = masked_cross_entropy(network_forward(net, lap, x)[0], labels, mask)
-        ran = train_network(net, lap, x, labels, mask, quick_cfg())
+        ran = train_alone(net, lap, x, labels, mask, quick_cfg())
         after, _ = masked_cross_entropy(network_forward(net, lap, x)[0], labels, mask)
         assert ran == 40
         assert after < before
@@ -243,7 +265,7 @@ class TestTrainAndEvaluate:
         nets = []
         for _ in range(2):
             net = build_network(single_layer(2, 8), 2, 2, np.random.default_rng(3))
-            train_network(net, lap, x, labels, mask, quick_cfg(epochs=15))
+            train_alone(net, lap, x, labels, mask, quick_cfg(epochs=15))
             nets.append(net)
         for k, v in nets[0].parameters().items():
             npt.assert_array_equal(v, nets[1].parameters()[k])
@@ -254,7 +276,7 @@ class TestTrainAndEvaluate:
         mask = np.ones(toy_graph.n_nodes, dtype=bool)
         net = build_network(single_layer(1, 8), 2, 2, np.random.default_rng(1))
         cfg = quick_cfg(epochs=60, lr=2.5, early_stop_window=5, stop_metric="train")
-        ran = train_network(net, lap, x, labels, mask, cfg)
+        ran = train_alone(net, lap, x, labels, mask, cfg)
         # the run ends on its best monitored loss: one more eval must match it
         final, _ = masked_cross_entropy(network_forward(net, lap, x)[0], labels, mask)
         stopper = EarlyStopper(5)
@@ -273,14 +295,13 @@ class TestTrainAndEvaluate:
         assert final == min(losses)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_divergent_run_raises(self, toy_graph):
+    def test_divergent_run_reports_none(self, toy_graph):
         lap = rescale_laplacian(build_laplacian(toy_graph))
         x, labels = toy_graph.features, toy_graph.labels
         mask = np.ones(toy_graph.n_nodes, dtype=bool)
         net = build_network(single_layer(2, 8), 2, 2, np.random.default_rng(0))
         cfg = quick_cfg(epochs=200, lr=1e8, weight_decay=1e8)
-        with pytest.raises(TrainingDivergence):
-            train_network(net, lap, x, labels, mask, cfg)
+        assert train_alone(net, lap, x, labels, mask, cfg) is None
 
     def test_weight_decay_shrinks_weight_norms(self, toy_graph):
         lap = rescale_laplacian(build_laplacian(toy_graph))
@@ -289,7 +310,7 @@ class TestTrainAndEvaluate:
         norms = {}
         for wd in (0.0, 0.5):
             net = build_network(single_layer(2, 8), 2, 2, np.random.default_rng(4))
-            train_network(net, lap, x, labels, mask, quick_cfg(epochs=30, weight_decay=wd))
+            train_alone(net, lap, x, labels, mask, quick_cfg(epochs=30, weight_decay=wd))
             norms[wd] = sum(float(np.abs(v).sum()) for v in net.parameters().values())
         assert norms[0.5] < norms[0.0]
 
@@ -301,14 +322,46 @@ class TestTrainAndEvaluate:
         adj = np.zeros((4, 4))
         adj[0, 1] = adj[1, 0] = 1.0
         lap = rescale_laplacian(build_laplacian(adj))
-        assert evaluate_accuracy(net, lap, x, labels, np.ones(4, bool)) == 75.0
-        assert evaluate_accuracy(net, lap, x, labels, np.array([1, 1, 0, 1], bool)) == 100.0
+        masks = np.array([[1, 1, 1, 1], [1, 1, 0, 1]], bool)
+        assert evaluate_accuracy(net.map(lambda p: np.stack([p, p])), lap, x, labels,
+                                 masks) == [75.0, 100.0]
 
     def test_evaluate_accuracy_needs_nodes(self):
         net = identity_readout_net(2)
         lap = rescale_laplacian(build_laplacian(np.zeros((2, 2))))
-        with pytest.raises(ValueError):
-            evaluate_accuracy(net, lap, np.zeros((2, 2)), np.zeros(2, int), np.zeros(2, bool))
+        with pytest.raises(ValueError, match="no nodes"):
+            accuracy_alone(net, lap, np.zeros((2, 2)), np.zeros(2, int), np.zeros(2, bool))
+
+    def test_single_networks_are_rejected_naming_the_fix(self):
+        net = identity_readout_net(2)
+        lap = rescale_laplacian(build_laplacian(np.zeros((2, 2))))
+        x, labels, mask = np.zeros((2, 2)), np.zeros(2, int), np.ones(2, bool)
+        fix = re.escape("net.map(lambda p: p[None])")
+        with pytest.raises(ValueError, match=fix):
+            train_network(net, lap, x, labels, mask, quick_cfg())
+        with pytest.raises(ValueError, match=fix):
+            evaluate_accuracy(net, lap, x, labels, mask)
+
+    def test_masks_without_a_fold_axis_are_rejected(self):
+        # a one-fold stack scored a node mask as one fold's mask of all nodes
+        net = identity_readout_net(2).map(lambda p: p[None])
+        lap = rescale_laplacian(build_laplacian(np.zeros((4, 4))))
+        x, labels = np.zeros((4, 2)), np.zeros(4, int)
+        shape = re.escape("mask must be (folds, nodes) = (1, 4)")
+        with pytest.raises(ShapeMismatchError, match=shape):
+            evaluate_accuracy(net, lap, x, labels, np.ones(4, bool))
+        with pytest.raises(ShapeMismatchError, match="train_mask"):
+            train_network(net, lap, x, labels, np.ones(4, bool), quick_cfg())
+        with pytest.raises(ShapeMismatchError, match="val_mask"):
+            train_network(net, lap, x, labels, np.ones((1, 4), bool), quick_cfg(),
+                          val_mask=np.ones(4, bool))
+
+    def test_dropout_without_generators_is_rejected(self):
+        net = identity_readout_net(2).map(lambda p: p[None])
+        lap = rescale_laplacian(build_laplacian(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="one random generator per fold"):
+            train_network(net, lap, np.zeros((2, 2)), np.zeros(2, int), np.ones((1, 2), bool),
+                          quick_cfg(dropout=0.5))
 
 
 class TestFoldChecksum:
@@ -368,12 +421,9 @@ class TestFoldStacks:
         assert tuple(f for f, ep in enumerate(epochs) if ep is None) == diverged
         for f in range(len(train)):
             alone = build_network(arch, 2, 2, rngs(140)[f])
-            try:
-                ran = train_network(alone, lap, x, labels, train[f], cfg,
-                                    val_mask=None if val is None else val[f],
-                                    dropout_rng=rngs(240)[f])
-            except TrainingDivergence:
-                ran = None
+            ran = train_alone(alone, lap, x, labels, train[f], cfg,
+                              val_mask=None if val is None else val[f],
+                              dropout_rng=rngs(240)[f])
             assert ran == epochs[f]
             if ran is None:
                 continue
@@ -381,7 +431,7 @@ class TestFoldStacks:
                 npt.assert_array_equal(stack.parameters()[name][f], p, err_msg=name)
             one = stack.map(lambda p: p[[f]])
             assert (evaluate_accuracy(one, lap, x, labels, ~train[[f]])
-                    == [evaluate_accuracy(alone, lap, x, labels, ~train[f])])
+                    == [accuracy_alone(alone, lap, x, labels, ~train[f])])
 
     def test_uneven_chunks_give_the_serial_result(self, toy_graph):
         # 10 folds over 3 workers are stacks of 4, 4 and 2

@@ -482,6 +482,21 @@ class TestMetaCsv:
             read_meta_csv(path)
         assert str(info.value) == f"{path}:2: column 'age' must be finite, got {shown}"
 
+    @pytest.mark.parametrize("text", ["1_000", "\u0663", "\uff11"])
+    def test_numeric_cell_must_be_a_plain_number(self, tmp_path, text):
+        # float() reads each of these, as 1000.0, 3.0 and 1.0
+        path = write_text(tmp_path, f"node,age\n1,61\n0,{text}\n", "meta.csv")
+        with pytest.raises(FileFormatError) as info:
+            read_meta_csv(path)
+        assert str(info.value) == f"{path}:3: column 'age' must be a plain number, got {text!r}"
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661"])
+    def test_node_id_must_be_a_plain_int(self, tmp_path, text):
+        path = write_text(tmp_path, f"node,age\n0,61\n{text},60\n", "meta.csv")
+        with pytest.raises(FileFormatError) as info:
+            read_meta_csv(path)
+        assert str(info.value) == f"{path}:3: column 'node' must be a plain int, got {text!r}"
+
     def test_inf_in_categorical_column_is_a_category(self, tmp_path):
         path = write_text(tmp_path, "node,site\n0,inf\n1,paris\n", "meta.csv")
         npt.assert_array_equal(read_meta_csv(path)["site"][0], [0.0, 1.0])

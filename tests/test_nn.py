@@ -15,6 +15,7 @@ from chebgcn.nn import (
     NonFiniteGradientError,
     ShapeMismatchError,
     StaleTapeError,
+    _fold_basis,
     _module_backward,
     _module_forward,
     masked_cross_entropy,
@@ -263,6 +264,16 @@ class TestNetworkForward:
         calls.clear()
         network_forward(net, lt, x, input_basis=chebyshev_apply(lt, x, 2))
         assert calls == [10]
+        # a 3-fold stack on CSR: the module past the first runs one
+        # recurrence on the whole stack
+        lt_csr = NormalizedLaplacian(matrix=sp.csr_array(lt.toarray()))
+        stack = net.map(lambda p: np.stack([p, -p, 0.5 * p]))
+        calls.clear()
+        network_forward(stack, lt_csr, x)
+        assert calls == [2, 10]
+        calls.clear()
+        network_forward(stack, lt_csr, x, input_basis=chebyshev_apply(lt_csr, x, 2))
+        assert calls == [10]
 
     def test_no_classifier_mode(self):
         lt = make_lap(6, seed=32)
@@ -509,6 +520,22 @@ class CountingMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
+@pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+@pytest.mark.parametrize("width, folds", [(1, 2), (3, 3), (8, 3), (16, 2)])
+def test_fold_basis_gives_each_fold_its_own_basis(storage, width, folds):
+    # on OpenBLAS a dense wide product is inexact at some of these widths, so
+    # both the whole-stack and the per-fold recurrence run
+    lt = make_lap(40, seed=11, p=0.5)
+    lt = NormalizedLaplacian(matrix=storage(lt.toarray()))
+    h = np.random.default_rng(12).standard_normal((40, folds * width))
+    basis = _fold_basis(lt, h, 5, folds)
+    for f in range(folds):
+        cols = slice(f * width, (f + 1) * width)
+        alone = chebyshev_apply(lt, np.ascontiguousarray(h[:, cols]), 5)
+        for got, want in zip(basis, alone, strict=True):
+            npt.assert_array_equal(got[:, cols], want)
+
+
 def test_module_after_the_first_runs_its_highest_order_once_each_way(monkeypatch):
     # orders {3, 5, 10} after the first module: one basis up to T_10 forward
     # and one reverse pass of length 10 backward, 10 products each
@@ -605,20 +632,3 @@ class TestOptimizers:
             opt.step(p, {"w": p["w"].copy()})
         assert abs(p["w"][0]) < 1e-2
 
-
-class TestStateAndCheckpoint:
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(90)
-        net = small_network(rng)
-        state = net.get_state()
-        params = net.parameters()
-        GradientDescent(lr=1.0).step(params, {k: np.ones_like(v) for k, v in params.items()})
-        net.set_state(state)
-        for k, v in net.parameters().items():
-            npt.assert_array_equal(v, state[k])
-
-    def test_set_state_rejects_wrong_keys(self):
-        rng = np.random.default_rng(91)
-        net = small_network(rng)
-        with pytest.raises(KeyError):
-            net.set_state({"nope": np.zeros(1)})

@@ -54,7 +54,6 @@ from .nn import (
     GradientDescent,
     InceptionModule,
     Network,
-    NonFiniteGradientError,
     ShapeMismatchError,
     StaleTapeError,
     masked_cross_entropy,

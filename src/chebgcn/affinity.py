@@ -187,6 +187,12 @@ def build_affinity(
     it is given. ``kernel`` defaults to the correlation kernel with automatic
     bandwidth; it is unused by mixed_nosim.
     """
+    return _build_affinity(elements, features, kernel, mode, element, strict)[0]
+
+
+def _build_affinity(elements, features, kernel, mode, element, strict):
+    """build_affinity's adjacency and, for each gate summed into it, the
+    (element, edge count) pair, counted as the gate is summed."""
     elements = list(elements)
     if not elements:
         raise AffinityError("need at least one meta-data element")
@@ -211,11 +217,13 @@ def build_affinity(
             raise AffinityError(f"features cover {weights.shape[0]} nodes but meta-data {n}")
     # Every term is non-negative, so starting the sum from zeros is exact.
     out = np.zeros((n, n))
+    counts = []
     for m in elements:
         gate = binarize_edges(m, strict=strict)
+        counts.append((m, np.count_nonzero(gate) // 2))
         out += gate if weights is None else weights * gate
     out /= len(elements)
-    return out
+    return out, counts
 
 
 def affinity_graph(

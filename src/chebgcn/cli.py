@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .affinity import (
-    AffinityError,
-    MetaElement,
-    SimilarityKernel,
-    binarize_edges,
-    build_affinity,
-)
+from .affinity import AffinityError, MetaElement, SimilarityKernel, _build_affinity
 from .config import ConfigError
 from .experiments import (
     SweepSpec,
@@ -128,9 +122,8 @@ def cmd_build_graph(cfg: dict) -> int:
             missing=missing if missing.any() else None,
         ))
     kernel = SimilarityKernel(distance=aff["distance"], sigma=aff["sigma"])
-    adjacency = build_affinity(
-        elements, features, kernel=kernel,
-        mode=aff["mode"], element=aff["element"], strict=aff["strict"],
+    adjacency, counts = _build_affinity(
+        elements, features, kernel, aff["mode"], aff["element"], aff["strict"]
     )
     graph = PopulationGraph(
         adjacency=adjacency, features=features, labels=labels,
@@ -142,12 +135,11 @@ def cmd_build_graph(cfg: dict) -> int:
     isolated = int(np.sum(graph.degrees() == 0))
     if isolated:
         _warn(f"{isolated} nodes are isolated under the current thresholds")
-    for el in elements:
-        gate = binarize_edges(el, strict=aff["strict"])
-        print(f"element {el.name}: {int(gate.sum()) // 2} edges (beta={el.beta})")
+    for el, n_edges in counts:
+        print(f"element {el.name}: {n_edges} edges (beta={el.beta})")
     print(f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
           f"{graph.n_nodes} nodes, {graph.n_edges} edges "
-          f"({aff['mode']} over {len(elements)} elements)")
+          f"({aff['mode']} over {len(counts)} elements)")
     return 0
 
 

@@ -274,6 +274,8 @@ def validate_config(cfg: dict) -> None:
     _require(names is None or (isinstance(names, list) and names
                                and all(isinstance(name, str) for name in names)),
              "affinity.elements must be a non-empty list of meta-data column names")
+    _require(names is None or len(set(names)) == len(names),
+             f"affinity.elements names an element more than once: {names}")
     _require(isinstance(aff["betas"], dict), "affinity.betas must map element names to numbers")
     for name, beta in aff["betas"].items():
         _require(_is(float, beta) and 0 <= beta < float("inf"),

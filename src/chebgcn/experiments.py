@@ -232,12 +232,13 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
 
     A stack of F folds (a single network is ``net.map(lambda p: p[None])``)
     takes (F, N) masks and, with dropout, one Generator per fold. Each
-    fold's entry is its epochs, or None if it diverged: a fold that
-    diverges, or stops early, leaves the stack and the others train on, so
-    each fold ends bitwise where training it alone would. With early
-    stopping enabled a fold ends at its best-epoch weights even when the
-    epoch budget runs out first. Dropout and the monitored loss both follow
-    the usual convention: dropout is on for the update pass only.
+    fold's entry is its epochs, or None if its loss or any gradient went
+    non-finite before a step (the optimizers do not check), or its monitored
+    loss did. A fold that diverges, or stops early, leaves the stack and the
+    others train on, so each fold ends bitwise where training it alone would.
+    With early stopping enabled a fold ends at its best-epoch weights even
+    when the epoch budget runs out first. Dropout and the monitored loss both
+    follow the usual convention: dropout is on for the update pass only.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = None if val_mask is None else np.asarray(val_mask, dtype=bool)
@@ -639,9 +640,7 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
     for agg in ("concat", "maxpool"):
         inc = results[f"inception-{agg}"]
         if base.epochs and inc.epochs:
-            base_mean = float(np.mean(base.epochs))
-            inc_mean = float(np.mean(inc.epochs))
-            ratios[agg] = base_mean / inc_mean if inc_mean > 0 else float("nan")
+            ratios[agg] = float(np.mean(base.epochs)) / float(np.mean(inc.epochs))
         else:
             ratios[agg] = float("nan")
     return ComparisonResult(k1=k1, k2=k2, results=results, convergence_ratios=ratios)

@@ -231,7 +231,9 @@ def meta_fixture(tmp_path):
 
 
 class TestBuildGraphCommand:
-    def test_builds_affinity_graph_with_per_element_counts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode, element", [("mixed", None), ("single", "sex")])
+    def test_builds_affinity_graph_with_per_element_counts(self, tmp_path, capsys,
+                                                           mode, element):
         meta_fixture(tmp_path)
         out = tmp_path / "res"
         sections = quick_sections(out, affinity={
@@ -239,16 +241,22 @@ class TestBuildGraphCommand:
             "features": str(tmp_path / "features.csv"),
             "elements": ["age", "sex"],
             "betas": {"age": 2.0},
-            "mode": "mixed",
+            "mode": mode,
+            "element": element,
         })
         cfg = write_cfg(tmp_path, sections)
         assert main(["build-graph", "--config", cfg]) == 0
         captured = capsys.readouterr()
-        # ages within 2 of each other: (50,52), (60,61), (70,71) -> 3 edges
-        assert "element age: 3 edges (beta=2.0)" in captured.out
         # same sex: two groups of 4 -> 2 * C(4,2) = 12 edges
         assert "element sex: 12 edges (beta=0.0)" in captured.out
-        assert "mixed over 2 elements" in captured.out
+        if mode == "mixed":
+            # ages within 2 of each other: (50,52), (60,61), (70,71) -> 3 edges
+            assert "element age: 3 edges (beta=2.0)" in captured.out
+            assert "mixed over 2 elements" in captured.out
+        else:
+            # only the gate that was summed is reported
+            assert "element age" not in captured.out
+            assert "single over 1 elements" in captured.out
         adj = read_edge_list(out / "edges.txt", n_nodes=8)
         assert (adj != 0).sum() > 0
         feats, labels, train, test = read_features_csv(out / "features.csv")

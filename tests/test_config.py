@@ -287,7 +287,7 @@ class TestValidateConfig:
         self.check_rejects(lambda c: c["affinity"].update({"betas": {"age": beta}}),
                            "affinity.betas.age")
 
-    @pytest.mark.parametrize("elements", ["age", [], ["age", 3]])
+    @pytest.mark.parametrize("elements", ["age", [], ["age", 3], ["age", "age"]])
     def test_affinity_elements_must_be_a_list_of_names(self, elements):
         self.check_rejects(lambda c: c["affinity"].update({"elements": elements}),
                            "affinity.elements")

@@ -37,13 +37,14 @@ from chebgcn.experiments import (
     write_summary_json,
     write_sweep_csv,
 )
-from chebgcn.graph import NormalizedLaplacian, build_laplacian, rescale_laplacian
+from chebgcn.graph import NormalizedLaplacian, PopulationGraph, build_laplacian, rescale_laplacian
 from chebgcn.nn import (
     ChebFilterLayer,
     InceptionModule,
     Network,
     ShapeMismatchError,
     masked_cross_entropy,
+    network_backward,
     network_forward,
 )
 from chebgcn.simdata import SimConfig, generate, stratified_folds
@@ -302,6 +303,30 @@ class TestTrainAndEvaluate:
         net = build_network(single_layer(2, 8), 2, 2, np.random.default_rng(0))
         cfg = quick_cfg(epochs=200, lr=1e8, weight_decay=1e8)
         assert train_alone(net, lap, x, labels, mask, cfg) is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_finite_loss_with_non_finite_gradient_reports_none(self):
+        # node 6 is isolated and outside the mask: its hidden row overflows
+        # to inf, the masked loss stays finite, and the classifier weight's
+        # gradient picks up nan from inf * 0
+        adj = np.zeros((7, 7))
+        adj[np.arange(5), np.arange(1, 6)] = adj[np.arange(1, 6), np.arange(5)] = 1.0
+        x = np.random.default_rng(0).standard_normal((7, 2))
+        x[6] = 1.5e308
+        labels = np.arange(7) % 2
+        mask = np.arange(7) < 6
+        graph = PopulationGraph(adjacency=adj, features=x, labels=labels,
+                                train_mask=mask, test_mask=~mask)
+        lap = rescale_laplacian(build_laplacian(graph))
+        net = build_network(single_layer(1, 4), 2, 2, np.random.default_rng(2))
+        scores, tape = network_forward(net, lap, x)
+        loss, grad = masked_cross_entropy(scores, labels, mask)
+        assert np.isfinite(loss)
+        assert not np.isfinite(network_backward(tape, grad)["classifier.weight"]).all()
+        # one epoch: the fold must leave before its first step, not when the
+        # nan weights make the next loss nan
+        assert train_alone(net, lap, x, labels, mask, quick_cfg(epochs=1)) is None
+        assert all(np.isfinite(p).all() for p in net.parameters().values())
 
     def test_weight_decay_shrinks_weight_norms(self, toy_graph):
         lap = rescale_laplacian(build_laplacian(toy_graph))

@@ -12,7 +12,6 @@ from chebgcn.nn import (
     GradientDescent,
     InceptionModule,
     Network,
-    NonFiniteGradientError,
     ShapeMismatchError,
     StaleTapeError,
     _fold_basis,
@@ -613,10 +612,13 @@ class TestOptimizers:
         assert net.modules[0].branches[0].theta is before
         assert (before != before + 0).any() or True  # identity retained, values moved
 
-    def test_non_finite_gradient_names_parameter(self):
+    @pytest.mark.parametrize("optimizer", [GradientDescent(lr=0.1), Adam(lr=0.1)])
+    def test_gradient_shape_must_match_parameter(self, optimizer):
+        # (1,) broadcasts onto (2,); without the check it would update silently
         p = {"layer.weight": np.ones(2)}
-        with pytest.raises(NonFiniteGradientError, match="layer.weight"):
-            GradientDescent(lr=0.1).step(p, {"layer.weight": np.array([np.nan, 1.0])})
+        with pytest.raises(ShapeMismatchError, match="layer.weight"):
+            optimizer.step(p, {"layer.weight": np.ones(1)})
+        npt.assert_array_equal(p["layer.weight"], np.ones(2))
 
     def test_adam_first_step_size(self):
         p = {"w": np.array([1.0])}

@@ -10,13 +10,13 @@ Subcommands:
 Every subcommand takes --config (path or packaged preset name), --seed,
 --out, and --threads; flags override CHEBGCN_* environment variables, which
 override the config file. train, sweep and compare run their folds in
---threads worker processes; results do not depend on the count. The
+--threads worker processes, by default one per usable CPU, each with its
+BLAS pinned to one thread; results do not depend on the count. The
 effective config is echoed into the output directory as
 effective-config.yaml, so any run can be repeated from its own output.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -240,7 +240,6 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "compare": cmd_compare,
 }
-TRAINING_COMMANDS = ("train", "sweep", "compare")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,13 +270,6 @@ def main(argv=None) -> int:
         cfg = cfgmod.resolve_config(
             config=args.config, seed=args.seed, out=args.out, threads=args.threads
         )
-        if args.command in TRAINING_COMMANDS:
-            threads = cfg["experiment"]["threads"]
-            blas, cpus = cfgmod.blas_threads(os.environ), cfgmod.usable_cpus()
-            if threads * blas > cpus:
-                _warn(f"threads = {threads} workers x {blas} BLAS threads oversubscribe "
-                      f"{cpus} usable CPUs; pin BLAS (OPENBLAS_NUM_THREADS, MKL_NUM_THREADS "
-                      "or OMP_NUM_THREADS) or lower --threads")
         return COMMANDS[args.command](cfg)
     except (ConfigError, FileFormatError, AffinityError, GraphInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

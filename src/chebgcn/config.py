@@ -3,8 +3,8 @@
 Precedence, lowest to highest: built-in defaults, config file, environment
 variables (CHEBGCN_SEED, CHEBGCN_OUT, CHEBGCN_THREADS), command-line flags.
 Config files are YAML (JSON parses too); packaged presets can be named in
-place of a path. The default of ``experiment.threads`` is worked out from the
-usable CPUs and the BLAS thread count in the environment.
+place of a path. ``experiment.threads`` defaults to null, which leaves the
+worker count to the experiment functions: one worker per usable CPU.
 """
 
 import copy
@@ -58,7 +58,7 @@ DEFAULTS = {
     "experiment": {
         "folds": TrainConfig.n_folds,
         "seed": TrainConfig.seed,
-        "threads": 1,  # resolve_config sets usable CPUs // BLAS threads
+        "threads": None,  # None: the experiment functions' default
         "out": "results",
         "k_range": [1, 6],
         "sweep_mode": "pairs",  # pairs | single
@@ -73,7 +73,8 @@ _KEY_KINDS = {
     "dataset": {"features": str | None, "edges": str | None},
     "affinity": {"meta": str | None, "features": str | None, "element": str | None,
                  "strict": bool},
-    "experiment": dict.fromkeys(("folds", "seed", "threads", "k1", "k2", "width"), int),
+    "experiment": {**dict.fromkeys(("folds", "seed", "k1", "k2", "width"), int),
+                   "threads": int | None},
 }
 
 # How a config value of each annotated kind is worded in errors.
@@ -157,37 +158,10 @@ def _env_overrides(env) -> dict:
     return over
 
 
-# Variables that set a BLAS library's thread count, in the order they are read.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def blas_threads(env) -> int:
-    """Threads BLAS runs in each process: the first of BLAS_THREAD_VARS that
-    is set, when it holds a positive count; else every usable CPU, which is
-    what an unpinned BLAS uses."""
-    raw = next((env[var] for var in BLAS_THREAD_VARS if env.get(var)), "")
-    try:
-        n = int(raw.split(",")[0])
-    except ValueError:
-        n = 0
-    return n if n >= 1 else usable_cpus()
-
-
 def resolve_config(config=None, seed=None, out=None, threads=None, env=None) -> dict:
     """Merge defaults, an optional config file, env vars, and flag overrides."""
     env = os.environ if env is None else env
     cfg = copy.deepcopy(DEFAULTS)
-    # As many workers as fill the usable CPUs when each runs blas_threads(env)
-    # BLAS threads: 1 while BLAS is unpinned.
-    cfg["experiment"]["threads"] = max(1, usable_cpus() // blas_threads(env))
     if config is not None:
         cfg = deep_merge(cfg, load_config_file(find_config(config)))
     env_over = _env_overrides(env)
@@ -252,7 +226,7 @@ def validate_config(cfg: dict) -> None:
         _require(ds["edges"], "dataset.edges is required when dataset.source is 'files'")
 
     exp = cfg["experiment"]
-    _require(exp["threads"] >= 1, "experiment.threads must be at least 1")
+    _require(exp["threads"] is None or exp["threads"] >= 1, "experiment.threads must be >= 1")
     _require(exp["width"] >= 1, "experiment.width must be at least 1")
     _require(exp["k1"] >= 0 and exp["k2"] >= 0, "experiment.k1 and k2 must be >= 0")
     _require(isinstance(exp["out"], str) and exp["out"], "experiment.out must be a path")

@@ -7,11 +7,15 @@ byte-identical results.
 """
 
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -226,6 +230,7 @@ def _carve_validation(train_mask, labels, fraction, seed):
     return val
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
                   input_basis=None, val_mask=None, dropout_rng=None):
     """Train every fold of a stack in place; returns the epochs run per fold.
@@ -428,9 +433,29 @@ def _run_folds(ctx: _FoldContext, task):
 _worker_context = None
 
 
+@functools.cache
+def _openblas():
+    """NumPy's own OpenBLAS if it exports its set-threads call, else None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"):
+        lib = ctypes.CDLL(str(path))
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return lib
+    return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _init_worker(ctx: _FoldContext) -> None:
+    """Hand a worker the context and pin its own BLAS to one thread."""
     global _worker_context
     _worker_context = ctx
+    if _openblas() is not None:
+        _openblas().scipy_openblas_set_num_threads64_(1)
 
 
 def _run_folds_in_worker(task):
@@ -464,17 +489,19 @@ def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, work
     return size
 
 
-def _cross_validate(graph, cells, threads: int) -> list:
+def _cross_validate(graph, cells, threads) -> list:
     """One ExperimentResult per (arch, cfg, folds) cell.
 
     Each cell's folds are cut into chunks of ``_stack_size`` folds, at most
     ceil(folds / threads), and every chunk of every cell is one task of a
     single map that trains it as one fold stack; a pool so balances slow
-    cells against fast ones and is never nested. The Laplacian and the first-module basis are built
-    once, here. With ``threads > 1`` the tasks run in that many worker
-    processes (at most one per task); otherwise the same runner runs in this
-    process.
+    cells against fast ones and is never nested. The Laplacian and the
+    first-module basis are built once, here. ``threads`` None is one per
+    usable CPU where workers can pin their BLAS, else 1; the tasks run in
+    min(threads, tasks) worker processes when that is above 1, else here.
     """
+    if threads is None:
+        threads = _usable_cpus() if _openblas() is not None else 1
     tasks = []
     for arch, cfg, folds in cells:
         indexed = [(fi, train, test) for fi, (train, test) in enumerate(folds)]
@@ -485,8 +512,9 @@ def _cross_validate(graph, cells, threads: int) -> list:
     ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
                        n_classes=graph.n_classes,
                        basis=chebyshev_apply(lap, graph.features, order))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker, initargs=(ctx,)) as pool:
             per_task = list(pool.map(_run_folds_in_worker, tasks))
     else:
@@ -528,7 +556,7 @@ def _default_folds(graph, cfg: TrainConfig):
     return stratified_folds(graph.labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
 
 
-def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads: int = 1) -> ExperimentResult:
+def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads=None) -> ExperimentResult:
     """Stratified k-fold cross-validation of one architecture on one graph.
 
     Fold assignment, per-fold initialization, and the validation carve each
@@ -562,7 +590,7 @@ class SweepResult:
     best: tuple
 
 
-def heatmap_sweep(graph, spec: SweepSpec, threads: int = 1) -> SweepResult:
+def heatmap_sweep(graph, spec: SweepSpec, threads=None) -> SweepResult:
     """Cross-validate every (k1, k2) cell of the order grid.
 
     Each cell derives its own seed from the base seed and its coordinates,
@@ -587,7 +615,7 @@ def heatmap_sweep(graph, spec: SweepSpec, threads: int = 1) -> SweepResult:
 
 
 def single_k_sweep(graph, k_min: int, k_max: int, width: int, cfg: TrainConfig,
-                   threads: int = 1) -> dict:
+                   threads=None) -> dict:
     """One single-filter model per order k; returns {k: ExperimentResult}."""
     if k_min < 0 or k_max < k_min:
         raise ValueError(f"bad order range [{k_min}, {k_max}]")
@@ -616,7 +644,7 @@ class ComparisonResult:
 
 
 def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
-                   threads: int = 1) -> ComparisonResult:
+                   threads=None) -> ComparisonResult:
     """Fixed five-way comparison on shared folds.
 
     Two-layer sequential nets with orders (k1, k2), (k1, k1), (k2, k2) are
@@ -675,6 +703,8 @@ def write_compare_csv(path, comparison: ComparisonResult) -> None:
 
 
 def write_summary_json(path, payload: dict) -> None:
+    """Strict JSON: non-finite floats, such as an all-diverged mean, are null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

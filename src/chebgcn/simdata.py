@@ -52,6 +52,8 @@ class SimConfig:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.edge_weights not in EDGE_WEIGHT_MODES:
             raise ValueError(f"unknown edge_weights {self.edge_weights!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(config: SimConfig) -> PopulationGraph:

@@ -15,16 +15,6 @@ def write_cfg(tmp_path, payload, name="run.yaml"):
     return str(path)
 
 
-def pin_blas(monkeypatch, blas, cpus=2):
-    """Make the CLI see ``cpus`` usable CPUs and BLAS pinned to ``blas``
-    threads (None: unpinned)."""
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    if blas is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas))
-
-
 def quick_sections(out, **extra):
     cfg = {
         "sim": {"n_per_class": 15, "variances": [0.3, 0.3], "beta": 0.8},
@@ -178,13 +168,12 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out.count("k = ") == 3
 
-    def test_threads_flag_matches_serial_output(self, tmp_path, capsys, monkeypatch):
-        pin_blas(monkeypatch, blas=1)
+    def test_threads_flag_matches_serial_output(self, tmp_path, capsys):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         base = dict(training={"epochs": 5}, experiment={"k_range": [1, 2], "width": 4})
         cfg_s = write_cfg(tmp_path, quick_sections(serial, **base), "s.yaml")
         cfg_p = write_cfg(tmp_path, quick_sections(parallel, **base), "p.yaml")
-        assert main(["sweep", "--config", cfg_s]) == 0
+        assert main(["sweep", "--config", cfg_s, "--threads", "1"]) == 0
         assert main(["sweep", "--config", cfg_p, "--threads", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
         assert "warning:" not in capsys.readouterr().err
@@ -323,32 +312,33 @@ def test_results_do_not_depend_on_threads(tmp_path, command, mode, result):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command, blas, threads, warns", [
-    ("train", None, None, False),  # unpinned BLAS: the default stays 1
-    ("train", 1, None, False),  # pinned: the default fills the CPUs
-    ("compare", None, "2", True),
-    ("sweep", None, "2", True),  # pairs mode
-    ("sweep", 1, "3", True),
-    ("train", 2, "1", False),
-    ("simdata", None, "2", False),  # trains nothing
-    ("build-graph", None, "2", False),
-])
-def test_oversubscription_warns_once(tmp_path, capsys, monkeypatch, command, blas, threads, warns):
-    pin_blas(monkeypatch, blas)
+@pytest.mark.parametrize("command", ["train", "compare", "sweep"])
+def test_default_threads_are_left_to_the_library(tmp_path, capsys, monkeypatch, command):
+    # BLAS unpinned in the environment: the workers pin their own, so
+    # nothing is printed about threads, and the echoed config keeps null
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    out = tmp_path / "res"
     extra = {"training": {"epochs": 2},
              "experiment": {"k_range": [1, 1], "k1": 1, "k2": 1, "width": 2}}
-    if command == "build-graph":
-        meta_fixture(tmp_path)
-        extra["affinity"] = {
-            "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv"),
-        }
-    argv = [command, "--config", write_cfg(tmp_path, quick_sections(tmp_path / "res", **extra))]
-    if threads is not None:
-        argv += ["--threads", threads]
-    assert main(argv) == 0
-    err = capsys.readouterr().err
-    assert err.count("warning:") == warns
-    assert ("oversubscribe 2 usable CPUs" in err) == warns
+    assert main([command, "--config", write_cfg(tmp_path, quick_sections(out, **extra))]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    echoed = yaml.safe_load((out / "effective-config.yaml").read_text())
+    assert echoed["experiment"]["threads"] is None
+
+
+def test_all_diverged_train_writes_strict_json(tmp_path, capsys):
+    out = tmp_path / "res"
+    cfg = write_cfg(tmp_path, quick_sections(out, training={"lr": 1.0e300}))
+    assert main(["train", "--config", cfg]) == 0
+    assert "(3 diverged)" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["result"]["mean_accuracy"] is None
+    assert summary["result"]["failed_folds"] == [0, 1, 2]
 
 
 class TestErrorHandling:
@@ -370,6 +360,7 @@ class TestErrorHandling:
         ("experiment", {"folds": 1}, "experiment.folds must be at least 2, got 1"),
         ("experiment", {"folds": 100},
          "experiment.folds is 100, but the largest class of the 30 nodes has 15"),
+        ("sim", {"seed": -1}, "sim: seed must be >= 0, got -1"),
     ])
     def test_bad_config_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                        section, payload, message):

@@ -1,5 +1,6 @@
 import json
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,11 @@ from chebgcn.experiments import (
     SweepSpec,
     TrainConfig,
     _carve_validation,
+    _init_worker,
+    _openblas,
+    _run_folds,
     _stack_size,
+    _usable_cpus,
     build_network,
     compare_models,
     config_fingerprint,
@@ -48,6 +53,11 @@ from chebgcn.nn import (
     network_forward,
 )
 from chebgcn.simdata import SimConfig, generate, stratified_folds
+
+
+def blas_threads():
+    """Threads NumPy's OpenBLAS runs in the calling process."""
+    return _openblas().scipy_openblas_get_num_threads64_()
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +305,6 @@ class TestTrainAndEvaluate:
             losses.append(masked_cross_entropy(scores, labels, mask)[0])
         assert final == min(losses)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergent_run_reports_none(self, toy_graph):
         lap = rescale_laplacian(build_laplacian(toy_graph))
         x, labels = toy_graph.features, toy_graph.labels
@@ -304,6 +313,8 @@ class TestTrainAndEvaluate:
         cfg = quick_cfg(epochs=200, lr=1e8, weight_decay=1e8)
         assert train_alone(net, lap, x, labels, mask, cfg) is None
 
+    # the forward and backward passes below run outside train_network, which
+    # alone silences overflow
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_finite_loss_with_non_finite_gradient_reports_none(self):
         # node 6 is isolated and outside the mask: its hidden row overflows
@@ -413,7 +424,6 @@ class TestFoldStacks:
         ModuleSpec(branches=(BranchSpec(2, 5),)),
     ))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
     @pytest.mark.parametrize("kw, arch, diverged", [
         (dict(epochs=25), ARCH, ()),
@@ -464,8 +474,8 @@ class TestFoldStacks:
         assert _stack_size(arch, toy_graph.n_nodes, 2, 10, 3) == 4
         cfg = quick_cfg(epochs=20, n_folds=10, dropout=0.2, early_stop_window=3,
                         stop_metric="val", val_fraction=0.2)
-        results = [run_cv(toy_graph, arch, cfg, threads=t) for t in (1, 2, 3)]
-        assert results[0] == results[1] == results[2]
+        results = [run_cv(toy_graph, arch, cfg, threads=t) for t in (1, 2, 3, None)]
+        assert results[0] == results[1] == results[2] == results[3]
 
     def test_width_one_nets_and_deep_bases_get_smaller_stacks(self):
         assert _stack_size(sequential((2, 1), 1), 100, 2, 10, 1) == 1
@@ -511,7 +521,6 @@ class TestRunCv:
         assert all(ep <= 150 for ep in res.epochs)
         assert any(ep < 150 for ep in res.epochs)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_diverged_folds_are_reported_not_raised(self, toy_graph):
         cfg = quick_cfg(epochs=200, lr=1e8, weight_decay=1e8)
         res = run_cv(toy_graph, single_layer(2, 8), cfg)
@@ -520,7 +529,6 @@ class TestRunCv:
         assert np.isnan(res.mean_accuracy)
         assert res.sd_accuracy == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_worker_processes_give_the_serial_result(self, toy_graph):
         # At lr 1e153 Adam's steps overflow the scores in fold 0 only.
         cfg = quick_cfg(epochs=30, lr=1e153, optimizer="adam", early_stop_window=5,
@@ -529,11 +537,76 @@ class TestRunCv:
         assert serial.failed_folds == (0,)
         assert serial == run_cv(toy_graph, single_layer(2, 8), cfg, threads=2)
 
+    @pytest.mark.skipif(_openblas() is None, reason="NumPy's BLAS cannot be pinned here")
+    def test_pool_workers_pin_their_own_blas_only(self):
+        caller = blas_threads()
+        with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                                 initargs=(None,)) as pool:
+            assert pool.submit(blas_threads).result() == 1
+        assert blas_threads() == caller
+
     def test_to_dict_round_trips_through_json(self, toy_graph):
         res = run_cv(toy_graph, single_layer(1, 4), quick_cfg(epochs=5))
         payload = json.loads(json.dumps(res.to_dict()))
         assert payload["accuracies"] == list(res.accuracies)
         assert payload["fold_hash"] == res.fold_hash
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and runs
+    the tasks in this process, without the initializer, so that the caller's
+    BLAS is left as it is."""
+
+    def __init__(self, started, max_workers, initializer, initargs):
+        started.append(max_workers)
+        self.ctx = initargs[0]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [_run_folds(self.ctx, task) for task in tasks]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads, cpus, pinnable, workers", [
+        (None, 4, True, 4),  # one worker per usable CPU
+        (None, 1, True, None),  # one CPU: run here
+        (None, 4, False, None),  # workers could not pin BLAS: run here
+        (3, 1, False, 3),  # an explicit count is kept as it is
+        (1, 4, True, None),
+        (16, 4, True, 8),  # never more workers than tasks (8 one-fold stacks)
+    ])
+    def test_threads_resolve_to_workers(self, toy_graph, monkeypatch,
+                                        threads, cpus, pinnable, workers):
+        started = []
+        monkeypatch.setattr("chebgcn.experiments._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("chebgcn.experiments._openblas", lambda: object() if pinnable else None)
+        monkeypatch.setattr("chebgcn.experiments.ProcessPoolExecutor",
+                            lambda **kw: RecordingPool(started, **kw))
+        cfg = quick_cfg(epochs=5, n_folds=8)
+        res = run_cv(toy_graph, single_layer(2, 8), cfg, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        monkeypatch.undo()
+        assert res == run_cv(toy_graph, single_layer(2, 8), cfg, threads=1)
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _usable_cpus() == 3
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 7)
+        assert _usable_cpus() == 7
+
+    def test_blas_lookup_outside_numpys_libs_finds_nothing(self, monkeypatch, tmp_path):
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libopenblas64_-abc.so").write_bytes(b"")
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert _openblas.__wrapped__() is None
 
 
 class TestSweeps:

@@ -41,6 +41,8 @@ class TestSimConfig:
             SimConfig(feature_mode="pca")
         with pytest.raises(ValueError):
             SimConfig(edge_weights="cosine")
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=-1)
 
     def test_beta_zero_allowed(self):
         assert SimConfig(beta=0.0).beta == 0.0

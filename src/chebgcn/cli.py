@@ -27,6 +27,7 @@ from .affinity import AffinityError, MetaElement, SimilarityKernel, _build_affin
 from .config import ConfigError
 from .experiments import (
     SweepSpec,
+    _module_width,
     compare_models,
     config_fingerprint,
     heatmap_sweep,
@@ -151,10 +152,22 @@ def _summary_fingerprint(cfg: dict) -> str:
     return config_fingerprint({**cfg, "experiment": exp})
 
 
+def _diverged_exit(named_results) -> int:
+    """Print one error line per cell whose folds all diverged; 1 if any did, else 0."""
+    failed = [(name, r) for name, r in named_results if not r.accuracies]
+    for name, r in failed:
+        print(f"error: {name}: all {len(r.failed_folds)} folds diverged", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def cmd_train(cfg: dict) -> int:
     graph = _dataset_graph(cfg)
     _check_graph(graph)
     arch = cfgmod.to_arch_spec(cfg)
+    width = _module_width(arch.modules[-1])
+    if not arch.classifier and width < graph.n_classes:
+        raise ConfigError(f"architecture.classifier is false, so the last module's output "
+                          f"width {width} must cover the {graph.n_classes} classes")
     train_cfg = cfgmod.to_train_config(cfg)
     result = run_cv(graph, arch, train_cfg, threads=cfg["experiment"]["threads"])
     out = _prepare_out(cfg)
@@ -169,7 +182,7 @@ def cmd_train(cfg: dict) -> int:
     if result.failed_folds:
         line += f" ({len(result.failed_folds)} diverged)"
     print(line)
-    return 0
+    return _diverged_exit([("train", result)])
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -192,6 +205,7 @@ def cmd_sweep(cfg: dict) -> int:
         best = sweep.grid[sweep.best]
         print(f"swept {len(sweep.grid)} cells; best (k1, k2) = {sweep.best} "
               f"at {best.mean_accuracy:.2f} +/- {best.sd_accuracy:.2f}")
+        return _diverged_exit([(str(cell), sweep.grid[cell]) for cell in sorted(sweep.grid)])
     else:
         results = single_k_sweep(graph, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
         write_boxplot_csv(out / "boxplot.csv", results)
@@ -203,7 +217,7 @@ def cmd_sweep(cfg: dict) -> int:
         for k in sorted(results):
             r = results[k]
             print(f"k = {k:2d}: {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:.2f}")
-    return 0
+        return _diverged_exit([(f"k = {k}", results[k]) for k in sorted(results)])
 
 
 def cmd_compare(cfg: dict) -> int:
@@ -230,7 +244,7 @@ def cmd_compare(cfg: dict) -> int:
               f"(mean epochs {epochs:.1f})")
     for agg, ratio in comparison.convergence_ratios.items():
         print(f"convergence speed-up vs sequential baseline ({agg}): {ratio:.2f}x")
-    return 0
+    return _diverged_exit([(name, comparison.results[name]) for name in COMPARE_MODELS])
 
 
 COMMANDS = {

@@ -120,11 +120,12 @@ def available_presets() -> list:
 
 
 def find_config(name: str) -> str:
-    """Resolve a config argument: an existing path, else a packaged preset."""
+    """Resolve a config argument: an existing path, else, for a bare file
+    name, a packaged preset."""
     if os.path.exists(name):
         return name
-    preset = resources.files("chebgcn").joinpath("presets", os.path.basename(name))
-    if preset.is_file():
+    preset = resources.files("chebgcn").joinpath("presets", name)
+    if not os.path.dirname(name) and preset.is_file():
         return str(preset)
     raise ConfigError(
         f"no config file or preset named {name!r}; presets: {', '.join(available_presets())}"

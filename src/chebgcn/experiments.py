@@ -241,9 +241,10 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     non-finite before a step (the optimizers do not check), or its monitored
     loss did. A fold that diverges, or stops early, leaves the stack and the
     others train on, so each fold ends bitwise where training it alone would.
-    With early stopping enabled a fold ends at its best-epoch weights even
-    when the epoch budget runs out first. Dropout and the monitored loss both
-    follow the usual convention: dropout is on for the update pass only.
+    Each fold leaves once: with early stopping enabled, at its best-epoch
+    weights even when the epoch budget runs out first; if it diverged, at its
+    last finite weights. Dropout and the monitored loss both follow the usual
+    convention: dropout is on for the update pass only.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = None if val_mask is None else np.asarray(val_mask, dtype=bool)
@@ -255,7 +256,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     epochs = [cfg.epochs] * net.folds
     active = np.arange(net.folds)  # stack position -> fold
-    stoppers = []
+    stoppers = [None] * net.folds
     if cfg.early_stop_window > 0:
         stoppers = [EarlyStopper(cfg.early_stop_window) for _ in active]
         monitor_mask = train_mask
@@ -263,19 +264,20 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
             monitor_mask = np.where(val_mask.any(axis=1)[:, None], val_mask, train_mask)
     work = net
 
-    def write_back():
-        if work is not net:
-            for name, p in net.parameters().items():
-                p[active] = work.parameters()[name]
-
-    def keep_only(kept):
-        """Shrink the stack to the positions where ``kept`` holds."""
+    def leave(going):
+        """The one exit: folds where ``going`` holds write their final weights
+        into ``net``, the best epoch's unless diverged, and leave the stack."""
         nonlocal work, active, stoppers
-        write_back()
-        work = work.map(lambda p: p[kept])
-        optimizer.take(kept)
-        active = active[kept]
-        stoppers = [s for s, k in zip(stoppers, kept) if k]
+        for i in np.flatnonzero(going):
+            final = stoppers[i].best_state if stoppers[i] is not None else None
+            if final is None or epochs[active[i]] is None:
+                final = {name: p[i] for name, p in work.parameters().items()}
+            for name, p in net.parameters().items():
+                p[active[i]] = final[name]
+        work = work.map(lambda p: p[~going])
+        optimizer.take(~going)
+        active = active[~going]
+        stoppers = [s for s, g in zip(stoppers, going) if not g]
 
     for epoch in range(1, cfg.epochs + 1):
         rngs = [dropout_rng[f] for f in active] if cfg.dropout > 0.0 else None
@@ -292,36 +294,25 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
         if not finite.all():
             for f in active[~finite]:
                 epochs[f] = None
-            keep_only(finite)
+            leave(~finite)
             grads = {name: g[finite] for name, g in grads.items()}
             if not active.size:
                 break
         optimizer.step(work.parameters(), grads)
-        if stoppers:
+        if cfg.early_stop_window > 0:
             scores, _ = network_forward(work, lap, x, input_basis)
             monitor_losses, _ = masked_cross_entropy(scores, labels, monitor_mask[active])
-            going = np.zeros(active.size, dtype=bool)
-            for i, (f, loss) in enumerate(zip(active, monitor_losses)):
-                if not np.isfinite(loss):
-                    epochs[f] = None
-                elif stoppers[i].update(loss, state_fn=lambda i=i: {
-                        name: p[i].copy() for name, p in work.parameters().items()}):
-                    epochs[f] = epoch
-                else:
-                    continue
-                going[i] = True
+            going = ~np.isfinite(monitor_losses)
+            for i in np.flatnonzero(~going):
+                going[i] = stoppers[i].update(monitor_losses[i], state_fn=lambda i=i: {
+                    name: p[i].copy() for name, p in work.parameters().items()})
+            for i in np.flatnonzero(going):
+                epochs[active[i]] = epoch if np.isfinite(monitor_losses[i]) else None
             if going.any():
-                stopped = [(f, s.best_state) for f, s, g in zip(active, stoppers, going) if g]
-                keep_only(~going)
-                for f, state in stopped:
-                    if epochs[f] is not None:
-                        _restore(net, f, state)
+                leave(going)
                 if not active.size:
                     break
-    write_back()
-    for f, stopper in zip(active, stoppers):
-        if stopper.best_state is not None:
-            _restore(net, f, stopper.best_state)
+    leave(np.ones(active.size, dtype=bool))
     return epochs
 
 
@@ -335,11 +326,6 @@ def _require_stack(net, lap, **masks) -> None:
             raise ShapeMismatchError(
                 f"{name} must be (folds, nodes) = ({net.folds}, {lap.n_nodes}), got {mask.shape}"
             )
-
-
-def _restore(net, fold, state) -> None:
-    for name, p in net.parameters().items():
-        p[fold] = state[name]
 
 
 def evaluate_accuracy(net, lap, x, labels, mask, input_basis=None):
@@ -468,6 +454,12 @@ def _run_folds_in_worker(task):
 STACK_BASIS_BYTES = 2 * 2**20
 
 
+def _module_width(mspec: ModuleSpec) -> int:
+    """Output width of a module: its branch widths summed under concat, one under maxpool."""
+    widths = [b.width for b in mspec.branches]
+    return sum(widths) if mspec.aggregator == "concat" else widths[0]
+
+
 def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, workers: int) -> int:
     """Folds per stack: enough to give each worker one stack per cell, but no
     more than keep a later module's basis within STACK_BASIS_BYTES.
@@ -482,9 +474,7 @@ def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, work
         return 1
     size = math.ceil(n_folds / workers)
     for prev, mod in zip(arch.modules, arch.modules[1:]):
-        widths = [b.width for b in prev.branches]
-        d_in = sum(widths) if prev.aggregator == "concat" else widths[0]
-        fold_bytes = (max(b.order for b in mod.branches) + 1) * n_nodes * d_in * 8
+        fold_bytes = (max(b.order for b in mod.branches) + 1) * n_nodes * _module_width(prev) * 8
         size = min(size, max(1, STACK_BASIS_BYTES // fold_bytes))
     return size
 

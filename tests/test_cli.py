@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from chebgcn.cli import main
+from chebgcn.experiments import COMPARE_MODELS
 from chebgcn.graph import PopulationGraph
 from chebgcn.io import read_edge_list, read_features_csv, write_features_csv
 
@@ -327,18 +328,60 @@ def test_default_threads_are_left_to_the_library(tmp_path, capsys, monkeypatch, 
     assert echoed["experiment"]["threads"] is None
 
 
+def reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
 def test_all_diverged_train_writes_strict_json(tmp_path, capsys):
     out = tmp_path / "res"
     cfg = write_cfg(tmp_path, quick_sections(out, training={"lr": 1.0e300}))
-    assert main(["train", "--config", cfg]) == 0
-    assert "(3 diverged)" in capsys.readouterr().out
+    assert main(["train", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "(3 diverged)" in captured.out
+    assert captured.err == "error: train: all 3 folds diverged\n"
 
-    def reject(name):
-        raise ValueError(f"summary.json holds {name}")
-
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
     assert summary["result"]["mean_accuracy"] is None
     assert summary["result"]["failed_folds"] == [0, 1, 2]
+
+
+def test_all_diverged_compare_names_every_model(tmp_path, capsys):
+    out = tmp_path / "res"
+    sections = quick_sections(out, training={"lr": 1.0e300},
+                              experiment={"k1": 1, "k2": 2, "width": 4})
+    assert main(["compare", "--config", write_cfg(tmp_path, sections)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name}: all 3 folds diverged" for name in COMPARE_MODELS]
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["convergence_ratios"] == {"concat": None, "maxpool": None}
+    for name in COMPARE_MODELS:
+        assert summary["models"][name]["mean_accuracy"] is None
+        assert summary["models"][name]["failed_folds"] == [0, 1, 2]
+    assert (out / "compare.csv").read_text() == "model,fold,accuracy,epochs\n"
+
+
+@pytest.mark.parametrize("mode, cells", [
+    ("single", ["k = 1", "k = 2"]),
+    ("pairs", ["(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)"]),
+])
+def test_all_diverged_sweep_names_every_cell(tmp_path, capsys, mode, cells):
+    sections = quick_sections(tmp_path / "res", training={"lr": 1.0e300},
+                              experiment={"k_range": [1, 2], "width": 4, "sweep_mode": mode})
+    assert main(["sweep", "--config", write_cfg(tmp_path, sections)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cell}: all 3 folds diverged" for cell in cells]
+
+
+def test_classifier_free_net_must_cover_the_classes(tmp_path, capsys):
+    out = tmp_path / "res"
+    sections = quick_sections(out, architecture={
+        "classifier": False, "modules": [{"orders": [1], "width": 1}]})
+    assert main(["train", "--config", write_cfg(tmp_path, sections)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: architecture.classifier")
+    assert "width 1" in err and "2 classes" in err
+    assert not (out / "cv.csv").exists()
 
 
 class TestErrorHandling:

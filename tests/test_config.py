@@ -125,6 +125,12 @@ class TestPresets:
         with pytest.raises(ConfigError, match="order-pairs-sweep.cfg"):
             find_config("no-such-config.cfg")
 
+    @pytest.mark.parametrize("name", ["no/such/dir/compact-clusters.cfg",
+                                      "./compact-clusters.cfg"])
+    def test_a_path_never_falls_back_to_a_preset(self, name):
+        with pytest.raises(ConfigError, match="no config file or preset named"):
+            find_config(name)
+
 
 class TestLoadConfigFile:
     def test_yaml_mapping(self, tmp_path):

@@ -423,6 +423,10 @@ class TestFoldStacks:
         ModuleSpec(branches=(BranchSpec(1, 4), BranchSpec(3, 4))),
         ModuleSpec(branches=(BranchSpec(2, 5),)),
     ))
+    # one stack, every exit: fold 0 stops early, fold 1's monitored loss goes
+    # non-finite after a finite step, fold 2 runs out its budget
+    THREE_EXITS = dict(epochs=30, lr=5.0, early_stop_window=20, stop_metric="train",
+                       dropout=0.3, weight_decay=1e-3)
 
     @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
     @pytest.mark.parametrize("kw, arch, diverged", [
@@ -434,6 +438,7 @@ class TestFoldStacks:
         # Adam's steps overflow the scores of the middle fold only
         (dict(epochs=30, lr=1e153, optimizer="adam", early_stop_window=5, stop_metric="val",
               val_fraction=0.2, dropout=0.3, weight_decay=1e-3), single_layer(2, 8), (1,)),
+        (THREE_EXITS, ARCH, (1,)),
     ])
     def test_each_fold_ends_where_it_would_alone(self, toy_graph, storage, kw, arch, diverged):
         cfg = quick_cfg(**kw)
@@ -467,6 +472,28 @@ class TestFoldStacks:
             one = stack.map(lambda p: p[[f]])
             assert (evaluate_accuracy(one, lap, x, labels, ~train[[f]])
                     == [accuracy_alone(alone, lap, x, labels, ~train[f])])
+
+    @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+    def test_one_stack_takes_every_exit(self, toy_graph, storage, monkeypatch):
+        losses = []
+
+        def recording(scores, labels, mask):
+            out = masked_cross_entropy(scores, labels, mask)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr("chebgcn.experiments.masked_cross_entropy", recording)
+        lap = rescale_laplacian(build_laplacian(toy_graph))
+        lap = NormalizedLaplacian(matrix=storage(lap.toarray()))
+        train = np.array([t for t, _ in stratified_folds(toy_graph.labels, 3, seed=5)])
+        stack = build_network(self.ARCH, 2, 2, [np.random.default_rng(140 + f) for f in range(3)])
+        epochs = train_network(stack, lap, toy_graph.features, toy_graph.labels, train,
+                               quick_cfg(**self.THREE_EXITS),
+                               dropout_rng=[np.random.default_rng(240 + f) for f in range(3)])
+        assert epochs == [21, None, 30]
+        # every epoch takes the training loss, then the monitored one
+        assert all(np.isfinite(loss).all() for loss in losses[0::2])
+        assert not all(np.isfinite(loss).all() for loss in losses[1::2])
 
     def test_uneven_chunks_give_the_serial_result(self, toy_graph):
         # 10 folds over 3 workers are stacks of 4, 4 and 2

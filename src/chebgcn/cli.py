@@ -27,7 +27,6 @@ from .affinity import AffinityError, MetaElement, SimilarityKernel, _build_affin
 from .config import ConfigError
 from .experiments import (
     SweepSpec,
-    _module_width,
     compare_models,
     config_fingerprint,
     heatmap_sweep,
@@ -72,6 +71,7 @@ def _dataset_graph(cfg: dict) -> PopulationGraph:
     if folds > largest:
         raise ConfigError(f"experiment.folds is {folds}, but the largest class of the "
                           f"{graph.n_nodes} nodes has {largest}, so at most {largest} folds fit")
+    _check_graph(graph)
     return graph
 
 
@@ -87,13 +87,18 @@ def _check_graph(graph: PopulationGraph) -> None:
         _warn("graph has no edges; every node is isolated")
 
 
-def cmd_simdata(cfg: dict) -> int:
-    graph = generate(cfgmod.to_sim_config(cfg))
+def _save_graph(cfg: dict, graph: PopulationGraph) -> str:
+    """Write features.csv and edges.txt; returns the line that reports them."""
     out = _prepare_out(cfg)
     save_graph(graph, out / "features.csv", out / "edges.txt")
     _check_graph(graph)
-    print(f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
-          f"{graph.n_nodes} nodes, {graph.n_edges} edges")
+    return (f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
+            f"{graph.n_nodes} nodes, {graph.n_edges} edges")
+
+
+def cmd_simdata(cfg: dict) -> int:
+    graph = generate(cfgmod.to_sim_config(cfg))
+    print(_save_graph(cfg, graph))
     return 0
 
 
@@ -130,31 +135,31 @@ def cmd_build_graph(cfg: dict) -> int:
         adjacency=adjacency, features=features, labels=labels,
         train_mask=train, test_mask=test,
     )
-    out = _prepare_out(cfg)
-    save_graph(graph, out / "features.csv", out / "edges.txt")
-    _check_graph(graph)
+    wrote = _save_graph(cfg, graph)
     isolated = int(np.sum(graph.degrees() == 0))
     if isolated:
         _warn(f"{isolated} nodes are isolated under the current thresholds")
     for el, n_edges in counts:
         print(f"element {el.name}: {n_edges} edges (beta={el.beta})")
-    print(f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
-          f"{graph.n_nodes} nodes, {graph.n_edges} edges "
-          f"({aff['mode']} over {len(counts)} elements)")
+    print(f"{wrote} ({aff['mode']} over {len(counts)} elements)")
     return 0
 
 
-def _summary_fingerprint(cfg: dict) -> str:
-    """Fingerprint of the config minus ``experiment.threads`` and
-    ``experiment.out``, which never change results, so summary.json is the
-    same at any thread count and in any output directory."""
+def _finish(command: str, cfg: dict, out: Path, lines, runs: dict, /, **fields) -> int:
+    """Write summary.json, print ``lines``, then an error line per named result
+    in ``runs`` whose folds all diverged; 1 if any did, else 0."""
+    # The fingerprint leaves out experiment.threads and experiment.out, which
+    # never change results, so summary.json is the same at any thread count
+    # and in any output directory.
     exp = {k: v for k, v in cfg["experiment"].items() if k not in ("threads", "out")}
-    return config_fingerprint({**cfg, "experiment": exp})
-
-
-def _diverged_exit(named_results) -> int:
-    """Print one error line per cell whose folds all diverged; 1 if any did, else 0."""
-    failed = [(name, r) for name, r in named_results if not r.accuracies]
+    write_summary_json(out / "summary.json", {
+        "command": command,
+        "config_fingerprint": config_fingerprint({**cfg, "experiment": exp}),
+        **fields,
+    })
+    for line in lines:
+        print(line)
+    failed = [(name, r) for name, r in runs.items() if not r.accuracies]
     for name, r in failed:
         print(f"error: {name}: all {len(r.failed_folds)} folds diverged", file=sys.stderr)
     return 1 if failed else 0
@@ -162,9 +167,8 @@ def _diverged_exit(named_results) -> int:
 
 def cmd_train(cfg: dict) -> int:
     graph = _dataset_graph(cfg)
-    _check_graph(graph)
     arch = cfgmod.to_arch_spec(cfg)
-    width = _module_width(arch.modules[-1])
+    width = arch.modules[-1].width
     if not arch.classifier and width < graph.n_classes:
         raise ConfigError(f"architecture.classifier is false, so the last module's output "
                           f"width {width} must cover the {graph.n_classes} classes")
@@ -172,22 +176,15 @@ def cmd_train(cfg: dict) -> int:
     result = run_cv(graph, arch, train_cfg, threads=cfg["experiment"]["threads"])
     out = _prepare_out(cfg)
     write_cv_csv(out / "cv.csv", result)
-    write_summary_json(out / "summary.json", {
-        "command": "train",
-        "config_fingerprint": _summary_fingerprint(cfg),
-        "result": result.to_dict(),
-    })
     n_ok = len(result.accuracies)
     line = f"accuracy {result.mean_accuracy:.2f} +/- {result.sd_accuracy:.2f} over {n_ok} folds"
     if result.failed_folds:
         line += f" ({len(result.failed_folds)} diverged)"
-    print(line)
-    return _diverged_exit([("train", result)])
+    return _finish("train", cfg, out, [line], {"train": result}, result=result.to_dict())
 
 
 def cmd_sweep(cfg: dict) -> int:
     graph = _dataset_graph(cfg)
-    _check_graph(graph)
     exp = cfg["experiment"]
     train_cfg = cfgmod.to_train_config(cfg)
     out = _prepare_out(cfg)
@@ -196,55 +193,45 @@ def cmd_sweep(cfg: dict) -> int:
         spec = SweepSpec(k_min=lo, k_max=hi, width=exp["width"], train=train_cfg)
         sweep = heatmap_sweep(graph, spec, threads=exp["threads"])
         write_sweep_csv(out / "sweep.csv", sweep)
-        write_summary_json(out / "summary.json", {
-            "command": "sweep",
-            "config_fingerprint": _summary_fingerprint(cfg),
-            "best": list(sweep.best),
-            "cells": {f"{k1},{k2}": r.to_dict() for (k1, k2), r in sorted(sweep.grid.items())},
-        })
         best = sweep.grid[sweep.best]
-        print(f"swept {len(sweep.grid)} cells; best (k1, k2) = {sweep.best} "
-              f"at {best.mean_accuracy:.2f} +/- {best.sd_accuracy:.2f}")
-        return _diverged_exit([(str(cell), sweep.grid[cell]) for cell in sorted(sweep.grid)])
+        line = (f"swept {len(sweep.grid)} cells; best (k1, k2) = {sweep.best} "
+                f"at {best.mean_accuracy:.2f} +/- {best.sd_accuracy:.2f}")
+        grid = dict(sorted(sweep.grid.items()))
+        return _finish("sweep", cfg, out, [line], {str(cell): r for cell, r in grid.items()},
+                       best=list(sweep.best),
+                       cells={f"{k1},{k2}": r.to_dict() for (k1, k2), r in grid.items()})
     else:
         results = single_k_sweep(graph, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
         write_boxplot_csv(out / "boxplot.csv", results)
-        write_summary_json(out / "summary.json", {
-            "command": "sweep",
-            "config_fingerprint": _summary_fingerprint(cfg),
-            "cells": {str(k): r.to_dict() for k, r in sorted(results.items())},
-        })
-        for k in sorted(results):
-            r = results[k]
-            print(f"k = {k:2d}: {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:.2f}")
-        return _diverged_exit([(f"k = {k}", results[k]) for k in sorted(results)])
+        results = dict(sorted(results.items()))
+        lines = [f"k = {k:2d}: {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:.2f}"
+                 for k, r in results.items()]
+        return _finish("sweep", cfg, out, lines, {f"k = {k}": r for k, r in results.items()},
+                       cells={str(k): r.to_dict() for k, r in results.items()})
 
 
 def cmd_compare(cfg: dict) -> int:
     graph = _dataset_graph(cfg)
-    _check_graph(graph)
     exp = cfg["experiment"]
     train_cfg = cfgmod.to_train_config(cfg)
     comparison = compare_models(graph, exp["k1"], exp["k2"], train_cfg, width=exp["width"],
                                 threads=exp["threads"])
     out = _prepare_out(cfg)
     write_compare_csv(out / "compare.csv", comparison)
-    write_summary_json(out / "summary.json", {
-        "command": "compare",
-        "config_fingerprint": _summary_fingerprint(cfg),
-        "k1": comparison.k1,
-        "k2": comparison.k2,
-        "convergence_ratios": comparison.convergence_ratios,
-        "models": {name: r.to_dict() for name, r in comparison.results.items()},
-    })
+    lines = []
     for name in COMPARE_MODELS:
         r = comparison.results[name]
         epochs = float(np.mean(r.epochs)) if r.epochs else float("nan")
-        print(f"{name:20s} {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:5.2f} "
-              f"(mean epochs {epochs:.1f})")
+        lines.append(f"{name:20s} {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:5.2f} "
+                     f"(mean epochs {epochs:.1f})")
     for agg, ratio in comparison.convergence_ratios.items():
-        print(f"convergence speed-up vs sequential baseline ({agg}): {ratio:.2f}x")
-    return _diverged_exit([(name, comparison.results[name]) for name in COMPARE_MODELS])
+        lines.append(f"convergence speed-up vs sequential baseline ({agg}): {ratio:.2f}x")
+    return _finish("compare", cfg, out, lines,
+                   {name: comparison.results[name] for name in COMPARE_MODELS},
+                   k1=comparison.k1,
+                   k2=comparison.k2,
+                   convergence_ratios=comparison.convergence_ratios,
+                   models={name: r.to_dict() for name, r in comparison.results.items()})
 
 
 COMMANDS = {

@@ -118,6 +118,12 @@ class ModuleSpec:
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
 
+    @property
+    def width(self) -> int:
+        """Output width: the branch widths summed under concat, one under maxpool."""
+        widths = [b.width for b in self.branches]
+        return sum(widths) if self.aggregator == "concat" else widths[0]
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -454,12 +460,6 @@ def _run_folds_in_worker(task):
 STACK_BASIS_BYTES = 2 * 2**20
 
 
-def _module_width(mspec: ModuleSpec) -> int:
-    """Output width of a module: its branch widths summed under concat, one under maxpool."""
-    widths = [b.width for b in mspec.branches]
-    return sum(widths) if mspec.aggregator == "concat" else widths[0]
-
-
 def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, workers: int) -> int:
     """Folds per stack: enough to give each worker one stack per cell, but no
     more than keep a later module's basis within STACK_BASIS_BYTES.
@@ -474,7 +474,7 @@ def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, work
         return 1
     size = math.ceil(n_folds / workers)
     for prev, mod in zip(arch.modules, arch.modules[1:]):
-        fold_bytes = (max(b.order for b in mod.branches) + 1) * n_nodes * _module_width(prev) * 8
+        fold_bytes = (max(b.order for b in mod.branches) + 1) * n_nodes * prev.width * 8
         size = min(size, max(1, STACK_BASIS_BYTES // fold_bytes))
     return size
 
@@ -490,6 +490,11 @@ def _cross_validate(graph, cells, threads) -> list:
     usable CPU where workers can pin their BLAS, else 1; the tasks run in
     min(threads, tasks) worker processes when that is above 1, else here.
     """
+    for arch, _, _ in cells:
+        width = arch.modules[-1].width
+        if not arch.classifier and width < graph.n_classes:
+            raise ValueError(f"without a classifier, the last module's output width {width} "
+                             f"must cover the {graph.n_classes} classes")
     if threads is None:
         threads = _usable_cpus() if _openblas() is not None else 1
     tasks = []

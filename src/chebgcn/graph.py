@@ -60,6 +60,26 @@ def _is_symmetric(matrix) -> bool:
     return np.array_equal(matrix, matrix.T)
 
 
+def _check_adjacency(adj) -> None:
+    """Reject an adjacency, as :func:`to_storage` returns it, that is not
+    square, finite, symmetric and nonnegative with a zero diagonal."""
+    if adj.shape[0] != adj.shape[1]:
+        raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
+    data = adj.data if sp.issparse(adj) else adj
+    if not np.isfinite(data).all():
+        coo = sp.coo_array(adj)
+        k = np.flatnonzero(~np.isfinite(coo.data))[0]
+        raise GraphInvariantError(
+            f"edge weights must be finite: edge ({coo.row[k]}, {coo.col[k]}) is {coo.data[k]}"
+        )
+    if not _is_symmetric(adj):
+        raise GraphInvariantError("adjacency must be exactly symmetric")
+    if data.size and float(np.min(data)) < 0.0:
+        raise GraphInvariantError("edge weights must be nonnegative")
+    if np.any(adj.diagonal() != 0.0):
+        raise GraphInvariantError("adjacency diagonal must be zero (no self-loops)")
+
+
 @dataclass(frozen=True)
 class PopulationGraph:
     """A node-attributed graph over a whole population of samples.
@@ -93,8 +113,7 @@ class PopulationGraph:
         train = np.array(self.train_mask, dtype=bool)
         test = np.array(self.test_mask, dtype=bool)
 
-        if adj.shape[0] != adj.shape[1]:
-            raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
+        _check_adjacency(adj)
         n = adj.shape[0]
         if n == 0:
             raise GraphInvariantError("graph must contain at least one node")
@@ -118,19 +137,6 @@ class PopulationGraph:
             raise GraphInvariantError(
                 f"features must be finite: node {node}, column {col} is {feats[node, col]}"
             )
-        data = adj.data if sp.issparse(adj) else adj
-        if not np.isfinite(data).all():
-            coo = sp.coo_array(adj)
-            k = np.flatnonzero(~np.isfinite(coo.data))[0]
-            raise GraphInvariantError(
-                f"edge weights must be finite: edge ({coo.row[k]}, {coo.col[k]}) is {coo.data[k]}"
-            )
-        if not _is_symmetric(adj):
-            raise GraphInvariantError("adjacency must be exactly symmetric")
-        if data.size and float(np.min(data)) < 0.0:
-            raise GraphInvariantError("edge weights must be nonnegative")
-        if np.any(adj.diagonal() != 0.0):
-            raise GraphInvariantError("adjacency diagonal must be zero (no self-loops)")
 
         labels = labels.astype(np.int64)
         for arr in (feats, labels, train, test):
@@ -193,20 +199,18 @@ def build_laplacian(graph) -> NormalizedLaplacian:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2} of a graph.
 
     Accepts a :class:`PopulationGraph` or a bare adjacency matrix (stored as
-    :func:`to_storage` picks); the Laplacian keeps the adjacency's storage.
+    :func:`to_storage` picks and checked as a graph's adjacency is); the
+    Laplacian keeps the adjacency's storage.
     Rows and columns of isolated nodes come out as identity rows: their
     degree inverse is taken to be zero. The result is symmetrized as
     (L + L^T) / 2 so that it is exactly equal to its transpose despite
     roundoff.
     """
     if isinstance(graph, PopulationGraph):
-        adj = graph.adjacency  # square and symmetric: checked at construction
+        adj = graph.adjacency  # checked at construction
     else:
         adj = to_storage(graph)
-        if adj.shape[0] != adj.shape[1]:
-            raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
-        if not _is_symmetric(adj):
-            raise GraphInvariantError("adjacency must be exactly symmetric")
+        _check_adjacency(adj)
 
     deg = adj.sum(axis=1)
     d_inv_sqrt = np.zeros_like(deg)

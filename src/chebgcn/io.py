@@ -16,7 +16,8 @@ Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
 - ``#`` starts a comment that runs to the end of its line; blank lines are
   skipped.
 - ``i`` and ``j`` are distinct node ids in ``[0, n_nodes)``; ``w`` is the
-  weight. ``i j`` and ``j i`` name the same undirected edge.
+  weight, which must be nonnegative. ``i j`` and ``j i`` name the same
+  undirected edge.
 - When an edge is listed more than once, its last line wins, and a weight of
   0 removes it.
 - The result is a canonical CSR array (sorted indices, no duplicates, no
@@ -95,6 +96,8 @@ def _edge_list_error(path, n_nodes: int) -> FileFormatError:
                 return FileFormatError(f"{where}: self-loops are not allowed")
             if not math.isfinite(w):
                 return FileFormatError(f"{where}: edge weight must be finite, got {w!r}")
+            if w < 0.0:
+                return FileFormatError(f"{where}: edge weight must be nonnegative, got {w!r}")
     return FileFormatError(f"{path}: not an edge list")
 
 
@@ -109,7 +112,8 @@ def read_edge_list(path, n_nodes: int) -> sp.csr_array:
     except ValueError:
         raise _edge_list_error(path, n_nodes) from None
     i, j, w = edges["i"], edges["j"], edges["w"]
-    ok = (i >= 0) & (i < n_nodes) & (j >= 0) & (j < n_nodes) & (i != j) & np.isfinite(w)
+    ok = (i >= 0) & (i < n_nodes) & (j >= 0) & (j < n_nodes) & (i != j)
+    ok &= np.isfinite(w) & (w >= 0.0)
     if not ok.all():
         raise _edge_list_error(path, n_nodes)
     lo, hi = np.minimum(i, j), np.maximum(i, j)

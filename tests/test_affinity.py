@@ -310,3 +310,22 @@ class TestBuildAffinity:
         bad = [self.elements[0], MetaElement("m", np.zeros(3), beta=0.0)]
         with pytest.raises(AffinityError):
             build_affinity(bad, self.x, self.kernel)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: MetaElement("age", np.zeros((2, 2)), beta=0.0), "'age' must be a 1-D array"),
+    (lambda: MetaElement("age", np.zeros(3), beta=0.0, missing=np.zeros(2, dtype=bool)),
+     "missing mask shape differs for 'age'"),
+    (lambda: pairwise_distance(np.zeros(3)), "features must be 2-D, got shape (3,)"),
+    (lambda: pairwise_distance(np.ones((3, 1))), "needs at least 2 features per node"),
+    (lambda: pairwise_distance(np.ones((3, 2)), "cosine"), "unknown distance 'cosine'"),
+    (lambda: similarity_weights(np.ones((1, 2)), SimilarityKernel()),
+     "2-D feature matrix with at least 2 nodes"),
+    (lambda: build_affinity([MetaElement("age", np.zeros(3), beta=0.0)], np.eye(3),
+                            mode="median"),
+     "unknown mode 'median'"),
+])
+def test_input_checks_reject_bad_arguments(call, fragment):
+    with pytest.raises(AffinityError) as info:
+        call()
+    assert fragment in str(info.value)

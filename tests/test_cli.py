@@ -104,13 +104,24 @@ class TestTrainCommand:
                      "--out", str(second)]) == 0
         assert (first / "cv.csv").read_bytes() == (second / "cv.csv").read_bytes()
 
-    def test_summary_does_not_depend_on_the_output_directory(self, tmp_path):
-        cfg = write_cfg(tmp_path, quick_sections(tmp_path / "unused"))
+    @pytest.mark.parametrize("command, mode, result", [
+        ("train", "pairs", "cv.csv"),
+        ("sweep", "pairs", "sweep.csv"),
+        ("sweep", "single", "boxplot.csv"),
+        ("compare", "pairs", "compare.csv"),
+    ])
+    def test_summary_does_not_depend_on_the_output_directory(self, tmp_path, command, mode,
+                                                             result):
+        sections = quick_sections(tmp_path / "unused", training={"epochs": 5},
+                                  experiment={"k_range": [1, 2], "k1": 1, "k2": 2, "width": 4,
+                                              "sweep_mode": mode})
+        cfg = write_cfg(tmp_path, sections)
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
-            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-        for name in ("cv.csv", "summary.json"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in (result, "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert json.loads((outs[0] / "summary.json").read_text())["command"] == command
 
     def test_train_mask_from_files_must_cover_for_cv(self, tmp_path):
         # cv refolds all nodes, so a dataset with its own test split still works
@@ -488,3 +499,25 @@ class TestErrorHandling:
         })
         assert main(["simdata", "--config", cfg]) == 0
         assert (envdir / "features.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, payload, fragment", [
+    ("build-graph", "affinity", {"features": "features.csv"},
+     "affinity.meta is required for this command"),
+    ("train", "dataset", {"source": "files", "features": "no-such.csv", "edges": "edges.txt"},
+     "dataset.features: no such file: no-such.csv"),
+    ("build-graph", "affinity", {"meta": "short-meta.csv", "features": "features.csv"},
+     "meta-data covers 7 nodes but features cover 8"),
+])
+def test_input_checks_exit_2_naming_the_field(tmp_path, capsys, monkeypatch,
+                                              command, section, payload, fragment):
+    meta_fixture(tmp_path)
+    rows = (tmp_path / "meta.csv").read_text().splitlines()
+    (tmp_path / "short-meta.csv").write_text("\n".join(rows[:-1]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "res"
+    cfg = write_cfg(tmp_path, quick_sections(out, **{section: payload}))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not out.exists()

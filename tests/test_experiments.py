@@ -1,6 +1,7 @@
 import json
 import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -161,6 +162,13 @@ class TestArchSpecs:
     def test_bad_module_or_architecture_rejected(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
+
+    def test_module_width_sums_branches_under_concat_only(self):
+        branches = (BranchSpec(1, 4), BranchSpec(3, 4))
+        assert ModuleSpec(branches=branches).width == 8
+        assert ModuleSpec(branches=branches, aggregator="maxpool").width == 4
+        # a property, so config fingerprints built from asdict do not change
+        assert set(asdict(ModuleSpec(branches=branches))) == {"branches", "aggregator"}
 
     def test_build_network_is_seed_deterministic(self):
         arch = inception((1, 3), 4)
@@ -556,6 +564,12 @@ class TestRunCv:
         assert np.isnan(res.mean_accuracy)
         assert res.sd_accuracy == 0.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_classifier_free_net_narrower_than_the_classes_is_rejected(self, toy_graph, threads):
+        arch = ArchSpec(modules=(ModuleSpec(branches=(BranchSpec(1, 1),)),), classifier=False)
+        with pytest.raises(ValueError, match=r"output width 1 must cover the 2 classes"):
+            run_cv(toy_graph, arch, quick_cfg(epochs=3, n_folds=3), threads=threads)
+
     def test_worker_processes_give_the_serial_result(self, toy_graph):
         # At lr 1e153 Adam's steps overflow the scores in fold 0 only.
         cfg = quick_cfg(epochs=30, lr=1e153, optimizer="adam", early_stop_window=5,
@@ -768,3 +782,13 @@ class TestResultFiles:
         assert text.endswith("\n")
         assert json.loads(text) == {"b": 1, "a": {"x": [1, 2]}}
         assert text.index('"a"') < text.index('"b"')
+
+
+@pytest.mark.parametrize("kw, fragment", [
+    (dict(k_min=-1), "bad order range [-1, 6]"),
+    (dict(width=0), "width must be >= 1"),
+])
+def test_input_checks_reject_bad_arguments(kw, fragment):
+    with pytest.raises(ValueError) as info:
+        SweepSpec(**kw)
+    assert fragment in str(info.value)

@@ -24,15 +24,17 @@ from conftest import (
 )
 
 
-def make_graph(adjacency):
+def make_graph(adjacency, **fields):
+    """A graph on ``adjacency``, all train, with any other field replaced by ``fields``."""
     n = adjacency.shape[0]
-    return PopulationGraph(
-        adjacency=adjacency,
-        features=np.arange(2 * n, dtype=float).reshape(n, 2),
-        labels=np.zeros(n, dtype=np.int64),
-        train_mask=np.ones(n, dtype=bool),
-        test_mask=np.zeros(n, dtype=bool),
-    )
+    return PopulationGraph(**{
+        "adjacency": adjacency,
+        "features": np.arange(2 * n, dtype=float).reshape(n, 2),
+        "labels": np.zeros(n, dtype=np.int64),
+        "train_mask": np.ones(n, dtype=bool),
+        "test_mask": np.zeros(n, dtype=bool),
+        **fields,
+    })
 
 
 class TestBuildLaplacian:
@@ -118,6 +120,18 @@ class TestBuildLaplacian:
         a[0, 1] = 1.0
         with pytest.raises(GraphInvariantError):
             build_laplacian(a)
+
+    @pytest.mark.parametrize("a, fragment", [
+        ([[0.0, -1.0], [-1.0, 0.0]], "edge weights must be nonnegative"),
+        ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero (no self-loops)"),
+        ([[0.0, np.inf], [np.inf, 0.0]], "edge weights must be finite: edge (0, 1) is inf"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "edge weights must be finite: edge (0, 1) is nan"),
+    ])
+    def test_rejects_a_bare_adjacency_no_graph_would_hold(self, a, fragment):
+        for storage in (np.array, sp.csr_array):
+            with pytest.raises(GraphInvariantError) as info:
+                build_laplacian(storage(a))
+            assert fragment in str(info.value)
 
 
 class TestRescale:
@@ -342,3 +356,28 @@ class TestPopulationGraph:
         assert g.n_classes == 3
         npt.assert_array_equal(g.degrees(), [1.0, 2.0, 2.0, 1.0])
         assert g.n_edges == 3
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: make_graph(np.zeros((3, 2))),
+     GraphInvariantError, "adjacency must be square, got (3, 2)"),
+    (lambda: make_graph(np.zeros((0, 0))), GraphInvariantError, "at least one node"),
+    (lambda: make_graph(path_adjacency(3), features=np.zeros((2, 2))),
+     GraphInvariantError, "features must be (n_nodes, d), got (2, 2) for 3 nodes"),
+    (lambda: make_graph(path_adjacency(3), labels=np.zeros((3, 1), dtype=np.int64)),
+     GraphInvariantError, "labels must be a 1-D array"),
+    (lambda: make_graph(path_adjacency(3), labels=np.array([0, -1, 0])),
+     GraphInvariantError, "labels must be nonnegative"),
+    (lambda: make_graph(path_adjacency(3), train_mask=np.ones(2, dtype=bool)),
+     GraphInvariantError, "train_mask must be a boolean array of length 3"),
+    (lambda: make_graph(path_adjacency(3), test_mask=np.zeros(4, dtype=bool)),
+     GraphInvariantError, "test_mask must be a boolean array of length 3"),
+    (lambda: NormalizedLaplacian(matrix=np.zeros((2, 3))),
+     GraphInvariantError, "Laplacian must be square, got (2, 3)"),
+    (lambda: khop_reach(build_laplacian(path_adjacency(3)), -1),
+     ValueError, "k must be a nonnegative integer, got -1"),
+])
+def test_input_checks_reject_bad_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

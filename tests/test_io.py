@@ -171,6 +171,7 @@ class TestEdgeList:
             ("0 1 nan", "edge weight must be finite, got nan"),
             ("0 1 -inf", "edge weight must be finite, got -inf"),
             ("0 1 1e400", "edge weight must be finite, got inf"),
+            ("0 1 -0.5", "edge weight must be nonnegative, got -0.5"),
             ("0 1_0 1.0", "not a plain int literal: '1_0'"),
         ],
     )
@@ -500,3 +501,15 @@ class TestMetaCsv:
     def test_inf_in_categorical_column_is_a_category(self, tmp_path):
         path = write_text(tmp_path, "node,site\n0,inf\n1,paris\n", "meta.csv")
         npt.assert_array_equal(read_meta_csv(path)["site"][0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("", ": empty file"),
+    ("node,age\n0,61\n1,58,extra\n", ":3: expected 2 fields"),
+    ("node,age\n0,61\n0,58\n", ":3: duplicate node 0"),
+])
+def test_meta_csv_input_checks_name_the_line(tmp_path, text, fragment):
+    path = write_text(tmp_path, text, "meta.csv")
+    with pytest.raises(FileFormatError) as info:
+        read_meta_csv(path)
+    assert str(info.value) == f"{path}{fragment}"

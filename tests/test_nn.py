@@ -17,6 +17,7 @@ from chebgcn.nn import (
     _fold_basis,
     _module_backward,
     _module_forward,
+    make_optimizer,
     masked_cross_entropy,
     network_backward,
     network_forward,
@@ -634,3 +635,68 @@ class TestOptimizers:
             opt.step(p, {"w": p["w"].copy()})
         assert abs(p["w"][0]) < 1e-2
 
+
+
+def zero_layer(d_in, d_out, folds=None, **kw):
+    """An order-1 filter with zero weights; a stack of ``folds`` if given."""
+    lead = () if folds is None else (folds,)
+    return ChebFilterLayer(theta=np.zeros(lead + (2, d_in, d_out)),
+                           bias=np.zeros(lead + (d_out,)), **kw)
+
+
+def zero_net(folds=None):
+    """A 3 -> 4 module and a 4 -> 2 classifier, on zero weights."""
+    lead = () if folds is None else (folds,)
+    return Network(modules=[InceptionModule(branches=[zero_layer(3, 4, folds)])],
+                   classifier_weight=np.zeros(lead + (4, 2)), classifier_bias=np.zeros(lead + (2,)))
+
+
+def forward_on_zeros(net, **kw):
+    """``network_forward`` on a random 5-node graph with zero 3-feature input."""
+    return network_forward(net, make_lap(5), np.zeros((5, 3)), **kw)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: ChebFilterLayer(theta=np.zeros((2, 3)), bias=np.zeros(3)),
+     ShapeMismatchError, "theta must be ([F,] order + 1, d_in, d_out)"),
+    (lambda: ChebFilterLayer(theta=np.zeros((2, 3, 4)), bias=np.zeros(3)),
+     ShapeMismatchError, "bias shape (3,) does not match theta"),
+    (lambda: zero_layer(3, 4, activation="tanh"), ValueError, "unknown activation 'tanh'"),
+    (lambda: InceptionModule(branches=[]), ValueError, "at least one branch"),
+    (lambda: InceptionModule(branches=[zero_layer(3, 4)], aggregator="sum"),
+     ValueError, "unknown aggregator 'sum'"),
+    (lambda: InceptionModule(branches=[zero_layer(3, 4), zero_layer(3, 4, folds=2)]),
+     ShapeMismatchError, "share the fold count"),
+    (lambda: Network(modules=[]), ValueError, "at least one module"),
+    (lambda: Network(modules=[InceptionModule(branches=[zero_layer(3, 4)]),
+                              InceptionModule(branches=[zero_layer(5, 2)])]),
+     ShapeMismatchError, "module input width 5 does not match previous output 4"),
+    (lambda: Network(modules=[InceptionModule(branches=[zero_layer(3, 4)]),
+                              InceptionModule(branches=[zero_layer(4, 2, folds=2)])]),
+     ShapeMismatchError, "all modules of a network must share the fold count"),
+    (lambda: Network(modules=[InceptionModule(branches=[zero_layer(3, 4)])],
+                     classifier_weight=np.zeros((4, 2))),
+     ValueError, "weight and bias must be given together"),
+    (lambda: Network(modules=[InceptionModule(branches=[zero_layer(3, 4)])],
+                     classifier_weight=np.zeros((5, 2)), classifier_bias=np.zeros(2)),
+     ShapeMismatchError, "classifier weight must be (4, n_classes)"),
+    (lambda: Network(modules=[InceptionModule(branches=[zero_layer(3, 4)])],
+                     classifier_weight=np.zeros((4, 2)), classifier_bias=np.zeros(3)),
+     ShapeMismatchError, "classifier bias does not match weight columns"),
+    (lambda: forward_on_zeros(zero_net(), input_basis=[np.zeros((5, 4)), np.zeros((5, 3))]),
+     ShapeMismatchError, "input_basis does not match the given signal"),
+    (lambda: forward_on_zeros(zero_net(), dropout=1.0), ValueError, "dropout must be in [0, 1)"),
+    (lambda: forward_on_zeros(zero_net(folds=2), dropout=0.5,
+                             dropout_rng=[np.random.default_rng(0)]),
+     ValueError, "one generator per fold, got 1 for 2"),
+    (lambda: masked_cross_entropy(np.zeros(3), np.zeros(3, dtype=int), np.ones(3, dtype=bool)),
+     ShapeMismatchError, "scores must be ([F,] N, C)"),
+    (lambda: masked_cross_entropy(np.zeros((3, 2)), np.zeros(4, dtype=int),
+                                  np.ones(3, dtype=bool)),
+     ShapeMismatchError, "labels must be 1-D with one entry per row"),
+    (lambda: make_optimizer("rmsprop", 0.1), ValueError, "unknown optimizer 'rmsprop'"),
+])
+def test_input_checks_reject_bad_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -248,9 +248,11 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     loss did. A fold that diverges, or stops early, leaves the stack and the
     others train on, so each fold ends bitwise where training it alone would.
     Each fold leaves once: with early stopping enabled, at its best-epoch
-    weights even when the epoch budget runs out first; if it diverged, at its
-    last finite weights. Dropout and the monitored loss both follow the usual
-    convention: dropout is on for the update pass only.
+    weights even when the epoch budget runs out first; if it diverged, at the
+    weights it held when that was found, which a step that overflowed leaves
+    non-finite (a diverged fold feeds no result). Dropout and the monitored
+    loss both follow the usual convention: dropout is on for the update pass
+    only.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = None if val_mask is None else np.asarray(val_mask, dtype=bool)

@@ -5,7 +5,8 @@ order to a node-feature matrix. A module runs several such filters of
 different orders in parallel over the same input and aggregates them by
 column concatenation or elementwise max; its branches share one Chebyshev
 basis, built up to the highest branch order. A network stacks modules and
-ends in an optional dense classifier over per-node outputs.
+ends in an optional per-node dense classifier, which runs as one more
+module: a single order-0 linear filter, since T_0(L) = I.
 
 A network may also be a stack of F networks of one shape, one per
 cross-validation fold: every parameter then carries a leading fold axis,
@@ -23,6 +24,7 @@ the test suite instead.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,7 +98,10 @@ def _per_fold_matmul(a, b, folds):
 def _fold_basis(lap, h, order, folds):
     """chebyshev_apply on a fold stack (N, F * d); each fold's columns are
     bitwise the basis of that fold alone. One recurrence runs on the whole
-    stack where its wide products are exact, else one runs per fold."""
+    stack where its wide products are exact, else one runs per fold. Order 0
+    is the input itself, T_0(L) = I."""
+    if order == 0:
+        return [h]
     if _wide_is_exact(lap.matrix, h.shape[1], folds):
         return chebyshev_apply(lap, h, order)
     w = h.shape[1] // folds
@@ -276,7 +281,7 @@ def _module_backward(module, lap, mtape, g, need_input_grad):
     stacked = mtape.basis[0].shape[1] != module.d_in
     if module.aggregator == "concat":
         g3 = g.reshape(n, folds, module.d_out)
-        ends = np.cumsum([br.d_out for br in module.branches])
+        ends = accumulate(br.d_out for br in module.branches)
         branch_gs = [g3[:, :, end - br.d_out:end].reshape(n, -1)
                      for br, end in zip(module.branches, ends)]
     else:
@@ -325,7 +330,9 @@ def _module_backward(module, lap, mtape, g, need_input_grad):
 class Network:
     """A stack of modules, optionally followed by a per-node dense classifier.
 
-    In a fold stack every parameter has a leading axis of ``folds`` entries;
+    The classifier runs as the last layer, an order-0 linear filter whose
+    theta and bias view ``classifier_weight`` and ``classifier_bias``. In a
+    fold stack every parameter has a leading axis of ``folds`` entries;
     scores are then (F, N, n_classes).
     """
 
@@ -415,9 +422,9 @@ class GradientTape:
     net_fingerprint: tuple
     lap: NormalizedLaplacian
     scores_shape: tuple
-    module_tapes: list
-    classifier_input: np.ndarray
-    dropout_masks: list
+    layers: list  # net.modules, then the classifier as an order-0 module
+    module_tapes: list  # one per layer
+    dropout_masks: list  # one per entry of net.modules when dropout was on, else empty
 
 
 def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
@@ -460,24 +467,21 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
     h = x
     module_tapes = []
     dropout_masks = []
-    for mi, mod in enumerate(net.modules):
+    layers = net.modules
+    if net.classifier_weight is not None:
+        # T_0(L) = I: the classifier is an order-0 linear filter on views of its arrays
+        clf = ChebFilterLayer(net.classifier_weight[..., None, :, :], net.classifier_bias, "linear")
+        layers = layers + [InceptionModule([clf])]
+    for mi, mod in enumerate(layers):
         basis = input_basis if mi == 0 else None
         h, mtape = _module_forward(mod, lap, h, basis)
         module_tapes.append(mtape)
-        if dropout > 0.0:
+        if dropout > 0.0 and mi < len(net.modules):
             keep = np.stack([rng.random((n, mod.d_out)) >= dropout for rng in rngs], axis=1)
             mask = keep.reshape(n, -1) / (1.0 - dropout)
             h = h * mask
             dropout_masks.append(mask)
-        else:
-            dropout_masks.append(None)
-    classifier_input = h
-    h3 = _fold_view(h, folds)
-    if net.classifier_weight is not None:
-        w = net.classifier_weight.reshape((folds,) + net.classifier_weight.shape[-2:])
-        scores = np.matmul(h3, w) + net.classifier_bias.reshape(folds, 1, -1)
-    else:
-        scores = np.ascontiguousarray(h3)
+    scores = np.ascontiguousarray(_fold_view(h, folds))
     if net.folds is None:
         scores = scores[0]
     tape = GradientTape(
@@ -485,8 +489,8 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
         net_fingerprint=net.fingerprint(),
         lap=lap,
         scores_shape=scores.shape,
+        layers=layers,
         module_tapes=module_tapes,
-        classifier_input=classifier_input,
         dropout_masks=dropout_masks,
     )
     return scores, tape
@@ -509,26 +513,16 @@ def network_backward(tape: GradientTape, score_grad) -> dict:
         )
     folds = net.folds or 1
     g3 = g.reshape((folds,) + g.shape[-2:])
-    grads = {}
-    if net.classifier_weight is not None:
-        w = net.classifier_weight
-        h3 = _fold_view(tape.classifier_input, folds)
-        grads["classifier.weight"] = np.matmul(h3.transpose(0, 2, 1), g3).reshape(w.shape)
-        grads["classifier.bias"] = g3.sum(axis=1).reshape(net.classifier_bias.shape)
-        w3 = w.reshape((folds,) + w.shape[-2:])
-        g = np.empty_like(tape.classifier_input)
-        np.matmul(g3, w3.transpose(0, 2, 1), out=_fold_view(g, folds))
-    else:
-        g = g3.transpose(1, 0, 2).reshape(g3.shape[1], -1)
-    for mi in reversed(range(len(net.modules))):
-        if tape.dropout_masks[mi] is not None:
+    g = g3.transpose(1, 0, 2).reshape(g3.shape[1], -1)
+    layer_grads = []
+    for mi, mod in reversed(list(enumerate(tape.layers))):
+        if mi < len(tape.dropout_masks):
             g = g * tape.dropout_masks[mi]
-        branch_grads, g = _module_backward(net.modules[mi], tape.lap, tape.module_tapes[mi], g,
+        branch_grads, g = _module_backward(mod, tape.lap, tape.module_tapes[mi], g,
                                            need_input_grad=mi > 0)
-        for si, (dtheta, dbias) in enumerate(branch_grads):
-            grads[f"modules.{mi}.branches.{si}.theta"] = dtheta
-            grads[f"modules.{mi}.branches.{si}.bias"] = dbias
-    return grads
+        layer_grads[:0] = [grad for pair in branch_grads for grad in pair]
+    return {name: grad.reshape(p.shape)
+            for (name, p), grad in zip(net.parameters().items(), layer_grads, strict=True)}
 
 
 def masked_cross_entropy(scores, labels, mask):

@@ -8,6 +8,17 @@ the package is evidence rather than tautology.
 import math
 
 import numpy as np
+import pytest
+
+# Acceptance checks that retrain hundreds of networks and take minutes; a
+# quick local loop is ``pytest -m "not slow"``.
+SLOW_TESTS = ("test_03a_", "test_03b_", "test_03c_", "test_04_")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.name == "test_acceptance.py" and item.name.startswith(SLOW_TESTS):
+            item.add_marker(pytest.mark.slow)
 
 
 def random_adjacency(rng, n, p=0.3, weighted=False):

@@ -263,6 +263,22 @@ class TestBuildGraphCommand:
         feats, labels, train, test = read_features_csv(out / "features.csv")
         assert feats.shape == (8, 4)
 
+    def test_node_without_its_only_gating_value_is_reported_isolated(self, tmp_path, capsys):
+        meta_fixture(tmp_path)
+        path = tmp_path / "meta.csv"
+        path.write_text(path.read_text().replace("3,61,M", "3,na,M"))
+        out = tmp_path / "res"
+        sections = quick_sections(out, affinity={
+            "meta": str(path), "features": str(tmp_path / "features.csv"),
+            "elements": ["age"], "betas": {"age": 2.0}, "mode": "single", "element": "age",
+        })
+        assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 0
+        # (50, 52) and (70, 71) stay linked; node 2 (age 60) lost its only
+        # partner to node 3's missing age, and 80 and 95 have none
+        assert "warning: 4 nodes are isolated under the current thresholds" in (
+            capsys.readouterr().err)
+        assert (out / "edges.txt").exists()
+
     def test_missing_meta_column_is_a_config_error(self, tmp_path, capsys):
         meta_fixture(tmp_path)
         sections = quick_sections(tmp_path / "res", affinity={

@@ -236,6 +236,12 @@ class TestCarveValidation:
         for c in (0, 1):
             assert 0 < val[labels == c].sum() < 2
 
+    def test_class_with_one_training_node_gets_no_validation_node(self):
+        labels = np.array([0, 0, 0, 0, 0, 1])
+        val = _carve_validation(np.ones(6, dtype=bool), labels, 0.5, seed=0)
+        assert val[labels == 0].sum() == 2
+        assert not val[labels == 1].any()
+
     def test_deterministic(self):
         labels = np.repeat([0, 1], 15)
         train = np.ones(30, dtype=bool)
@@ -346,6 +352,31 @@ class TestTrainAndEvaluate:
         # nan weights make the next loss nan
         assert train_alone(net, lap, x, labels, mask, quick_cfg(epochs=1)) is None
         assert all(np.isfinite(p).all() for p in net.parameters().values())
+
+    @pytest.mark.parametrize("window", [0, 3])
+    def test_overflowing_step_leaves_the_fold_at_the_weights_it_diverged_with(self, window):
+        # the first step overflows the weights; the fold diverges on the next
+        # loss (window 0) or on the monitored loss right after the step
+        # (window 3), and leaves with those non-finite weights, not earlier ones
+        graph = generate(SimConfig(n_per_class=15, variances=(0.3, 0.3), beta=0.8, seed=1))
+        lap = rescale_laplacian(build_laplacian(graph))
+        x, labels = graph.features * 10, graph.labels
+        mask = np.ones(graph.n_nodes, dtype=bool)
+        lr = 1.7e308
+        net = build_network(single_layer(2, 4), 2, 2, np.random.default_rng(0))
+        expected = build_network(single_layer(2, 4), 2, 2, np.random.default_rng(0))
+        scores, tape = network_forward(expected, lap, x)
+        grads = network_backward(tape, masked_cross_entropy(scores, labels, mask)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in expected.parameters().items():
+                p -= lr * grads[name]
+        cfg = TrainConfig(epochs=20, lr=lr, stop_metric="train", n_folds=2,
+                          early_stop_window=window)
+        assert train_alone(net, lap, x, labels, mask, cfg) is None
+        params = net.parameters()
+        assert sum(int((~np.isfinite(p)).sum()) for p in params.values()) == 17
+        for name, p in expected.parameters().items():
+            npt.assert_array_equal(params[name], p)
 
     def test_weight_decay_shrinks_weight_norms(self, toy_graph):
         lap = rescale_laplacian(build_laplacian(toy_graph))

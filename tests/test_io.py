@@ -388,6 +388,7 @@ class TestFeaturesCsv:
             ("0,2.0,3.0,1,test", "duplicate node 0"),
             ("1,2.0,nan,1,test", "feature f1 must be finite, got nan"),
             ("1,-inf,3.0,1,test", "feature f0 must be finite, got -inf"),
+            ("9223372036854775808,2.0,3.0,1,test", "node id and label must fit in int64"),
         ],
     )
     def test_errors_name_path_and_line(self, tmp_path, bad_row, message):
@@ -450,6 +451,13 @@ class TestMetaCsv:
         assert set(out) == {"age", "sex"}
         npt.assert_array_equal(out["age"][0], [60.0, 55.0])
         npt.assert_array_equal(out["sex"][0], [1.0, 0.0])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("node,age\n0,61\n\n1,58\n\n")
+        values, missing = read_meta_csv(path)["age"]
+        npt.assert_array_equal(values, [61.0, 58.0])
+        assert not missing.any()
 
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "meta.csv"

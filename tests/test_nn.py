@@ -551,6 +551,94 @@ def test_module_after_the_first_runs_its_highest_order_once_each_way(monkeypatch
     assert CountingMatrix.products == 20
 
 
+def fold_stack(net, folds):
+    """``net`` as a stack of ``folds`` folds, each with its own parameters."""
+    if folds is None:
+        return net
+    return net.map(lambda p: np.stack([p * (-1.5) ** f for f in range(folds)]))
+
+
+class TestClassifierLayer:
+    """The classifier runs as the last module, an order-0 linear filter, and
+    must give bitwise what a dense layer on the last hidden state gives."""
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+    @pytest.mark.parametrize("folds", [None, 2, 5])
+    def test_forward_and_backward_are_the_dense_layers(self, storage, folds):
+        lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=80).toarray()))
+        rng = np.random.default_rng(81)
+        x = rng.standard_normal((12, 3))
+        net = small_network(rng)
+        net.classifier_bias += rng.standard_normal(2)
+        net = fold_stack(net, folds)
+        body = Network(modules=net.modules)
+        hidden, body_tape = network_forward(body, lt, x)
+        scores, tape = network_forward(net, lt, x)
+        lead = (net.folds or 1,)
+        h3 = hidden.reshape(lead + hidden.shape[-2:])
+        w3 = net.classifier_weight.reshape(lead + net.classifier_weight.shape[-2:])
+        b3 = net.classifier_bias.reshape(lead + (1, -1))
+        npt.assert_array_equal(scores, (np.matmul(h3, w3) + b3).reshape(scores.shape))
+
+        g = rng.standard_normal(scores.shape)
+        g3 = g.reshape(lead + g.shape[-2:])
+        grads = network_backward(tape, g)
+        npt.assert_array_equal(grads["classifier.weight"], np.matmul(
+            h3.transpose(0, 2, 1), g3).reshape(net.classifier_weight.shape))
+        npt.assert_array_equal(grads["classifier.bias"],
+                               g3.sum(axis=1).reshape(net.classifier_bias.shape))
+        hidden_grad = np.matmul(g3, w3.transpose(0, 2, 1)).reshape(hidden.shape)
+        for name, want in network_backward(body_tape, hidden_grad).items():
+            npt.assert_array_equal(grads[name], want)
+
+    @pytest.mark.parametrize("classifier", [True, False])
+    @pytest.mark.parametrize("folds", [None, 3])
+    def test_gradients_are_named_and_shaped_as_the_parameters(self, classifier, folds):
+        lt = make_lap(9, seed=82)
+        rng = np.random.default_rng(83)
+        x = rng.standard_normal((9, 3))
+        net = small_network(rng)
+        net = fold_stack(net if classifier else Network(modules=net.modules), folds)
+        scores, tape = network_forward(net, lt, x)
+        grads = network_backward(tape, rng.standard_normal(scores.shape))
+        params = net.parameters()
+        assert list(grads) == list(params)
+        assert [g.shape for g in grads.values()] == [p.shape for p in params.values()]
+
+    @pytest.mark.parametrize("classifier", [True, False])
+    def test_dropout_masks_every_module_output_and_not_the_scores(self, classifier):
+        lt = make_lap(9, seed=84)
+        rng = np.random.default_rng(85)
+        x = rng.standard_normal((9, 3))
+        net = small_network(rng)
+        if not classifier:
+            net = Network(modules=net.modules)
+        body = Network(modules=net.modules)
+        rng_net, rng_body = np.random.default_rng(1), np.random.default_rng(1)
+        scores, tape = network_forward(net, lt, x, dropout=0.5, dropout_rng=rng_net)
+        hidden, _ = network_forward(body, lt, x, dropout=0.5, dropout_rng=rng_body)
+        assert [m.shape for m in tape.dropout_masks] == [(9, mod.d_out) for mod in net.modules]
+        # a classifier draws no mask of its own
+        assert rng_net.random() == rng_body.random()
+        if classifier:
+            w, b = net.classifier_weight, net.classifier_bias
+            npt.assert_array_equal(scores, np.matmul(hidden[None], w[None])[0] + b)
+        else:
+            # the last module's output is the scores, and it is dropped out
+            dropped = tape.dropout_masks[-1] == 0.0
+            assert dropped.any() and (scores[dropped] == 0.0).all()
+
+    def test_order_zero_basis_is_the_input_itself(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an order-0 basis needs no recurrence and no probe")
+
+        monkeypatch.setattr("chebgcn.nn.chebyshev_apply", fail)
+        monkeypatch.setattr("chebgcn.nn._wide_is_exact", fail)
+        h = np.random.default_rng(86).standard_normal((12, 6))
+        (t0,) = _fold_basis(make_lap(12, seed=86), h, 0, 3)
+        assert t0 is h
+
+
 class TestDropout:
     def test_zero_dropout_is_identity(self):
         lt = make_lap(6, seed=70)

@@ -252,7 +252,8 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     weights it held when that was found, which a step that overflowed leaves
     non-finite (a diverged fold feeds no result). Dropout and the monitored
     loss both follow the usual convention: dropout is on for the update pass
-    only.
+    only. ``input_basis`` is the first module's (N, (k + 1) d) basis matrix as
+    ``network_forward`` takes it; without it, it is built once here.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = None if val_mask is None else np.asarray(val_mask, dtype=bool)
@@ -260,7 +261,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     if cfg.dropout > 0.0 and dropout_rng is None:
         raise ValueError("dropout needs one random generator per fold")
     if input_basis is None:
-        input_basis = chebyshev_apply(lap, x, net.modules[0].order)
+        input_basis = np.hstack(chebyshev_apply(lap, x, net.modules[0].order))
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     epochs = [cfg.epochs] * net.folds
     active = np.arange(net.folds)  # stack position -> fold
@@ -338,7 +339,8 @@ def _require_stack(net, lap, **masks) -> None:
 
 def evaluate_accuracy(net, lap, x, labels, mask, input_basis=None):
     """Percent of masked nodes whose argmax score matches the label, one per
-    fold of a stack given (F, N) masks."""
+    fold of a stack given (F, N) masks. ``input_basis`` is the first module's
+    basis matrix, as ``network_forward`` takes it."""
     mask = np.asarray(mask, dtype=bool)
     _require_stack(net, lap, mask=mask)
     if not mask.any(axis=-1).all():
@@ -382,7 +384,8 @@ class _FoldContext:
     x: np.ndarray
     labels: np.ndarray
     n_classes: int
-    basis: list  # chebyshev_apply(lap, x, k) for the highest first-module order of any task
+    # np.hstack(chebyshev_apply(lap, x, k)) for the highest first-module order k of any task
+    basis: np.ndarray
 
 
 def _run_folds(ctx: _FoldContext, task):
@@ -508,7 +511,7 @@ def _cross_validate(graph, cells, threads) -> list:
     order = max(b.order for arch, _, _ in cells for b in arch.modules[0].branches)
     ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
                        n_classes=graph.n_classes,
-                       basis=chebyshev_apply(lap, graph.features, order))
+                       basis=np.hstack(chebyshev_apply(lap, graph.features, order)))
     workers = min(threads, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,

@@ -26,22 +26,25 @@ def _nnz(matrix) -> int:
 
 
 def _canonical_csr(matrix) -> sp.csr_array:
-    """``matrix`` as float64 CSR with sorted indices and no duplicates."""
-    out = sp.csr_array(matrix, dtype=np.float64)
+    """A float64 CSR copy of ``matrix`` with sorted indices, no duplicates
+    and no stored zeros."""
+    out = sp.csr_array(matrix, dtype=np.float64, copy=True)
     out.sum_duplicates()
+    out.eliminate_zeros()
     out.sort_indices()
     return out
 
 
 def to_storage(matrix):
-    """Return ``matrix`` as float64: canonical CSR when fewer than
+    """Return a float64 copy of ``matrix``: canonical CSR when fewer than
     ``SPARSE_DENSITY_CUTOFF`` of its entries are nonzero, a dense ndarray
-    otherwise."""
+    otherwise. Stored zeros of a sparse input count as zero entries."""
+    if sp.issparse(matrix):
+        matrix = _canonical_csr(matrix)
     n, m = matrix.shape
     if _nnz(matrix) < SPARSE_DENSITY_CUTOFF * n * m:
-        return _canonical_csr(matrix)
-    out = matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
-    return out.astype(np.float64, copy=False)
+        return matrix if sp.issparse(matrix) else _canonical_csr(matrix)
+    return matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
 
 
 def _freeze(matrix):

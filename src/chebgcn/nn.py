@@ -11,9 +11,10 @@ module: a single order-0 linear filter, since T_0(L) = I.
 A network may also be a stack of F networks of one shape, one per
 cross-validation fold: every parameter then carries a leading fold axis,
 and the folds train together. Hidden states are (N, F * width) with each
-fold's columns side by side, so the first module's products run as one wide
-product off the shared input basis and the Chebyshev recurrence of later
-modules runs once for the whole stack wherever its wide products are exact.
+fold's columns side by side. Each branch of the first module runs as one
+wide product off the columns [T_0 X ... T_k X] of the input basis that every
+fold shares, and the Chebyshev recurrence of later modules runs once for the
+whole stack wherever its wide products are exact.
 Each fold still gets bitwise the values it would get alone; a single network
 is the F-less case of the same code.
 
@@ -211,44 +212,38 @@ class InceptionModule:
 
 @dataclass
 class _ModuleTape:
-    basis: list  # [T_0(L) H, ..., T_K(L) H], K at least the module's highest order
+    basis: np.ndarray | list  # first module: one (N, (K + 1) d) matrix; later: K + 1 terms
     relu_masks: list  # per branch: where its pre-activation was positive, or None
     winners: np.ndarray | None  # maxpool: branch index that won each output cell
 
 
-def _wide(theta_r):
-    """(F, d, w) weights as one (d, F * w) matrix, fold-major in columns."""
-    return theta_r.transpose(1, 0, 2).reshape(theta_r.shape[1], -1)
-
-
-def _module_forward(module, lap, h, basis=None):
+def _module_forward(module, lap, h, input_basis=None):
     """Run every branch off one Chebyshev basis; returns (output, tape).
 
-    ``h`` is the (N, d_in) input that every fold shares, or a fold stack
-    (N, F * d_in); the output is (N, F * d_out). The basis up to the module's
-    highest order holds each lower-order branch's basis as a prefix, so it is
-    built once (or taken from ``basis``) and every branch slices it. Off a
-    shared basis each order takes one wide product for all folds; off a
-    stacked one, one batched product over the folds.
+    The first module takes ``input_basis``, the terms T_0 X ... T_K X of the
+    input every fold shares, side by side in one (N, (K + 1) d_in) matrix, K
+    at least its highest order: a branch of order k is one product off its
+    first (k + 1) d_in columns, wide over the folds. A later module (no
+    ``input_basis``) takes a fold stack h (N, F * d_in) and builds its own
+    basis up to its highest order, of which every branch takes a prefix: one
+    batched product over the folds per order. The output is (N, F * d_out).
     """
     folds = module.folds or 1
-    stacked = h.shape[1] != module.d_in
-    if basis is None:
-        basis = _fold_basis(lap, h, module.order, folds if stacked else 1)
+    basis = input_basis if input_basis is not None else _fold_basis(lap, h, module.order, folds)
     outs = []
     relu_masks = []
     for br in module.branches:
         theta = br.theta.reshape((folds,) + br.theta.shape[-3:])
-        if stacked:
+        if input_basis is not None:
+            cols = (br.order + 1) * br.d_in
+            wide = theta.reshape(folds, cols, -1).transpose(1, 0, 2).reshape(cols, -1)
+            z = _fold_matmul(basis[:, :cols], wide, folds)
+        else:
             z = np.empty((h.shape[0], folds * br.d_out))
             zf = _fold_view(z, folds)
             np.matmul(_fold_view(basis[0], folds), theta[:, 0], out=zf)
             for r in range(1, br.order + 1):
                 zf += np.matmul(_fold_view(basis[r], folds), theta[:, r])
-        else:
-            z = _fold_matmul(basis[0], _wide(theta[:, 0]), folds)
-            for r in range(1, br.order + 1):
-                z += _fold_matmul(basis[r], _wide(theta[:, r]), folds)
         z += br.bias.reshape(-1)
         mask = None
         if br.activation == "relu":
@@ -268,17 +263,18 @@ def _module_forward(module, lap, h, basis=None):
     return stacked_outs.max(axis=0), _ModuleTape(basis, relu_masks, winners)
 
 
-def _module_backward(module, lap, mtape, g, need_input_grad):
+def _module_backward(module, lap, mtape, g):
     """Per-branch (dtheta, dbias) for a module output gradient ``g``, and the
-    input gradient when ``need_input_grad`` (else None).
+    input gradient, or None for the first module, whose input is data.
 
-    Every branch's coefficients c_r = g_branch theta_r^T are summed first, so
-    the input gradient takes one reverse pass of the recurrence, as long as
-    the module's highest order.
+    The first module's dtheta is one product per branch off its basis matrix.
+    A later module's branch coefficients c_r = g_branch theta_r^T are summed
+    first, so the input gradient takes one reverse pass of the recurrence, as
+    long as the module's highest order.
     """
     folds = module.folds or 1
     n = g.shape[0]
-    stacked = mtape.basis[0].shape[1] != module.d_in
+    first = not isinstance(mtape.basis, list)
     if module.aggregator == "concat":
         g3 = g.reshape(n, folds, module.d_out)
         ends = accumulate(br.d_out for br in module.branches)
@@ -291,26 +287,24 @@ def _module_backward(module, lap, mtape, g, need_input_grad):
     for br, mask, bg in zip(module.branches, mtape.relu_masks, branch_gs):
         if mask is not None:
             bg = bg * mask
-        theta = br.theta.reshape((folds,) + br.theta.shape[-3:])
-        bg3 = _fold_view(bg, folds)
-        dtheta = np.empty_like(theta)
-        for r in range(br.order + 1):
-            if stacked:
+        if first:
+            cols = (br.order + 1) * br.d_in
+            dtheta = _fold_view(_fold_matmul(mtape.basis[:, :cols].T, bg, folds), folds)
+        else:
+            theta = br.theta.reshape((folds,) + br.theta.shape[-3:])
+            bg3 = _fold_view(bg, folds)
+            dtheta = np.empty_like(theta)
+            for r in range(br.order + 1):
                 np.matmul(_fold_view(mtape.basis[r], folds).transpose(0, 2, 1), bg3,
                           out=dtheta[:, r])
-            else:
-                wide = _fold_matmul(mtape.basis[r].T, bg, folds)
-                dtheta[:, r] = _fold_view(wide, folds)
-        grads.append((dtheta.reshape(br.theta.shape), bg.sum(axis=0).reshape(br.bias.shape)))
-        if need_input_grad:
-            for r in range(br.order + 1):
                 if c[r] is None:
                     c[r] = np.empty((n, folds * br.d_in))
                     np.matmul(bg3, theta[:, r].transpose(0, 2, 1), out=_fold_view(c[r], folds))
                 else:
                     cf = _fold_view(c[r], folds)
                     cf += np.matmul(bg3, theta[:, r].transpose(0, 2, 1))
-    if not need_input_grad:
+        grads.append((dtheta.reshape(br.theta.shape), bg.sum(axis=0).reshape(br.bias.shape)))
+    if first:
         return grads, None
     # Reverse mode through T_r = 2 L T_{r-1} - T_{r-2}; L is symmetric, so the
     # adjoint of "multiply by L" is again "multiply by L".
@@ -432,9 +426,9 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
     """Run the network, or every fold of a stack, on node features x; returns
     (scores, tape).
 
-    ``input_basis`` may hold ``chebyshev_apply(lap, x, k)`` for the same
-    (lap, x) pair, with k at least the first module's highest order; it only
-    short-circuits the first module's basis build.
+    ``input_basis`` may hold ``np.hstack(chebyshev_apply(lap, x, k))`` for
+    the same (lap, x) pair, one (N, (k + 1) d) matrix with k at least the
+    first module's highest order; it only saves building that matrix.
     ``dropout`` (training only) zeroes each module-output entry with the
     given probability and rescales the survivors; it needs a Generator, or
     for a stack a list of one Generator per fold, each drawing what its fold
@@ -446,14 +440,14 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
         raise ShapeMismatchError(
             f"expected input of shape ({lap.n_nodes}, {net.d_in}), got {x.shape}"
         )
-    if input_basis is not None:
-        need = net.modules[0].order + 1
-        if len(input_basis) < need:
-            raise ShapeMismatchError(
-                f"input_basis has {len(input_basis)} terms, the first module needs {need}"
-            )
-        if input_basis[0].shape != x.shape:
-            raise ShapeMismatchError("input_basis does not match the given signal")
+    n, d = x.shape
+    order = net.modules[0].order
+    if input_basis is None:
+        input_basis = np.hstack(chebyshev_apply(lap, x, order))
+    shape = np.shape(input_basis)
+    if len(shape) != 2 or shape[0] != n or shape[1] < (order + 1) * d or shape[1] % d:
+        raise ShapeMismatchError(f"input_basis must be ({n}, (k + 1) * {d}) for an order k >= "
+                                 f"{order}, at least ({n}, {(order + 1) * d}), got {shape}")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     folds = net.folds or 1
@@ -463,7 +457,6 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
         rngs = [dropout_rng] if net.folds is None else list(dropout_rng)
         if len(rngs) != folds:
             raise ValueError(f"dropout needs one generator per fold, got {len(rngs)} for {folds}")
-    n = x.shape[0]
     h = x
     module_tapes = []
     dropout_masks = []
@@ -473,8 +466,7 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
         clf = ChebFilterLayer(net.classifier_weight[..., None, :, :], net.classifier_bias, "linear")
         layers = layers + [InceptionModule([clf])]
     for mi, mod in enumerate(layers):
-        basis = input_basis if mi == 0 else None
-        h, mtape = _module_forward(mod, lap, h, basis)
+        h, mtape = _module_forward(mod, lap, h, input_basis if mi == 0 else None)
         module_tapes.append(mtape)
         if dropout > 0.0 and mi < len(net.modules):
             keep = np.stack([rng.random((n, mod.d_out)) >= dropout for rng in rngs], axis=1)
@@ -518,8 +510,7 @@ def network_backward(tape: GradientTape, score_grad) -> dict:
     for mi, mod in reversed(list(enumerate(tape.layers))):
         if mi < len(tape.dropout_masks):
             g = g * tape.dropout_masks[mi]
-        branch_grads, g = _module_backward(mod, tape.lap, tape.module_tapes[mi], g,
-                                           need_input_grad=mi > 0)
+        branch_grads, g = _module_backward(mod, tape.lap, tape.module_tapes[mi], g)
         layer_grads[:0] = [grad for pair in branch_grads for grad in pair]
     return {name: grad.reshape(p.shape)
             for (name, p), grad in zip(net.parameters().items(), layer_grads, strict=True)}

@@ -43,7 +43,13 @@ from chebgcn.experiments import (
     write_summary_json,
     write_sweep_csv,
 )
-from chebgcn.graph import NormalizedLaplacian, PopulationGraph, build_laplacian, rescale_laplacian
+from chebgcn.graph import (
+    NormalizedLaplacian,
+    PopulationGraph,
+    build_laplacian,
+    chebyshev_apply,
+    rescale_laplacian,
+)
 from chebgcn.nn import (
     ChebFilterLayer,
     InceptionModule,
@@ -534,6 +540,29 @@ class TestFoldStacks:
         assert all(np.isfinite(loss).all() for loss in losses[0::2])
         assert not all(np.isfinite(loss).all() for loss in losses[1::2])
 
+    @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+    @pytest.mark.parametrize("d", [2, 32, 200])
+    @pytest.mark.parametrize("arch", [single_layer(3, 8), inception((1, 4), 8)])
+    def test_weights_do_not_depend_on_how_far_the_basis_is_cached(self, toy_graph, storage,
+                                                                  d, arch):
+        # a branch takes a prefix of the cached basis columns, so the row
+        # stride of its operand grows with the cached order
+        lap = rescale_laplacian(build_laplacian(toy_graph))
+        lap = NormalizedLaplacian(matrix=storage(lap.toarray()))
+        x = np.random.default_rng(d).standard_normal((toy_graph.n_nodes, d))
+        train = np.array([t for t, _ in stratified_folds(toy_graph.labels, 3, seed=5)])
+        own = max(b.order for b in arch.modules[0].branches)
+        nets = []
+        for order in (own, 10):
+            net = build_network(arch, d, 2, [np.random.default_rng(140 + f) for f in range(3)])
+            epochs = train_network(net, lap, x, toy_graph.labels, train,
+                                   quick_cfg(epochs=30, lr=0.05),
+                                   input_basis=np.hstack(chebyshev_apply(lap, x, order)))
+            assert epochs == [30, 30, 30]
+            nets.append(net)
+        for name, p in nets[0].parameters().items():
+            npt.assert_array_equal(nets[1].parameters()[name], p, err_msg=name)
+
     def test_uneven_chunks_give_the_serial_result(self, toy_graph):
         # 10 folds over 3 workers are stacks of 4, 4 and 2
         arch = sequential((2, 1), 4)
@@ -736,6 +765,13 @@ class TestCompareModels:
         assert set(comp.convergence_ratios) == {"concat", "maxpool"}
         for ratio in comp.convergence_ratios.values():
             assert ratio > 0
+
+    def test_a_cell_does_not_depend_on_the_other_cells_of_its_map(self, toy_graph):
+        # the map caches the first-module basis to order 4; this cell reads
+        # the first two of its terms
+        cfg = quick_cfg(epochs=15, n_folds=4)
+        comp = compare_models(toy_graph, 1, 4, cfg)
+        assert comp.results["sequential-k1k1"] == run_cv(toy_graph, sequential((1, 1), 16), cfg)
 
     def test_equal_orders_make_equal_baselines(self, toy_graph):
         comp = compare_models(toy_graph, 2, 2, quick_cfg(epochs=10, n_folds=3), width=4)

@@ -14,6 +14,8 @@ from chebgcn.graph import (
     to_storage,
 )
 
+from chebgcn.io import write_edge_list
+
 from conftest import (
     bfs_hop_distances,
     dense_cheb_matrices,
@@ -356,6 +358,39 @@ class TestPopulationGraph:
         assert g.n_classes == 3
         npt.assert_array_equal(g.degrees(), [1.0, 2.0, 2.0, 1.0])
         assert g.n_edges == 3
+
+    def test_stored_zeros_are_not_edges(self, tmp_path):
+        stored = sp.csr_array(([0.0, 0.0, 1.0, 1.0], ([0, 1, 1, 2], [1, 0, 2, 1])),
+                              shape=(30, 30))
+        g = make_graph(stored, features=np.ones((30, 2)))
+        assert g.n_edges == 1
+        npt.assert_array_equal(g.adjacency.indices, [2, 1])
+        write_edge_list(tmp_path / "edges.txt", g.adjacency)
+        assert (tmp_path / "edges.txt").read_text() == "1 2 1.0\n"
+        # the caller's matrix keeps its entries and shares no buffer with the graph
+        assert stored.nnz == 4
+        stored.data[:] = 5.0
+        npt.assert_array_equal(g.adjacency.data, [1.0, 1.0])
+
+    def test_a_read_only_sparse_adjacency_is_taken_again(self):
+        # canonicalizing works on a copy, never in the frozen buffers
+        g = make_graph(path_adjacency(10))
+        assert sp.issparse(g.adjacency)
+        assert make_graph(g.adjacency).n_edges == 9
+        npt.assert_array_equal(build_laplacian(g.adjacency).toarray(),
+                               build_laplacian(g).toarray())
+
+    def test_stored_zeros_do_not_count_toward_density(self):
+        # a 10-node path fills 18 of 100 entries; 10 stored zeros would make it 28
+        path = sp.coo_array(path_adjacency(10))
+        rows = np.concatenate([path.row, np.arange(5), np.arange(5) + 2])
+        cols = np.concatenate([path.col, np.arange(5) + 2, np.arange(5)])
+        data = np.concatenate([path.data, np.zeros(10)])
+        stored = sp.csr_array((data, (rows, cols)), shape=(10, 10))
+        assert stored.nnz == 28
+        adj = to_storage(stored)
+        assert sp.issparse(adj) and adj.nnz == 18
+        npt.assert_array_equal(adj.toarray(), path_adjacency(10))
 
 
 @pytest.mark.parametrize("call, error, fragment", [

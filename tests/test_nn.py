@@ -15,6 +15,7 @@ from chebgcn.nn import (
     ShapeMismatchError,
     StaleTapeError,
     _fold_basis,
+    _fold_matmul,
     _module_backward,
     _module_forward,
     make_optimizer,
@@ -44,11 +45,11 @@ def gc_forward(layer, lt, h):
 
 def filter_reference(layer, lt, h):
     """sum_r T_r(L) H theta_r + bias, then the activation, in the engine's
-    order of operations, so a one-branch module must match it bit for bit."""
-    basis = chebyshev_apply(lt, h, layer.order)
-    z = basis[0] @ layer.theta[0]
-    for r in range(1, layer.order + 1):
-        z += basis[r] @ layer.theta[r]
+    order of operations for a first module: the sum over orders is one
+    product off the basis terms side by side, so a one-branch first module
+    must match it bit for bit."""
+    basis = np.hstack(chebyshev_apply(lt, h, layer.order))
+    z = basis @ layer.theta.reshape(-1, layer.d_out)
     z += layer.bias
     return np.maximum(z, 0.0) if layer.activation == "relu" else z
 
@@ -232,20 +233,29 @@ class TestNetworkForward:
         rng = np.random.default_rng(31)
         x = rng.standard_normal((8, 3))
         net = small_network(rng)
-        basis = chebyshev_apply(lt, x, max(br.order for br in net.modules[0].branches))
         s1, _ = network_forward(net, lt, x)
-        s2, _ = network_forward(net, lt, x, input_basis=basis)
-        npt.assert_array_equal(s1, s2)
+        # a basis cached past the module's order gives the same bits
+        for order in (net.modules[0].order, 10):
+            basis = np.hstack(chebyshev_apply(lt, x, order))
+            s2, _ = network_forward(net, lt, x, input_basis=basis)
+            npt.assert_array_equal(s1, s2)
 
-    def test_short_cached_basis_rejected_with_both_counts(self):
+    @pytest.mark.parametrize("basis, given", [
+        (lambda lt, x: np.hstack(chebyshev_apply(lt, x, 1)), "(8, 6)"),
+        (lambda lt, x: np.hstack(chebyshev_apply(lt, x, 3))[1:], "(7, 12)"),
+        (lambda lt, x: np.hstack(chebyshev_apply(lt, x, 3))[:, 1:], "(8, 11)"),
+        (lambda lt, x: chebyshev_apply(lt, x, 3), "(4, 8, 3)"),
+        (lambda lt, x: [], "(0,)"),
+    ])
+    def test_bad_cached_basis_rejected_with_given_and_needed_shape(self, basis, given):
         lt = make_lap(8, seed=35)
         rng = np.random.default_rng(36)
         x = rng.standard_normal((8, 3))
         net = small_network(rng)  # first module's highest order is 2
-        with pytest.raises(ShapeMismatchError, match="has 2 terms.*needs 3"):
-            network_forward(net, lt, x, input_basis=chebyshev_apply(lt, x, 1))
-        with pytest.raises(ShapeMismatchError, match="has 0 terms.*needs 3"):
-            network_forward(net, lt, x, input_basis=[])
+        with pytest.raises(ShapeMismatchError) as info:
+            network_forward(net, lt, x, input_basis=basis(lt, x))
+        assert str(info.value) == ("input_basis must be (8, (k + 1) * 3) for an order k >= 2, "
+                                   f"at least (8, 9), got {given}")
 
     def test_one_basis_per_module(self, monkeypatch):
         calls = []
@@ -262,7 +272,7 @@ class TestNetworkForward:
         network_forward(net, lt, x)
         assert calls == [2, 10]
         calls.clear()
-        network_forward(net, lt, x, input_basis=chebyshev_apply(lt, x, 2))
+        network_forward(net, lt, x, input_basis=np.hstack(chebyshev_apply(lt, x, 2)))
         assert calls == [10]
         # a 3-fold stack on CSR: the module past the first runs one
         # recurrence on the whole stack
@@ -272,7 +282,7 @@ class TestNetworkForward:
         network_forward(stack, lt_csr, x)
         assert calls == [2, 10]
         calls.clear()
-        network_forward(stack, lt_csr, x, input_basis=chebyshev_apply(lt_csr, x, 2))
+        network_forward(stack, lt_csr, x, input_basis=np.hstack(chebyshev_apply(lt_csr, x, 2)))
         assert calls == [10]
 
     def test_no_classifier_mode(self):
@@ -473,7 +483,7 @@ def test_in_place_reverse_recurrence_is_bitwise_the_out_of_place_one(storage):
     module = InceptionModule(branches=[layer])
     g = rng.standard_normal((12, 5))
     _, mtape = _module_forward(module, lt, rng.standard_normal((12, 3)))
-    _, dh = _module_backward(module, lt, mtape, g, need_input_grad=True)
+    _, dh = _module_backward(module, lt, mtape, g)
     g = g * mtape.relu_masks[0]
     npt.assert_array_equal(dh, reverse_pass(lt, [g @ layer.theta[r].T for r in range(5)]))
 
@@ -497,17 +507,12 @@ def test_one_reverse_pass_matches_the_sum_of_per_branch_passes(storage, aggregat
                 br.bias += 0.1 * rng.standard_normal(4)
             _, mtape = _module_forward(module, lt, h)
             g = rng.standard_normal((15, module.d_out))
-            grads, dh = _module_backward(module, lt, mtape, g, need_input_grad=True)
+            grads, dh = _module_backward(module, lt, mtape, g)
             ref = per_branch_input_gradient(module, lt, mtape, g)
             if len(orders) == 1:
                 npt.assert_array_equal(dh, ref)
             else:
                 assert np.abs(dh - ref).max() <= 1e-13 * np.abs(ref).max()
-            no_input, none = _module_backward(module, lt, mtape, g, need_input_grad=False)
-            assert none is None
-            for (dt, db), (dt2, db2) in zip(grads, no_input):
-                npt.assert_array_equal(dt, dt2)
-                npt.assert_array_equal(db, db2)
 
 
 class CountingMatrix(np.ndarray):
@@ -543,7 +548,7 @@ def test_module_after_the_first_runs_its_highest_order_once_each_way(monkeypatch
     lt = NormalizedLaplacian(matrix=make_lap(12, seed=7).toarray().view(CountingMatrix))
     x = rng.standard_normal((12, 3))
     net = multi_branch_network(rng)
-    basis = chebyshev_apply(lt, x, 2)
+    basis = np.hstack(chebyshev_apply(lt, x, 2))
     monkeypatch.setattr(CountingMatrix, "products", 0)
     scores, tape = network_forward(net, lt, x, input_basis=basis)
     assert CountingMatrix.products == 10
@@ -556,6 +561,62 @@ def fold_stack(net, folds):
     if folds is None:
         return net
     return net.map(lambda p: np.stack([p * (-1.5) ** f for f in range(folds)]))
+
+
+class TestFirstModule:
+    """The first module runs each branch as one product off its input's basis
+    terms side by side; a later module sums one product per order."""
+
+    @pytest.mark.parametrize("folds", [None, 3])
+    def test_one_product_per_branch_each_way(self, monkeypatch, folds):
+        shapes = []
+
+        def counting(a, b, f):
+            shapes.append(a.shape)
+            return _fold_matmul(a, b, f)
+
+        monkeypatch.setattr("chebgcn.nn._fold_matmul", counting)
+        rng = np.random.default_rng(90)
+        x = rng.standard_normal((12, 3))
+        module = InceptionModule(branches=[ChebFilterLayer.create(k, 3, 4, rng) for k in (1, 4)])
+        net = fold_stack(Network(modules=[module]), folds)
+        scores, tape = network_forward(net, make_lap(12, seed=90), x)
+        assert shapes == [(12, 6), (12, 15)]
+        shapes.clear()
+        network_backward(tape, np.ones_like(scores))
+        assert shapes == [(6, 12), (15, 12)]  # dtheta only: the input is data
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+    @pytest.mark.parametrize("folds, d", [(1, 2), (3, 2), (3, 32), (2, 200)])
+    def test_fused_products_agree_with_per_order_sums_to_roundoff(self, storage, folds, d):
+        # Each entry is a dot product of length n, (k + 1) d forward and N for
+        # dtheta, computed in two summation orders. Each is within
+        # gamma_n = n eps / (1 - n eps) times the dot product of the absolute
+        # values of the exact one, so they differ by at most twice that.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(91 + d)
+        lt = NormalizedLaplacian(matrix=storage(make_lap(30, seed=d).toarray()))
+        x = rng.standard_normal((30, d))
+        layers = [ChebFilterLayer.create(k, d, 4, rng, activation="linear") for k in (2, 6)]
+        module = fold_stack(Network([InceptionModule(branches=layers)]), folds).modules[0]
+        basis = np.hstack(chebyshev_apply(lt, x, module.order))
+        fused, first = _module_forward(module, lt, x, basis)
+        per_order, later = _module_forward(module, lt, np.tile(x, folds))
+        g = rng.standard_normal(fused.shape)
+        fused_grads, _ = _module_backward(module, lt, first, g)
+        per_order_grads, _ = _module_backward(module, lt, later, g)
+        w = [br.theta.reshape(folds, -1, 4) for br in module.branches]
+        bound_z = np.concatenate([np.abs(basis[:, :t.shape[1]]) @ np.abs(t[f])
+                                  for f in range(folds) for t in w], axis=1)
+        n = (module.order + 1) * d
+        assert (np.abs(fused - per_order) <= 2 * n * eps / (1 - n * eps) * bound_z).all()
+        gs = np.split(np.abs(g), folds * 2, axis=1)
+        n = 30
+        for si, ((dt, _), (dt2, _)) in enumerate(zip(fused_grads, per_order_grads)):
+            cols = w[si].shape[1]
+            bound = np.stack([np.abs(basis[:, :cols]).T @ gs[2 * f + si] for f in range(folds)])
+            diff = np.abs(dt - dt2).reshape(bound.shape)
+            assert (diff <= 2 * n * eps / (1 - n * eps) * bound).all()
 
 
 class TestClassifierLayer:
@@ -771,8 +832,8 @@ def forward_on_zeros(net, **kw):
     (lambda: Network(modules=[InceptionModule(branches=[zero_layer(3, 4)])],
                      classifier_weight=np.zeros((4, 2)), classifier_bias=np.zeros(3)),
      ShapeMismatchError, "classifier bias does not match weight columns"),
-    (lambda: forward_on_zeros(zero_net(), input_basis=[np.zeros((5, 4)), np.zeros((5, 3))]),
-     ShapeMismatchError, "input_basis does not match the given signal"),
+    (lambda: forward_on_zeros(zero_net(), input_basis=np.zeros((5, 4))),
+     ShapeMismatchError, "input_basis must be (5, (k + 1) * 3) for an order k >= 1"),
     (lambda: forward_on_zeros(zero_net(), dropout=1.0), ValueError, "dropout must be in [0, 1)"),
     (lambda: forward_on_zeros(zero_net(folds=2), dropout=0.5,
                              dropout_rng=[np.random.default_rng(0)]),

@@ -11,7 +11,8 @@ Every subcommand takes --config (path or packaged preset name), --seed,
 --out, and --threads; flags override CHEBGCN_* environment variables, which
 override the config file. train, sweep and compare run their folds in
 --threads worker processes, by default one per usable CPU, each with its
-BLAS pinned to one thread; results do not depend on the count. The
+BLAS pinned to one thread; simdata and build-graph format large graph files
+in as many (see chebgcn.io). Output files do not depend on the count. The
 effective config is echoed into the output directory as
 effective-config.yaml, so any run can be repeated from its own output.
 """
@@ -90,7 +91,7 @@ def _check_graph(graph: PopulationGraph) -> None:
 def _save_graph(cfg: dict, graph: PopulationGraph) -> str:
     """Write features.csv and edges.txt; returns the line that reports them."""
     out = _prepare_out(cfg)
-    save_graph(graph, out / "features.csv", out / "edges.txt")
+    save_graph(graph, out / "features.csv", out / "edges.txt", threads=cfg["experiment"]["threads"])
     _check_graph(graph)
     return (f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
             f"{graph.n_nodes} nodes, {graph.n_edges} edges")

@@ -4,7 +4,7 @@ Precedence, lowest to highest: built-in defaults, config file, environment
 variables (CHEBGCN_SEED, CHEBGCN_OUT, CHEBGCN_THREADS), command-line flags.
 Config files are YAML (JSON parses too); packaged presets can be named in
 place of a path. ``experiment.threads`` defaults to null, which leaves the
-worker count to the experiment functions: one worker per usable CPU.
+worker count to ``workers.worker_count``: one worker per usable CPU.
 """
 
 import copy
@@ -58,7 +58,7 @@ DEFAULTS = {
     "experiment": {
         "folds": TrainConfig.n_folds,
         "seed": TrainConfig.seed,
-        "threads": None,  # None: the experiment functions' default
+        "threads": None,  # None: workers.worker_count's default
         "out": "results",
         "k_range": [1, 6],
         "sweep_mode": "pairs",  # pairs | single

@@ -7,15 +7,10 @@ byte-identical results.
 """
 
 import csv
-import ctypes
-import functools
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +29,7 @@ from .nn import (
     network_forward,
 )
 from .simdata import stratified_folds
+from .workers import worker_count, worker_map
 
 
 def derive_seed(*parts) -> int:
@@ -430,29 +426,9 @@ def _run_folds(ctx: _FoldContext, task):
 _worker_context = None
 
 
-@functools.cache
-def _openblas():
-    """NumPy's own OpenBLAS if it exports its set-threads call, else None."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"):
-        lib = ctypes.CDLL(str(path))
-        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return lib
-    return None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _init_worker(ctx: _FoldContext) -> None:
-    """Hand a worker the context and pin its own BLAS to one thread."""
+def _set_worker_context(ctx: _FoldContext) -> None:
     global _worker_context
     _worker_context = ctx
-    if _openblas() is not None:
-        _openblas().scipy_openblas_set_num_threads64_(1)
 
 
 def _run_folds_in_worker(task):
@@ -491,17 +467,16 @@ def _cross_validate(graph, cells, threads) -> list:
     ceil(folds / threads), and every chunk of every cell is one task of a
     single map that trains it as one fold stack; a pool so balances slow
     cells against fast ones and is never nested. The Laplacian and the
-    first-module basis are built once, here. ``threads`` None is one per
-    usable CPU where workers can pin their BLAS, else 1; the tasks run in
-    min(threads, tasks) worker processes when that is above 1, else here.
+    first-module basis are built once, here. ``threads`` None is
+    ``workers.worker_count``'s default; the tasks run in min(threads, tasks)
+    worker processes when that is above 1, else here.
     """
     for arch, _, _ in cells:
         width = arch.modules[-1].width
         if not arch.classifier and width < graph.n_classes:
             raise ValueError(f"without a classifier, the last module's output width {width} "
                              f"must cover the {graph.n_classes} classes")
-    if threads is None:
-        threads = _usable_cpus() if _openblas() is not None else 1
+    threads = worker_count(threads)
     tasks = []
     for arch, cfg, folds in cells:
         indexed = [(fi, train, test) for fi, (train, test) in enumerate(folds)]
@@ -514,9 +489,8 @@ def _cross_validate(graph, cells, threads) -> list:
                        basis=np.hstack(chebyshev_apply(lap, graph.features, order)))
     workers = min(threads, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker, initargs=(ctx,)) as pool:
-            per_task = list(pool.map(_run_folds_in_worker, tasks))
+        with worker_map(workers, _set_worker_context, (ctx,)) as pool_map:
+            per_task = list(pool_map(_run_folds_in_worker, tasks))
     else:
         per_task = [_run_folds(ctx, task) for task in tasks]
     outcomes = iter([outcome for chunk in per_task for outcome in chunk])

@@ -21,6 +21,14 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.slow)
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a worker pool starts."""
+    def refuse(**kwargs):
+        raise AssertionError("no worker pool may start here")
+    monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor", refuse)
+
+
 def random_adjacency(rng, n, p=0.3, weighted=False):
     """Random symmetric adjacency with zero diagonal, built entry by entry."""
     a = np.zeros((n, n))

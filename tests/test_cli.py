@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import chebgcn.workers
 from chebgcn.cli import main
 from chebgcn.experiments import COMPARE_MODELS
 from chebgcn.graph import PopulationGraph
@@ -322,22 +323,57 @@ class TestBuildGraphCommand:
 
 
 @pytest.mark.parametrize("command, mode, result", [
+    ("simdata", "pairs", "edges.txt"),
+    ("build-graph", "pairs", "edges.txt"),
     ("train", "pairs", "cv.csv"),
     ("compare", "pairs", "compare.csv"),
     ("sweep", "single", "boxplot.csv"),
     ("sweep", "pairs", "sweep.csv"),
 ])
-def test_results_do_not_depend_on_threads(tmp_path, command, mode, result):
+def test_results_do_not_depend_on_threads(tmp_path, monkeypatch, command, mode, result):
+    # Graph files of any size are formatted by the workers, in many chunks.
+    monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+    monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 12)
+    started = []
+    pool_class = chebgcn.workers.ProcessPoolExecutor
+    monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                        lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
+    meta_fixture(tmp_path)
     out = tmp_path / "res"
+    extra = {"affinity": {"meta": str(tmp_path / "meta.csv"),
+                          "features": str(tmp_path / "features.csv")}}
     sections = quick_sections(out, training={"epochs": 5, "optimizer": "adam", "dropout": 0.2},
                               experiment={"k_range": [1, 2], "k1": 1, "k2": 2, "width": 4,
-                                          "sweep_mode": mode})
+                                          "sweep_mode": mode},
+                              **(extra if command == "build-graph" else {}))
     cfg = write_cfg(tmp_path, sections)
     outputs = []
     for threads in ("1", "2"):
         assert main([command, "--config", cfg, "--threads", threads]) == 0
-        outputs.append([(out / name).read_bytes() for name in (result, "summary.json")])
+        # every file but the echoed config, which records the count
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()
+                        if path.name != "effective-config.yaml"})
+        assert bool(started) == (threads == "2")
+    assert result in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("config, threads, min_fields", [
+    ("overlap-compare.cfg", None, None),  # 600 nodes: below the size rule
+    ("quick", "1", 0),
+])
+def test_graph_writes_start_no_pool_where_one_costs_more(tmp_path, monkeypatch, no_pool,
+                                                         config, threads, min_fields):
+    if min_fields is not None:
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", min_fields)
+    # Many small chunks, so that only the size rule or the count keeps a pool away.
+    monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 12)
+    out = tmp_path / "res"
+    if config == "quick":
+        config = write_cfg(tmp_path, quick_sections(out))
+    argv = ["simdata", "--config", config, "--out", str(out)]
+    assert main(argv + (["--threads", threads] if threads else [])) == 0
+    assert (out / "edges.txt").stat().st_size > 0
 
 
 @pytest.mark.parametrize("command", ["train", "compare", "sweep"])

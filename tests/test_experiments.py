@@ -1,6 +1,6 @@
 import json
 import re
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -18,11 +18,8 @@ from chebgcn.experiments import (
     SweepSpec,
     TrainConfig,
     _carve_validation,
-    _init_worker,
-    _openblas,
     _run_folds,
     _stack_size,
-    _usable_cpus,
     build_network,
     compare_models,
     config_fingerprint,
@@ -60,9 +57,10 @@ from chebgcn.nn import (
     network_forward,
 )
 from chebgcn.simdata import SimConfig, generate, stratified_folds
+from chebgcn.workers import _openblas, _usable_cpus, worker_map
 
 
-def blas_threads():
+def blas_threads(_=None):
     """Threads NumPy's OpenBLAS runs in the calling process."""
     return _openblas().scipy_openblas_get_num_threads64_()
 
@@ -641,9 +639,8 @@ class TestRunCv:
     @pytest.mark.skipif(_openblas() is None, reason="NumPy's BLAS cannot be pinned here")
     def test_pool_workers_pin_their_own_blas_only(self):
         caller = blas_threads()
-        with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
-                                 initargs=(None,)) as pool:
-            assert pool.submit(blas_threads).result() == 1
+        with worker_map(2) as pool_map:
+            assert list(pool_map(blas_threads, range(4))) == [1, 1, 1, 1]
         assert blas_threads() == caller
 
     def test_to_dict_round_trips_through_json(self, toy_graph):
@@ -660,7 +657,7 @@ class RecordingPool:
 
     def __init__(self, started, max_workers, initializer, initargs):
         started.append(max_workers)
-        self.ctx = initargs[0]
+        self.ctx = initargs[-1]
 
     def __enter__(self):
         return self
@@ -668,8 +665,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [_run_folds(self.ctx, task) for task in tasks]
+    def submit(self, fn, task):
+        future = Future()
+        future.set_result(_run_folds(self.ctx, task))
+        return future
 
 
 class TestWorkerCount:
@@ -684,9 +683,9 @@ class TestWorkerCount:
     def test_threads_resolve_to_workers(self, toy_graph, monkeypatch,
                                         threads, cpus, pinnable, workers):
         started = []
-        monkeypatch.setattr("chebgcn.experiments._usable_cpus", lambda: cpus)
-        monkeypatch.setattr("chebgcn.experiments._openblas", lambda: object() if pinnable else None)
-        monkeypatch.setattr("chebgcn.experiments.ProcessPoolExecutor",
+        monkeypatch.setattr("chebgcn.workers._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("chebgcn.workers._openblas", lambda: object() if pinnable else None)
+        monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
                             lambda **kw: RecordingPool(started, **kw))
         cfg = quick_cfg(epochs=5, n_folds=8)
         res = run_cv(toy_graph, single_layer(2, 8), cfg, threads=threads)

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+import chebgcn.workers
 from chebgcn.graph import PopulationGraph
 from chebgcn.io import (
     FileFormatError,
@@ -269,36 +270,153 @@ class TestWritersByteIdentity:
         assert lines[-3:] == [b"1000,0.0,0.0,1,train", b"1001,1e+16,-1.5,2,test", b""]
 
     def test_edge_list_matches_line_by_line_format_across_chunks(self, tmp_path):
-        rng = np.random.default_rng(1)
-        upper = sp.random_array((3000, 3000), density=0.004, rng=rng, format="coo")
-        adj = sp.triu(upper, k=1).tocsr()
-        adj = adj + adj.T
+        adj = multi_chunk_adjacency()
         write_edge_list(tmp_path / "edges.txt", adj)
-        coo = sp.triu(adj, k=1).tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        expected = "".join(
-            f"{i} {j} {float(w)!r}\n"
-            for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order])
-        )
-        assert coo.nnz > 8192
-        assert (tmp_path / "edges.txt").read_text() == expected
+        assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(adj)
 
     def test_features_match_csv_module_across_chunks(self, tmp_path):
-        rng = np.random.default_rng(2)
-        n, d = 500, 120
-        train = rng.random(n) < 0.5
-        g = PopulationGraph(
-            adjacency=np.zeros((n, n)), features=rng.standard_normal((n, d)) ** 3,
-            labels=rng.integers(0, 4, n), train_mask=train, test_mask=~train,
-        )
+        g = multi_chunk_graph(n=500, d=120)
         write_features_csv(tmp_path / "nodes.csv", g)
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["node"] + [f"f{i}" for i in range(d)] + ["label", "split"])
-        for i in range(n):
-            split = "train" if train[i] else "test"
-            writer.writerow([i] + [repr(float(v)) for v in g.features[i]] + [int(g.labels[i]), split])
-        assert (tmp_path / "nodes.csv").read_bytes() == buf.getvalue().encode()
+        assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(g)
+
+
+def multi_chunk_adjacency(n=3000):
+    """A symmetric CSR adjacency whose edge list spans several chunks."""
+    rng = np.random.default_rng(1)
+    upper = sp.random_array((n, n), density=0.004, rng=rng, format="coo")
+    adj = sp.triu(upper, k=1).tocsr()
+    adj = adj + adj.T
+    assert adj.nnz // 2 > 8192
+    return adj
+
+
+def multi_chunk_graph(n, d, adjacency=None):
+    """A graph whose features CSV spans several chunks."""
+    rng = np.random.default_rng(2)
+    train = rng.random(n) < 0.5
+    return PopulationGraph(
+        adjacency=np.zeros((n, n)) if adjacency is None else adjacency,
+        features=rng.standard_normal((n, d)) ** 3,
+        labels=rng.integers(0, 4, n), train_mask=train, test_mask=~train,
+    )
+
+
+def edge_lines_one_by_one(adj) -> str:
+    coo = sp.triu(adj, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return "".join(
+        f"{i} {j} {float(w)!r}\n"
+        for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order])
+    )
+
+
+def features_by_csv_module(g) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["node"] + [f"f{i}" for i in range(g.n_features)] + ["label", "split"])
+    for i in range(g.n_nodes):
+        split = "train" if g.train_mask[i] else "test"
+        writer.writerow([i] + [repr(float(v)) for v in g.features[i]] + [int(g.labels[i]), split])
+    return buf.getvalue().encode()
+
+
+class CountingPool:
+    """Stands in for ProcessPoolExecutor: runs each task in this process when
+    its result is read, and records the most tasks submitted and not yet read."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.outstanding = self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+        pool = self
+
+        class Pending:
+            def result(self):
+                pool.outstanding -= 1
+                return fn(task)
+
+            def cancel(self):
+                return True
+
+        return Pending()
+
+
+def failing_edge_lines(chunk):
+    if chunk[0][0] > 0:
+        raise RuntimeError("formatting failed in a worker")
+    return "0 1 1.0\n"
+
+
+class TestSaveGraphWorkers:
+    """``save_graph`` formats large graphs in worker processes, with the
+    serial bytes, a bounded number of chunks in flight, and no pool where
+    one costs more than it saves or the graph cannot be written."""
+
+    @pytest.fixture
+    def big(self):
+        # 3000 x 20 feature cells (3 chunks) and about 18,000 edges (3 chunks)
+        return multi_chunk_graph(n=3000, d=20, adjacency=multi_chunk_adjacency())
+
+    def test_two_workers_write_the_serial_bytes(self, tmp_path, monkeypatch, big):
+        started = []
+        pool_class = chebgcn.workers.ProcessPoolExecutor
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                            lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
+        save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
+        assert started == [2]
+        assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
+        assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pooled_write_holds_two_chunks_per_worker(self, tmp_path, monkeypatch, big, threads):
+        pools = []
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 3 * 500)
+        monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                            lambda **kw: pools.append(CountingPool(**kw)) or pools[-1])
+        save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=threads)
+        assert [p.max_workers for p in pools] == [threads]
+        assert pools[0].peak == 2 * threads
+        assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
+        assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
+
+    def test_no_pool_at_one_thread(self, tmp_path, monkeypatch, no_pool, big):
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=1)
+        assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
+
+    def test_no_pool_below_the_size_rule(self, tmp_path, monkeypatch, no_pool, big):
+        fields = big.n_nodes * (big.n_features + 3) + 3 * big.n_edges
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", fields + 1)
+        save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
+        assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
+
+    def test_uncovered_masks_fail_before_a_pool_or_a_file(self, tmp_path, monkeypatch, no_pool,
+                                                          big):
+        train = big.train_mask.copy()
+        train[7] = False
+        g = PopulationGraph(adjacency=big.adjacency, features=big.features, labels=big.labels,
+                            train_mask=train, test_mask=big.test_mask)
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        with pytest.raises(ValueError, match="every node needs a split tag"):
+            save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, big):
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        monkeypatch.setattr("chebgcn.io._edge_lines", failing_edge_lines)
+        with pytest.raises(RuntimeError, match="formatting failed in a worker"):
+            save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
 
 
 class TestFeaturesCsv:

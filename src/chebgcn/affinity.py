@@ -245,5 +245,4 @@ def affinity_graph(
         features=features,
         labels=labels,
         train_mask=np.ones(n, dtype=bool),
-        test_mask=np.zeros(n, dtype=bool),
     )

@@ -107,7 +107,7 @@ def cmd_build_graph(cfg: dict) -> int:
     aff = cfg["affinity"]
     _require_file(aff["meta"], "affinity.meta")
     _require_file(aff["features"], "affinity.features")
-    features, labels, train, test = read_features_csv(aff["features"])
+    features, labels, train = read_features_csv(aff["features"])
     columns = read_meta_csv(aff["meta"])
     names = aff["elements"] if aff["elements"] is not None else list(columns)
     unused = [name for name in aff["betas"] if name not in names]
@@ -132,13 +132,12 @@ def cmd_build_graph(cfg: dict) -> int:
     adjacency, counts = _build_affinity(
         elements, features, kernel, aff["mode"], aff["element"], aff["strict"]
     )
-    graph = PopulationGraph(
-        adjacency=adjacency, features=features, labels=labels,
-        train_mask=train, test_mask=test,
-    )
+    graph = PopulationGraph(adjacency=adjacency, features=features, labels=labels,
+                            train_mask=train)
     wrote = _save_graph(cfg, graph)
     isolated = int(np.sum(graph.degrees() == 0))
-    if isolated:
+    # An edgeless graph has had its warning from _save_graph.
+    if isolated and graph.n_edges:
         _warn(f"{isolated} nodes are isolated under the current thresholds")
     for el, n_edges in counts:
         print(f"element {el.name}: {n_edges} edges (beta={el.beta})")

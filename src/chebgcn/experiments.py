@@ -248,7 +248,9 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     weights it held when that was found, which a step that overflowed leaves
     non-finite (a diverged fold feeds no result). Dropout and the monitored
     loss both follow the usual convention: dropout is on for the update pass
-    only. ``input_basis`` is the first module's (N, (k + 1) d) basis matrix as
+    only. Early stopping on ``stop_metric="val"`` needs ``val_mask``, and a
+    fold whose ``val_mask`` is empty monitors its training loss.
+    ``input_basis`` is the first module's (N, (k + 1) d) basis matrix as
     ``network_forward`` takes it; without it, it is built once here.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
@@ -256,6 +258,8 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     _require_stack(net, lap, train_mask=train_mask, val_mask=val_mask)
     if cfg.dropout > 0.0 and dropout_rng is None:
         raise ValueError("dropout needs one random generator per fold")
+    if cfg.early_stop_window > 0 and cfg.stop_metric == "val" and val_mask is None:
+        raise ValueError('early stopping on stop_metric "val" needs a val_mask')
     if input_basis is None:
         input_basis = np.hstack(chebyshev_apply(lap, x, net.modules[0].order))
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
@@ -265,7 +269,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     if cfg.early_stop_window > 0:
         stoppers = [EarlyStopper(cfg.early_stop_window) for _ in active]
         monitor_mask = train_mask
-        if cfg.stop_metric == "val" and val_mask is not None:
+        if cfg.stop_metric == "val":
             monitor_mask = np.where(val_mask.any(axis=1)[:, None], val_mask, train_mask)
     work = net
 

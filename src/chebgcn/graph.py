@@ -6,7 +6,7 @@ ndarray at or above it. Laplacians keep the storage of their adjacency, and
 both storage paths compute the same values to within floating-point roundoff.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,8 +95,10 @@ class PopulationGraph:
         One row of finite measurements per node.
     labels : ndarray of int, (N,)
         Class index per node, in ``[0, n_classes)``.
-    train_mask, test_mask : ndarray of bool, (N,)
-        Disjoint split membership flags.
+    train_mask : ndarray of bool, (N,)
+        Training-split membership; every other node is a test node.
+    test_mask : ndarray of bool, (N,)
+        Not a parameter: ``~train_mask``, computed on construction.
 
     The adjacency is stored as :func:`to_storage` picks. Instances are
     immutable: arrays are copied on construction and their buffers marked
@@ -107,14 +109,13 @@ class PopulationGraph:
     features: np.ndarray
     labels: np.ndarray
     train_mask: np.ndarray
-    test_mask: np.ndarray
+    test_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         adj = to_storage(self.adjacency)
         feats = np.array(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
         train = np.array(self.train_mask, dtype=bool)
-        test = np.array(self.test_mask, dtype=bool)
 
         _check_adjacency(adj)
         n = adj.shape[0]
@@ -130,11 +131,8 @@ class PopulationGraph:
             raise GraphInvariantError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.min() < 0:
             raise GraphInvariantError("labels must be nonnegative class indices")
-        for name, mask in (("train_mask", train), ("test_mask", test)):
-            if mask.shape != (n,):
-                raise GraphInvariantError(f"{name} must be a boolean array of length {n}")
-        if bool(np.any(train & test)):
-            raise GraphInvariantError("train and test masks overlap")
+        if train.shape != (n,):
+            raise GraphInvariantError(f"train_mask must be a boolean array of length {n}")
         if not np.isfinite(feats).all():
             node, col = np.argwhere(~np.isfinite(feats))[0]
             raise GraphInvariantError(
@@ -142,6 +140,7 @@ class PopulationGraph:
             )
 
         labels = labels.astype(np.int64)
+        test = ~train
         for arr in (feats, labels, train, test):
             arr.setflags(write=False)
         _freeze(adj)

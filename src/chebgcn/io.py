@@ -32,8 +32,10 @@ Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
   ``n_nodes ** 2``.
 """
 
+import contextlib
 import csv
 import math
+import os
 import warnings
 
 import numpy as np
@@ -154,11 +156,6 @@ def read_edge_list(path, n_nodes: int) -> sp.csr_array:
     )
 
 
-def _check_split_tags(graph: PopulationGraph) -> None:
-    if not bool((graph.train_mask | graph.test_mask).all()):
-        raise ValueError("every node needs a split tag: train and test masks must cover all nodes")
-
-
 def _feature_lines(chunk) -> str:
     """The CSV rows of one (first node, features, labels, splits) chunk."""
     start, feats, labels, splits = chunk
@@ -170,13 +167,11 @@ def _feature_lines(chunk) -> str:
 
 
 def write_features_csv(path, graph: PopulationGraph, map_chunks=map) -> None:
-    """Write node features, labels, and split tags as ``node,f0,...,label,split``.
-
-    Every node must belong to exactly one of the train/test masks so the
-    split column loses no information. Lines end in ``\\r\\n``, as the csv
-    module writes them. ``map_chunks`` formats the chunks.
+    """Write node features, labels, and split tags as ``node,f0,...,label,split``,
+    where the split is ``train`` for the nodes of ``graph.train_mask`` and
+    ``test`` for all others. Lines end in ``\\r\\n``, as the csv module
+    writes them. ``map_chunks`` formats the chunks.
     """
-    _check_split_tags(graph)
     header = ["node"] + [f"f{i}" for i in range(graph.n_features)] + ["label", "split"]
     splits = np.where(graph.train_mask, "train", "test")
     step = max(1, _CHUNK_FIELDS // len(header))
@@ -221,7 +216,7 @@ def _features_error(path, n_fields: int) -> FileFormatError:
 
 
 def read_features_csv(path):
-    """Read a features CSV back into (features, labels, train_mask, test_mask).
+    """Read a features CSV back into (features, labels, train_mask).
 
     Rows may come in any order; node ids must cover 0..N-1 exactly once.
     """
@@ -255,36 +250,56 @@ def read_features_csv(path):
     n = nodes.size
     if not np.array_equal(nodes, np.arange(n)):
         raise FileFormatError(f"{path}: node ids must cover 0..{n - 1} exactly")
-    return rows["features"][order], rows["label"][order], train[order], ~train[order]
+    return rows["features"][order], rows["label"][order], train[order]
+
+
+def _new_file_beside(path) -> str:
+    """Create an empty file under a fresh hidden name in ``path``'s directory,
+    with the permissions ``open`` gives a new file; returns its name."""
+    head, tail = os.path.split(os.fspath(path))
+    temp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    return temp
 
 
 def save_graph(graph: PopulationGraph, features_path, edges_path, threads=None) -> None:
     """Write ``features_path`` (:func:`write_features_csv`) and ``edges_path``
     (:func:`write_edge_list`), formatting their chunks in ``threads`` worker
     processes (None: ``workers.worker_count``'s default) when the graph holds
-    at least ``POOL_MIN_FIELDS`` fields, else here."""
-    _check_split_tags(graph)
+    at least ``POOL_MIN_FIELDS`` fields, else here.
+
+    Both files are written whole or not at all: each goes to a temporary file
+    beside its target, and the two are moved onto their targets, features
+    first, once both are complete. If anything fails before that, the
+    temporary files are removed and files already at the targets stay as
+    they were.
+    """
     fields = graph.n_nodes * (graph.n_features + 3) + 3 * graph.n_edges
     workers = 1
     if fields >= POOL_MIN_FIELDS:
         # A chunk holds at most _CHUNK_FIELDS fields: no more workers than chunks.
         workers = min(worker_count(threads), math.ceil(fields / _CHUNK_FIELDS))
-    with worker_map(workers) as map_chunks:
-        write_features_csv(features_path, graph, map_chunks)
-        write_edge_list(edges_path, graph.adjacency, map_chunks)
+    temps = []
+    try:
+        for path in (features_path, edges_path):
+            temps.append(_new_file_beside(path))
+        with worker_map(workers) as map_chunks:
+            write_features_csv(temps[0], graph, map_chunks)
+            write_edge_list(temps[1], graph.adjacency, map_chunks)
+        os.replace(temps[0], features_path)
+        os.replace(temps[1], edges_path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
 
 
 def load_graph(features_path, edges_path) -> PopulationGraph:
     """Assemble a :class:`PopulationGraph` from a features CSV and an edge list."""
-    features, labels, train, test = read_features_csv(features_path)
+    features, labels, train = read_features_csv(features_path)
     adjacency = read_edge_list(edges_path, n_nodes=features.shape[0])
-    return PopulationGraph(
-        adjacency=adjacency,
-        features=features,
-        labels=labels,
-        train_mask=train,
-        test_mask=test,
-    )
+    return PopulationGraph(adjacency=adjacency, features=features, labels=labels, train_mask=train)
 
 
 def read_meta_csv(path):

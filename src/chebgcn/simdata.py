@@ -88,7 +88,6 @@ def generate(config: SimConfig) -> PopulationGraph:
         features=features,
         labels=labels,
         train_mask=np.ones(total, dtype=bool),
-        test_mask=np.zeros(total, dtype=bool),
     )
 
 

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import yaml
 
 import chebgcn.workers
+from chebgcn.affinity import MetaElement, affinity_graph
 from chebgcn.cli import main
 from chebgcn.experiments import COMPARE_MODELS
 from chebgcn.graph import PopulationGraph
-from chebgcn.io import read_edge_list, read_features_csv, write_features_csv
+from chebgcn.io import load_graph, read_edge_list, read_features_csv, write_features_csv
+from chebgcn.simdata import SimConfig, generate
 
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
@@ -33,9 +37,9 @@ class TestSimdataCommand:
         out = tmp_path / "res"
         cfg = write_cfg(tmp_path, quick_sections(out))
         assert main(["simdata", "--config", cfg]) == 0
-        feats, labels, train, test = read_features_csv(out / "features.csv")
+        feats, labels, train = read_features_csv(out / "features.csv")
         assert feats.shape == (30, 2)
-        assert train.all() and not test.any()
+        assert train.all()
         adj = read_edge_list(out / "edges.txt", n_nodes=30)
         assert (adj != 0).sum() > 0
         echoed = yaml.safe_load((out / "effective-config.yaml").read_text())
@@ -138,7 +142,6 @@ class TestTrainCommand:
             features=rng.standard_normal((n, 2)),
             labels=np.tile([0, 1], n // 2),
             train_mask=train,
-            test_mask=~train,
         )
         write_features_csv(tmp_path / "features.csv", graph)
         from chebgcn.io import write_edge_list
@@ -222,7 +225,6 @@ def meta_fixture(tmp_path):
         features=rng.standard_normal((n, 4)),
         labels=np.tile([0, 1], 4),
         train_mask=train,
-        test_mask=~train,
     )
     write_features_csv(tmp_path / "features.csv", graph)
     ages = [50, 52, 60, 61, 70, 71, 80, 95]
@@ -261,7 +263,7 @@ class TestBuildGraphCommand:
             assert "single over 1 elements" in captured.out
         adj = read_edge_list(out / "edges.txt", n_nodes=8)
         assert (adj != 0).sum() > 0
-        feats, labels, train, test = read_features_csv(out / "features.csv")
+        feats, labels, train = read_features_csv(out / "features.csv")
         assert feats.shape == (8, 4)
 
     def test_node_without_its_only_gating_value_is_reported_isolated(self, tmp_path, capsys):
@@ -276,9 +278,23 @@ class TestBuildGraphCommand:
         assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 0
         # (50, 52) and (70, 71) stay linked; node 2 (age 60) lost its only
         # partner to node 3's missing age, and 80 and 95 have none
-        assert "warning: 4 nodes are isolated under the current thresholds" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 4 nodes are isolated under the current thresholds"]
         assert (out / "edges.txt").exists()
+
+    def test_edgeless_graph_gets_one_warning(self, tmp_path, capsys):
+        # one site per node: no two nodes share a gate
+        (tmp_path / "features.csv").write_text(
+            "node,f0,f1,label,split\n"
+            + "".join(f"{i},{i + 1},{i % 3},{i % 2},train\n" for i in range(6)))
+        (tmp_path / "meta.csv").write_text(
+            "node,site\n" + "".join(f"{i},s{i}\n" for i in range(6)))
+        sections = quick_sections(tmp_path / "res", affinity={
+            "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv"),
+        })
+        assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: graph has no edges; every node is isolated"]
 
     def test_missing_meta_column_is_a_config_error(self, tmp_path, capsys):
         meta_fixture(tmp_path)
@@ -320,6 +336,46 @@ class TestBuildGraphCommand:
         cfg = write_cfg(tmp_path, sections)
         assert main(["build-graph", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def generated_graph(tmp_path):
+    return generate(SimConfig(n_per_class=4))
+
+
+def affinity_built_graph(tmp_path):
+    site = MetaElement(name="site", values=np.array([0.0, 0.0, 1.0, 1.0]), beta=0.0)
+    return affinity_graph([site], np.eye(4), np.array([0, 1, 0, 1]))
+
+
+def loaded_graph(tmp_path):
+    meta_fixture(tmp_path)
+    (tmp_path / "edges.txt").write_text("0 1 1.0\n")
+    return load_graph(tmp_path / "features.csv", tmp_path / "edges.txt")
+
+
+def build_graph_output(tmp_path):
+    meta_fixture(tmp_path)
+    out = tmp_path / "res"
+    sections = quick_sections(out, affinity={"meta": str(tmp_path / "meta.csv"),
+                                             "features": str(tmp_path / "features.csv")})
+    assert main(["build-graph", "--config", write_cfg(tmp_path, sections)]) == 0
+    return load_graph(out / "features.csv", out / "edges.txt")
+
+
+@pytest.mark.parametrize("produce, train", [
+    (generated_graph, [True] * 8),
+    (affinity_built_graph, [True] * 4),
+    (loaded_graph, [True] * 4 + [False] * 4),  # meta_fixture's mixed split
+    (build_graph_output, [True] * 4 + [False] * 4),
+])
+def test_test_mask_is_the_read_only_complement_of_train_mask(tmp_path, produce, train):
+    graph = produce(tmp_path)
+    npt.assert_array_equal(graph.train_mask, train)
+    npt.assert_array_equal(graph.test_mask, ~graph.train_mask)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.test_mask[0] = not graph.test_mask[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.test_mask = graph.train_mask
 
 
 @pytest.mark.parametrize("command, mode, result", [

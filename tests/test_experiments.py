@@ -344,8 +344,7 @@ class TestTrainAndEvaluate:
         x[6] = 1.5e308
         labels = np.arange(7) % 2
         mask = np.arange(7) < 6
-        graph = PopulationGraph(adjacency=adj, features=x, labels=labels,
-                                train_mask=mask, test_mask=~mask)
+        graph = PopulationGraph(adjacency=adj, features=x, labels=labels, train_mask=mask)
         lap = rescale_laplacian(build_laplacian(graph))
         net = build_network(single_layer(1, 4), 2, 2, np.random.default_rng(2))
         scores, tape = network_forward(net, lap, x)
@@ -434,6 +433,17 @@ class TestTrainAndEvaluate:
         with pytest.raises(ShapeMismatchError, match="val_mask"):
             train_network(net, lap, x, labels, np.ones((1, 4), bool), quick_cfg(),
                           val_mask=np.ones(4, bool))
+
+    def test_val_early_stopping_without_a_val_mask_is_rejected(self, monkeypatch):
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr("chebgcn.experiments.network_forward", no_epoch)
+        net = identity_readout_net(2).map(lambda p: p[None])
+        lap = rescale_laplacian(build_laplacian(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="val_mask"):
+            train_network(net, lap, np.zeros((2, 2)), np.zeros(2, int), np.ones((1, 2), bool),
+                          quick_cfg(early_stop_window=3, stop_metric="val"))
 
     def test_dropout_without_generators_is_rejected(self):
         net = identity_readout_net(2).map(lambda p: p[None])

@@ -34,7 +34,6 @@ def make_graph(adjacency, **fields):
         "features": np.arange(2 * n, dtype=float).reshape(n, 2),
         "labels": np.zeros(n, dtype=np.int64),
         "train_mask": np.ones(n, dtype=bool),
-        "test_mask": np.zeros(n, dtype=bool),
         **fields,
     })
 
@@ -304,7 +303,6 @@ class TestPopulationGraph:
                 features=feats,
                 labels=np.zeros(3, dtype=np.int64),
                 train_mask=np.ones(3, dtype=bool),
-                test_mask=np.zeros(3, dtype=bool),
             )
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
@@ -317,17 +315,6 @@ class TestPopulationGraph:
         with pytest.raises(GraphInvariantError, match=rf"finite: edge \(1, 2\) is {weight}"):
             make_graph(a)
 
-    def test_rejects_overlapping_masks(self):
-        a = path_adjacency(3)
-        with pytest.raises(GraphInvariantError):
-            PopulationGraph(
-                adjacency=a,
-                features=np.zeros((3, 1)),
-                labels=np.zeros(3, dtype=np.int64),
-                train_mask=np.ones(3, dtype=bool),
-                test_mask=np.array([True, False, False]),
-            )
-
     def test_rejects_non_integer_labels(self):
         with pytest.raises(GraphInvariantError):
             PopulationGraph(
@@ -335,8 +322,11 @@ class TestPopulationGraph:
                 features=np.zeros((2, 1)),
                 labels=np.array([0.0, 1.0]),
                 train_mask=np.ones(2, dtype=bool),
-                test_mask=np.zeros(2, dtype=bool),
             )
+
+    def test_test_mask_is_no_parameter(self):
+        with pytest.raises(TypeError, match="test_mask"):
+            make_graph(path_adjacency(3), test_mask=np.zeros(3, dtype=bool))
 
     def test_arrays_are_read_only(self):
         g = make_graph(path_adjacency(4))
@@ -351,7 +341,6 @@ class TestPopulationGraph:
             features=np.zeros((4, 3)),
             labels=np.array([0, 1, 2, 1]),
             train_mask=np.ones(4, dtype=bool),
-            test_mask=np.zeros(4, dtype=bool),
         )
         assert g.n_nodes == 4
         assert g.n_features == 3
@@ -405,8 +394,6 @@ class TestPopulationGraph:
      GraphInvariantError, "labels must be nonnegative"),
     (lambda: make_graph(path_adjacency(3), train_mask=np.ones(2, dtype=bool)),
      GraphInvariantError, "train_mask must be a boolean array of length 3"),
-    (lambda: make_graph(path_adjacency(3), test_mask=np.zeros(4, dtype=bool)),
-     GraphInvariantError, "test_mask must be a boolean array of length 3"),
     (lambda: NormalizedLaplacian(matrix=np.zeros((2, 3))),
      GraphInvariantError, "Laplacian must be square, got (2, 3)"),
     (lambda: khop_reach(build_laplacian(path_adjacency(3)), -1),

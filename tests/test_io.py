@@ -36,7 +36,6 @@ def tiny_graph(n=6, seed=0, p=0.5):
         features=rng.standard_normal((n, 3)),
         labels=labels,
         train_mask=train,
-        test_mask=~train,
     )
 
 
@@ -143,7 +142,7 @@ class TestEdgeList:
         g = PopulationGraph(
             adjacency=np.zeros((10, 10)), features=np.zeros((10, 1)),
             labels=np.zeros(10, dtype=np.int64),
-            train_mask=np.ones(10, dtype=bool), test_mask=np.zeros(10, dtype=bool),
+            train_mask=np.ones(10, dtype=bool),
         )
         write_features_csv(tmp_path / "nodes.csv", g)
         lines = ["0 1 1.0"] + [f"{i} {j} 0.0" for i in range(10) for j in range(i + 1, 10) if j > 1]
@@ -201,7 +200,7 @@ class TestEdgeList:
         train = rng.random(n) < 0.5
         g = PopulationGraph(
             adjacency=upper, features=rng.standard_normal((n, 2)),
-            labels=rng.integers(0, 2, n), train_mask=train, test_mask=~train,
+            labels=rng.integers(0, 2, n), train_mask=train,
         )
         save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt")
         tracemalloc.start()
@@ -232,7 +231,7 @@ class TestWritersByteIdentity:
         train = np.arange(n) % 2 == 0
         return PopulationGraph(
             adjacency=upper + upper.T, features=feats, labels=np.arange(n) % 3,
-            train_mask=train, test_mask=~train,
+            train_mask=train,
         )
 
     @pytest.mark.parametrize("storage", ["dense", "sparse", "sparse-unsorted"])
@@ -297,7 +296,7 @@ def multi_chunk_graph(n, d, adjacency=None):
     return PopulationGraph(
         adjacency=np.zeros((n, n)) if adjacency is None else adjacency,
         features=rng.standard_normal((n, d)) ** 3,
-        labels=rng.integers(0, 4, n), train_mask=train, test_mask=~train,
+        labels=rng.integers(0, 4, n), train_mask=train,
     )
 
 
@@ -374,6 +373,10 @@ class TestSaveGraphWorkers:
                             lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
         save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
         assert started == [2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt", "nodes.csv"]
+        # the files get the permissions open() gives a new file
+        (tmp_path / "plain").touch()
+        assert (tmp_path / "nodes.csv").stat().st_mode == (tmp_path / "plain").stat().st_mode
         assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
         assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
 
@@ -401,22 +404,25 @@ class TestSaveGraphWorkers:
         save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
         assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
 
-    def test_uncovered_masks_fail_before_a_pool_or_a_file(self, tmp_path, monkeypatch, no_pool,
-                                                          big):
-        train = big.train_mask.copy()
-        train[7] = False
-        g = PopulationGraph(adjacency=big.adjacency, features=big.features, labels=big.labels,
-                            train_mask=train, test_mask=big.test_mask)
-        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
-        with pytest.raises(ValueError, match="every node needs a split tag"):
-            save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
-        assert list(tmp_path.iterdir()) == []
-
     def test_a_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, big):
         monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
         monkeypatch.setattr("chebgcn.io._edge_lines", failing_edge_lines)
         with pytest.raises(RuntimeError, match="formatting failed in a worker"):
             save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["empty-dir", "earlier-graph"])
+    def test_a_failed_write_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch, big,
+                                                            threads, earlier):
+        # the second edge chunk fails after features.csv and one edge chunk are written
+        if earlier:
+            save_graph(tiny_graph(), tmp_path / "nodes.csv", tmp_path / "edges.txt")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        monkeypatch.setattr("chebgcn.io._edge_lines", failing_edge_lines)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=threads)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestFeaturesCsv:
@@ -424,29 +430,16 @@ class TestFeaturesCsv:
         g = tiny_graph(seed=5)
         path = tmp_path / "nodes.csv"
         write_features_csv(path, g)
-        feats, labels, train, test = read_features_csv(path)
+        feats, labels, train = read_features_csv(path)
         npt.assert_array_equal(feats, g.features)
         npt.assert_array_equal(labels, g.labels)
         npt.assert_array_equal(train, g.train_mask)
-        npt.assert_array_equal(test, g.test_mask)
 
     def test_header_line(self, tmp_path):
         g = tiny_graph(seed=6)
         path = tmp_path / "nodes.csv"
         write_features_csv(path, g)
         assert path.read_text().splitlines()[0] == "node,f0,f1,f2,label,split"
-
-    def test_uncovered_node_rejected_on_write(self, tmp_path):
-        g = tiny_graph(seed=7)
-        uncovered = PopulationGraph(
-            adjacency=np.asarray(g.adjacency).copy(),
-            features=g.features.copy(),
-            labels=g.labels.copy(),
-            train_mask=g.train_mask.copy(),
-            test_mask=np.zeros(g.n_nodes, dtype=bool),
-        )
-        with pytest.raises(ValueError, match="split"):
-            write_features_csv(tmp_path / "nodes.csv", uncovered)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "nodes.csv"
@@ -480,9 +473,9 @@ class TestFeaturesCsv:
 
     def test_header_only_gives_no_nodes(self, tmp_path):
         path = write_text(tmp_path, "node,f0,f1,label,split\r\n", "nodes.csv")
-        feats, labels, train, test = read_features_csv(path)
+        feats, labels, train = read_features_csv(path)
         assert feats.shape == (0, 2)
-        assert labels.shape == train.shape == test.shape == (0,)
+        assert labels.shape == train.shape == (0,)
 
     def test_rows_in_any_order_and_split_tags_normalized(self, tmp_path):
         path = write_text(
@@ -490,11 +483,10 @@ class TestFeaturesCsv:
             "node,f0,label,split\n2,3.0,1, Test\n\n0,1.0,0,TRAIN\n1,2.0,1,\"train\"\n",
             "nodes.csv",
         )
-        feats, labels, train, test = read_features_csv(path)
+        feats, labels, train = read_features_csv(path)
         npt.assert_array_equal(feats, [[1.0], [2.0], [3.0]])
         npt.assert_array_equal(labels, [0, 1, 1])
         npt.assert_array_equal(train, [True, True, False])
-        npt.assert_array_equal(test, ~train)
 
     @pytest.mark.parametrize(
         "bad_row, message",

@@ -12,7 +12,9 @@ Every subcommand takes --config (path or packaged preset name), --seed,
 override the config file. train, sweep and compare run their folds in
 --threads worker processes, by default one per usable CPU, each with its
 BLAS pinned to one thread; simdata and build-graph format large graph files
-in as many (see chebgcn.io). Output files do not depend on the count. The
+in as many, and write a binary sidecar beside edges.txt that later loads of
+the graph use instead of parsing the text while it matches (see
+chebgcn.io). Output files do not depend on the count. The
 effective config is echoed into the output directory as
 effective-config.yaml, so any run can be repeated from its own output.
 """
@@ -89,7 +91,8 @@ def _check_graph(graph: PopulationGraph) -> None:
 
 
 def _save_graph(cfg: dict, graph: PopulationGraph) -> str:
-    """Write features.csv and edges.txt; returns the line that reports them."""
+    """Write features.csv, edges.txt and its sidecar; returns the line that
+    reports the text files."""
     out = _prepare_out(cfg)
     save_graph(graph, out / "features.csv", out / "edges.txt", threads=cfg["experiment"]["threads"])
     _check_graph(graph)

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 import yaml
 
+import chebgcn.io
 import chebgcn.workers
 from chebgcn.affinity import MetaElement, affinity_graph
 from chebgcn.cli import main
@@ -411,7 +413,47 @@ def test_results_do_not_depend_on_threads(tmp_path, monkeypatch, command, mode, 
                         if path.name != "effective-config.yaml"})
         assert bool(started) == (threads == "2")
     assert result in outputs[0]
+    if command in ("simdata", "build-graph"):
+        assert "edges.txt.cache" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, sparse", [("simdata", True), ("build-graph", False)])
+def test_the_graph_sidecar_changes_no_result(tmp_path, monkeypatch, command, sparse):
+    meta_fixture(tmp_path)
+    data = tmp_path / "data"
+    extra = {"affinity": {"meta": str(tmp_path / "meta.csv"),
+                          "features": str(tmp_path / "features.csv")}}
+    sections = quick_sections(data, sim={"beta": 0.4}, **(extra if command == "build-graph" else {}))
+    assert main([command, "--config", write_cfg(tmp_path, sections, "graph.yaml")]) == 0
+    paths = data / "features.csv", data / "edges.txt"
+    sidecar = data / "edges.txt.cache"
+    saved = sidecar.read_bytes()
+    parses = []
+    read_edge_list = chebgcn.io.read_edge_list
+    monkeypatch.setattr("chebgcn.io.read_edge_list",
+                        lambda *a, **kw: parses.append(a) or read_edge_list(*a, **kw))
+    graphs, results = [], []
+    for use_sidecar in (True, False):
+        if use_sidecar:
+            sidecar.write_bytes(saved)
+        else:
+            sidecar.unlink()
+        graphs.append(load_graph(*paths))
+        out = tmp_path / f"res-{use_sidecar}"
+        train = quick_sections(out, dataset={"source": "files", "features": str(paths[0]),
+                                             "edges": str(paths[1])})
+        assert main(["train", "--config", write_cfg(tmp_path, train, "train.yaml")]) == 0
+        results.append({name: (out / name).read_bytes() for name in ("cv.csv", "summary.json")})
+        # the sidecar run parses nothing; the other parses once per load
+        assert len(parses) == (0 if use_sidecar else 2)
+    hit, miss = graphs
+    assert sp.issparse(hit.adjacency) == sp.issparse(miss.adjacency) == sparse
+    npt.assert_array_equal(sp.csr_array(hit.adjacency).toarray(),
+                           sp.csr_array(miss.adjacency).toarray())
+    for field in ("features", "labels", "train_mask", "test_mask"):
+        npt.assert_array_equal(getattr(hit, field), getattr(miss, field))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("config, threads, min_fields", [

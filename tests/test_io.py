@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+import chebgcn.io
 import chebgcn.workers
 from chebgcn.graph import PopulationGraph
 from chebgcn.io import (
@@ -186,7 +187,8 @@ class TestEdgeList:
         with pytest.raises(FileFormatError, match=r"edges\.txt:2: node index out of range"):
             read_edge_list(path, n_nodes=3)
 
-    def test_sparse_graph_loads_in_o_nnz_memory(self, tmp_path):
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "parse"])
+    def test_sparse_graph_loads_in_o_nnz_memory(self, tmp_path, sidecar):
         # 20,000 nodes: a dense (N, N) float64 array would take 3.2 GB
         n = 20_000
         rng = np.random.default_rng(0)
@@ -203,6 +205,8 @@ class TestEdgeList:
             labels=rng.integers(0, 2, n), train_mask=train,
         )
         save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt")
+        if not sidecar:
+            (tmp_path / "edges.txt.cache").unlink()
         tracemalloc.start()
         try:
             back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt")
@@ -373,10 +377,12 @@ class TestSaveGraphWorkers:
                             lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
         save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=2)
         assert started == [2]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt", "nodes.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "edges.txt", "edges.txt.cache", "nodes.csv"]
         # the files get the permissions open() gives a new file
         (tmp_path / "plain").touch()
-        assert (tmp_path / "nodes.csv").stat().st_mode == (tmp_path / "plain").stat().st_mode
+        for name in ("nodes.csv", "edges.txt.cache"):
+            assert (tmp_path / name).stat().st_mode == (tmp_path / "plain").stat().st_mode
         assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
         assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
 
@@ -418,6 +424,7 @@ class TestSaveGraphWorkers:
         if earlier:
             save_graph(tiny_graph(), tmp_path / "nodes.csv", tmp_path / "edges.txt")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == (["edges.txt", "edges.txt.cache", "nodes.csv"] if earlier else [])
         monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
         monkeypatch.setattr("chebgcn.io._edge_lines", failing_edge_lines)
         with pytest.raises(RuntimeError, match="formatting failed"):
@@ -522,6 +529,147 @@ class TestGraphRoundTrip:
         npt.assert_array_equal(back.labels, g.labels)
         npt.assert_array_equal(back.train_mask, g.train_mask)
         npt.assert_array_equal(back.test_mask, g.test_mask)
+
+
+def parsed_graph(features_path, edges_path):
+    """The graph the two text files give, without the sidecar."""
+    features, labels, train = read_features_csv(features_path)
+    adjacency = read_edge_list(edges_path, n_nodes=features.shape[0])
+    return PopulationGraph(adjacency=adjacency, features=features, labels=labels, train_mask=train)
+
+
+def assert_same_graph(a, b):
+    assert sp.issparse(a.adjacency) == sp.issparse(b.adjacency)
+    if sp.issparse(a.adjacency):
+        for field in ("data", "indices", "indptr"):
+            npt.assert_array_equal(getattr(a.adjacency, field), getattr(b.adjacency, field))
+    else:
+        npt.assert_array_equal(a.adjacency, b.adjacency)
+    for field in ("features", "labels", "train_mask", "test_mask"):
+        assert getattr(a, field).dtype == getattr(b, field).dtype
+        npt.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+def change_one_byte(path, lineno):
+    """Raise the first fractional digit on line ``lineno`` by one, mod 10."""
+    lines = path.read_bytes().split(b"\n")
+    line = bytearray(lines[lineno - 1])
+    k = line.index(b".") + 1
+    line[k] = ord("0") + (line[k] - ord("0") + 1) % 10
+    lines[lineno - 1] = bytes(line)
+    path.write_bytes(b"\n".join(lines))
+
+
+def directory_state(path):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in path.iterdir()}
+
+
+class TestSidecar:
+    """``save_graph``'s binary sidecar: ``load_graph`` uses it only when it
+    matches both text files and itself, and then gives the graph the text gives."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Counts the text parses ``load_graph`` runs."""
+        calls = []
+        for name in ("read_features_csv", "read_edge_list"):
+            real = getattr(chebgcn.io, name)
+            monkeypatch.setattr(f"chebgcn.io.{name}",
+                                lambda *a, _real=real, **kw: calls.append(_real) or _real(*a, **kw))
+        return calls
+
+    def save(self, directory, graph):
+        directory.mkdir(exist_ok=True)
+        save_graph(graph, directory / "nodes.csv", directory / "edges.txt")
+        return directory / "nodes.csv", directory / "edges.txt"
+
+    @pytest.mark.parametrize("make", [
+        lambda: tiny_graph(n=10, seed=9),
+        lambda: multi_chunk_graph(n=3000, d=4, adjacency=multi_chunk_adjacency()),
+    ], ids=["dense", "csr"])
+    def test_a_hit_gives_the_parsed_graph_without_parsing(self, tmp_path, spy, make):
+        graph = make()
+        paths = self.save(tmp_path, graph)
+        hit = load_graph(*paths)
+        assert spy == []
+        assert_same_graph(hit, parsed_graph(*paths))
+        assert_same_graph(hit, graph)
+
+    @pytest.mark.parametrize("corrupt", [
+        "features-byte", "edges-byte", "other-graph", "missing", "truncated", "header-only",
+        "garbage", "pickle", "flipped-array-byte",
+    ])
+    def test_a_bad_sidecar_means_parse(self, tmp_path, spy, corrupt):
+        saved = tiny_graph(n=12, seed=3, p=0.4)
+        features, edges = self.save(tmp_path / "graph", saved)
+        sidecar = tmp_path / "graph" / "edges.txt.cache"
+        whole = sidecar.read_bytes()
+        if corrupt == "features-byte":
+            change_one_byte(features, 2)
+        elif corrupt == "edges-byte":
+            change_one_byte(edges, 1)
+        elif corrupt == "other-graph":
+            self.save(tmp_path / "other", tiny_graph(n=12, seed=4, p=0.4))
+            sidecar.write_bytes((tmp_path / "other" / "edges.txt.cache").read_bytes())
+        elif corrupt == "missing":
+            sidecar.unlink()
+        elif corrupt == "truncated":
+            sidecar.write_bytes(whole[:len(whole) // 2])
+        elif corrupt == "header-only":
+            sidecar.write_bytes(whole[:64])
+        elif corrupt == "garbage":
+            sidecar.write_bytes(np.random.default_rng(0).bytes(len(whole)))
+        elif corrupt == "pickle":
+            with open(sidecar, "wb") as fh:
+                np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        else:
+            # one byte of the last array (the edge weights) changed: the text digests still match
+            sidecar.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))
+        before = directory_state(tmp_path / "graph")
+        spy.clear()
+        back = load_graph(features, edges)
+        assert len(spy) == 2
+        assert_same_graph(back, parsed_graph(features, edges))
+        assert directory_state(tmp_path / "graph") == before
+        if corrupt in ("features-byte", "edges-byte"):
+            # the text changed, so the graph the stale sidecar holds is not the answer
+            with pytest.raises(AssertionError):
+                assert_same_graph(back, saved)
+
+    def test_a_bad_text_file_still_names_its_line(self, tmp_path):
+        features, edges = self.save(tmp_path, tiny_graph(n=12, seed=3, p=0.4))
+        lines = edges.read_text().splitlines(keepends=True)
+        lines[1] = "0 1 -0.5\n"
+        edges.write_text("".join(lines))
+        with pytest.raises(FileFormatError) as info:
+            load_graph(features, edges)
+        assert str(info.value) == f"{edges}:2: edge weight must be nonnegative, got -0.5"
+
+    def test_a_hit_leaves_the_directory_as_it_was(self, tmp_path, spy):
+        features, edges = self.save(tmp_path, tiny_graph())
+        before = directory_state(tmp_path)
+        load_graph(features, edges)
+        assert spy == []
+        assert directory_state(tmp_path) == before
+
+    def test_a_sidecar_matches_only_its_own_features_file(self, tmp_path, spy):
+        # the same edges beside another features file: the sidecar does not match it
+        g = tiny_graph(n=12, seed=3, p=0.4)
+        features, edges = self.save(tmp_path, g)
+        other = PopulationGraph(adjacency=g.adjacency, features=g.features + 1.0,
+                                labels=g.labels, train_mask=g.train_mask)
+        write_features_csv(tmp_path / "other.csv", other)
+        assert_same_graph(load_graph(tmp_path / "other.csv", edges), other)
+        assert len(spy) == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_sidecar_bytes_do_not_depend_on_threads_or_runs(self, tmp_path, monkeypatch,
+                                                                threads):
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        g = multi_chunk_graph(n=3000, d=4, adjacency=multi_chunk_adjacency())
+        save_graph(g, tmp_path / "a.csv", tmp_path / "a.txt", threads=1)
+        save_graph(g, tmp_path / "b.csv", tmp_path / "b.txt", threads=threads)
+        assert (tmp_path / "a.txt.cache").read_bytes() == (tmp_path / "b.txt.cache").read_bytes()
 
 
 class TestMetaCsv:

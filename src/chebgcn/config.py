@@ -2,9 +2,10 @@
 
 Precedence, lowest to highest: built-in defaults, config file, environment
 variables (CHEBGCN_SEED, CHEBGCN_OUT, CHEBGCN_THREADS), command-line flags.
-Config files are YAML (JSON parses too); packaged presets can be named in
-place of a path. ``experiment.threads`` defaults to null, which leaves the
-worker count to ``workers.worker_count``: one worker per usable CPU.
+Config files are UTF-8 YAML (JSON parses too); packaged presets can be
+named in place of a path. ``experiment.threads`` defaults to null, which
+leaves the worker count to ``workers.worker_count``: one worker per usable
+CPU.
 """
 
 import copy
@@ -18,6 +19,7 @@ import yaml
 
 from .affinity import SimilarityKernel
 from .experiments import ArchSpec, BranchSpec, ModuleSpec, TrainConfig, derive_seed
+from .io import _utf8_fault
 from .simdata import SimConfig
 
 ENV_PREFIX = "CHEBGCN_"
@@ -133,11 +135,13 @@ def find_config(name: str) -> str:
 
 
 def load_config_file(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(_utf8_fault(path)) from None
     if data is None:
         return {}
     if not isinstance(data, dict):

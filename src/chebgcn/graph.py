@@ -4,12 +4,16 @@ All numeric data is float64. :func:`to_storage` picks each adjacency's
 storage once, by density: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense
 ndarray at or above it. Laplacians keep the storage of their adjacency, and
 both storage paths compute the same values to within floating-point roundoff.
+
+A storage is an ndarray or a canonical ``scipy.sparse.csr_array``, so
+``isinstance(m, np.ndarray)`` tells them apart. ``scipy.sparse`` is imported
+only where a CSR array is built or read: its import takes longer than
+NumPy's, and a dense graph never needs it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 # Population graphs come both as sparse geometric graphs (a few percent of
 # pairs) and as half-full meta-data graphs. L @ H on a 55%-dense Laplacian is
@@ -21,13 +25,21 @@ class GraphInvariantError(ValueError):
     """A graph or Laplacian violates a structural invariant."""
 
 
+def _stored_sparse(nnz: int, n: int, m: int) -> bool:
+    """The storage rule: CSR when fewer than ``SPARSE_DENSITY_CUTOFF`` of an
+    (n, m) matrix's entries are nonzero."""
+    return nnz < SPARSE_DENSITY_CUTOFF * n * m
+
+
 def _nnz(matrix) -> int:
-    return matrix.nnz if sp.issparse(matrix) else int(np.count_nonzero(matrix))
+    return int(np.count_nonzero(matrix)) if isinstance(matrix, np.ndarray) else matrix.nnz
 
 
-def _canonical_csr(matrix) -> sp.csr_array:
+def _canonical_csr(matrix):
     """A float64 CSR copy of ``matrix`` with sorted indices, no duplicates
     and no stored zeros."""
+    import scipy.sparse as sp
+
     out = sp.csr_array(matrix, dtype=np.float64, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
@@ -39,28 +51,60 @@ def to_storage(matrix):
     """Return a float64 copy of ``matrix``: canonical CSR when fewer than
     ``SPARSE_DENSITY_CUTOFF`` of its entries are nonzero, a dense ndarray
     otherwise. Stored zeros of a sparse input count as zero entries."""
-    if sp.issparse(matrix):
-        matrix = _canonical_csr(matrix)
-    n, m = matrix.shape
-    if _nnz(matrix) < SPARSE_DENSITY_CUTOFF * n * m:
-        return matrix if sp.issparse(matrix) else _canonical_csr(matrix)
-    return matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
+    sparse = False
+    if not isinstance(matrix, np.ndarray):
+        import scipy.sparse as sp
+
+        sparse = sp.issparse(matrix)
+        if sparse:
+            matrix = _canonical_csr(matrix)
+    if _stored_sparse(_nnz(matrix), *matrix.shape):
+        return matrix if sparse else _canonical_csr(matrix)
+    return matrix.toarray() if sparse else np.array(matrix, dtype=np.float64)
+
+
+def _edge_csr(lo, hi, w, n: int):
+    """The symmetric (n, n) CSR array of canonical upper-triangle edge
+    columns: ``lo < hi``, the pairs sorted and unique, ``w`` nonzero."""
+    import scipy.sparse as sp
+
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    lo, hi = lo.astype(index), hi.astype(index)
+    # The pairs are sorted, so listing each edge's (hi, lo) entry before its
+    # (lo, hi) one leaves every CSR row sorted and spares scipy a sort.
+    return sp.csr_array(
+        (np.concatenate([w, w]), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
+        shape=(n, n),
+    )
+
+
+def _edge_storage(lo, hi, w, n: int):
+    """The adjacency of canonical upper-triangle edge columns (see
+    :func:`_edge_csr`) in the storage :func:`to_storage` picks for it. The
+    edge count decides before anything is built, so a dense graph is filled
+    in directly, without a CSR step."""
+    if _stored_sparse(2 * w.size, n, n):
+        return _edge_csr(lo, hi, w, n)
+    out = np.zeros((n, n))
+    out[lo, hi] = w
+    out[hi, lo] = w
+    return out
 
 
 def _freeze(matrix):
     """Mark the backing buffers of a matrix read-only, in place."""
-    if sp.issparse(matrix):
+    if isinstance(matrix, np.ndarray):
+        matrix.setflags(write=False)
+    else:
         for buf in (matrix.data, matrix.indices, matrix.indptr):
             buf.setflags(write=False)
-    else:
-        matrix.setflags(write=False)
     return matrix
 
 
 def _is_symmetric(matrix) -> bool:
-    if sp.issparse(matrix):
-        return (matrix != matrix.T).nnz == 0
-    return np.array_equal(matrix, matrix.T)
+    if isinstance(matrix, np.ndarray):
+        return np.array_equal(matrix, matrix.T)
+    return (matrix != matrix.T).nnz == 0
 
 
 def _check_adjacency(adj) -> None:
@@ -68,13 +112,19 @@ def _check_adjacency(adj) -> None:
     square, finite, symmetric and nonnegative with a zero diagonal."""
     if adj.shape[0] != adj.shape[1]:
         raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
-    data = adj.data if sp.issparse(adj) else adj
+    dense = isinstance(adj, np.ndarray)
+    data = adj if dense else adj.data
     if not np.isfinite(data).all():
-        coo = sp.coo_array(adj)
-        k = np.flatnonzero(~np.isfinite(coo.data))[0]
-        raise GraphInvariantError(
-            f"edge weights must be finite: edge ({coo.row[k]}, {coo.col[k]}) is {coo.data[k]}"
-        )
+        if dense:
+            row, col = np.argwhere(~np.isfinite(adj))[0]
+            value = adj[row, col]
+        else:
+            import scipy.sparse as sp
+
+            coo = sp.coo_array(adj)
+            k = np.flatnonzero(~np.isfinite(coo.data))[0]
+            row, col, value = coo.row[k], coo.col[k], coo.data[k]
+        raise GraphInvariantError(f"edge weights must be finite: edge ({row}, {col}) is {value}")
     if not _is_symmetric(adj):
         raise GraphInvariantError("adjacency must be exactly symmetric")
     if data.size and float(np.min(data)) < 0.0:
@@ -194,7 +244,7 @@ class NormalizedLaplacian:
 
     def toarray(self) -> np.ndarray:
         m = self.matrix
-        return m.toarray() if sp.issparse(m) else np.array(m)
+        return np.array(m) if isinstance(m, np.ndarray) else m.toarray()
 
 
 def build_laplacian(graph) -> NormalizedLaplacian:
@@ -220,13 +270,15 @@ def build_laplacian(graph) -> NormalizedLaplacian:
     d_inv_sqrt[nonzero] = 1.0 / np.sqrt(deg[nonzero])
 
     n = adj.shape[0]
-    if sp.issparse(adj):
+    if isinstance(adj, np.ndarray):
+        lap = np.eye(n) - adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+        lap = (lap + lap.T) * 0.5
+    else:
+        import scipy.sparse as sp
+
         d_half = sp.diags_array(d_inv_sqrt, format="csr")
         lap = sp.eye_array(n, format="csr") - d_half @ adj @ d_half
         lap = _canonical_csr((lap + lap.T) * 0.5)
-    else:
-        lap = np.eye(n) - adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-        lap = (lap + lap.T) * 0.5
     return NormalizedLaplacian(matrix=lap)
 
 
@@ -237,10 +289,12 @@ def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
     inside [-1, 1].
     """
     n = lap.n_nodes
-    if sp.issparse(lap.matrix):
-        scaled = _canonical_csr(lap.matrix - sp.eye_array(n, format="csr"))
-    else:
+    if isinstance(lap.matrix, np.ndarray):
         scaled = lap.matrix - np.eye(n)
+    else:
+        import scipy.sparse as sp
+
+        scaled = _canonical_csr(lap.matrix - sp.eye_array(n, format="csr"))
     return NormalizedLaplacian(matrix=scaled)
 
 

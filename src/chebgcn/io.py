@@ -9,14 +9,16 @@ worker processes (``workers.worker_map``) once a graph holds
 ``POOL_MIN_FIELDS`` fields, below which a pool costs more than it saves.
 Each worker holds at most two slices in flight, and the slices are written
 in file order by one formatter per file, so the bytes do not depend on the
-worker count. Under spawn or forkserver each worker re-imports NumPy and
-SciPy first, about 0.5 s on a 2-vCPU VM.
+worker count. Under spawn or forkserver each worker re-imports NumPy
+first, about 0.15 s on a 2-vCPU VM; SciPy's ``scipy.sparse`` (another
+0.2 s) loads only where a graph is stored as CSR.
 
 Readers parse whole columns with ``np.loadtxt`` and check them with array
 tests. Only when a file is rejected are its lines walked again, to name the
-first bad line as ``path:lineno``. Numbers must be plain ASCII literals
-(no ``_`` digit separators), integers must fit in int64, and every float must
-be finite.
+first bad line as ``path:lineno``. Text files are read as UTF-8, whatever
+the locale, and a byte that breaks it is named by line and offset. Numbers
+must be plain ASCII literals (no ``_`` digit separators), integers must fit
+in int64, and every float must be finite.
 
 Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
 
@@ -40,10 +42,14 @@ the edge list's ``i``, ``j``, ``w`` columns in file order). ``load_graph``
 uses it only when both files on disk still have those digests and its own
 records check out; a sidecar that is missing, stale, truncated or
 unreadable means the text is parsed, never an error. Either way the edge
-columns go through one CSR builder and the arrays through
-:class:`PopulationGraph`, so a sidecar gives bit for bit the graph the text
-gives. The text stays the source of truth: ``load_graph`` never writes, and
-only ``save_graph`` writes a sidecar, moved into place after both files.
+columns go through the same rules (``_edge_columns``) and the arrays
+through :class:`PopulationGraph`, so a sidecar gives bit for bit the graph
+the text gives. A sidecar's columns are assembled straight into the
+storage :func:`~chebgcn.graph.to_storage` would pick, so a dense graph
+never passes through CSR; a parse builds CSR first, as
+:func:`read_edge_list` returns it. The text stays the source of truth:
+``load_graph`` never writes, and only ``save_graph`` writes a sidecar,
+moved into place after both files.
 """
 
 import contextlib
@@ -55,9 +61,8 @@ import os
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import PopulationGraph
+from .graph import PopulationGraph, _edge_csr, _edge_storage
 from .workers import worker_count, worker_map
 
 MISSING_TOKENS = {"", "na", "nan", "none"}
@@ -94,11 +99,34 @@ def _number(text: str, kind):
     return value
 
 
+def _utf8_fault(path) -> str:
+    """``path:line: ...`` naming the first byte of ``path`` that breaks UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+    return f"{path}: not UTF-8 text"
+
+
+@contextlib.contextmanager
+def _open_text(path, **kwargs):
+    """``open(path)`` for reading UTF-8 text; a byte that is not UTF-8
+    raises :class:`FileFormatError` naming its line."""
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise FileFormatError(_utf8_fault(path)) from None
+
+
 def _loadtxt(source, dtype, **kwargs) -> np.ndarray:
     """Parse ``source`` into a 1-D structured array; no data rows give an empty one."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, dtype=dtype, ndmin=1, **kwargs)
+        return np.loadtxt(source, dtype=dtype, ndmin=1, encoding="utf-8", **kwargs)
 
 
 def _edge_lines(chunk) -> str:
@@ -129,10 +157,17 @@ def write_edge_list(path, adjacency, map_chunks=map):
     Returns the sha256 hex digest of the bytes written and the lines'
     ``(rows, cols, weights)`` columns, in file order.
     """
-    upper = sp.triu(adjacency, k=1, format="csr").astype(np.float64, copy=False)
-    upper.sum_duplicates()
-    rows = np.repeat(np.arange(upper.shape[0]), np.diff(upper.indptr))
-    cols, vals = upper.indices, upper.data
+    if isinstance(adjacency, np.ndarray):
+        # np.nonzero walks in row-major order, as CSR stores the triangle.
+        rows, cols = np.nonzero(np.triu(adjacency, k=1))
+        vals = adjacency[rows, cols].astype(np.float64, copy=False)
+    else:
+        import scipy.sparse as sp
+
+        upper = sp.triu(adjacency, k=1, format="csr").astype(np.float64, copy=False)
+        upper.sum_duplicates()
+        rows = np.repeat(np.arange(upper.shape[0]), np.diff(upper.indptr))
+        cols, vals = upper.indices, upper.data
     step = _CHUNK_FIELDS // 3
     chunks = ((rows[s:s + step], cols[s:s + step], vals[s:s + step])
               for s in range(0, rows.size, step))
@@ -141,7 +176,7 @@ def write_edge_list(path, adjacency, map_chunks=map):
 
 def _edge_list_error(path, n_nodes: int) -> FileFormatError:
     """The error for the first line of a rejected edge list that breaks a rule."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split("#", 1)[0].split()
             if not fields:
@@ -164,9 +199,10 @@ def _edge_list_error(path, n_nodes: int) -> FileFormatError:
     return FileFormatError(f"{path}: not an edge list")
 
 
-def _edge_csr(i, j, w, n_nodes: int):
-    """The symmetric (n_nodes, n_nodes) CSR array of edge columns ``i``,
-    ``j``, ``w`` in file order, or None when a row breaks a rule."""
+def _edge_columns(i, j, w, n_nodes: int):
+    """The canonical upper-triangle columns ``(lo, hi, w)`` that edge
+    columns ``i``, ``j``, ``w`` in file order give (see
+    ``graph._edge_csr``), or None when a row breaks a rule."""
     ok = (i >= 0) & (i < n_nodes) & (j >= 0) & (j < n_nodes) & (i != j)
     ok &= np.isfinite(w) & (w >= 0.0)
     if not ok.all():
@@ -176,17 +212,10 @@ def _edge_csr(i, j, w, n_nodes: int):
     last = np.unique((lo * n_nodes + hi)[::-1], return_index=True)[1]
     last = i.size - 1 - last
     last = last[w[last] != 0.0]
-    index = np.int32 if n_nodes <= np.iinfo(np.int32).max else np.int64
-    lo, hi, w = lo[last].astype(index), hi[last].astype(index), w[last]
-    # The pairs are sorted, so listing each edge's (hi, lo) entry before its
-    # (lo, hi) one leaves every CSR row sorted and spares scipy a sort.
-    return sp.csr_array(
-        (np.concatenate([w, w]), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
-        shape=(n_nodes, n_nodes),
-    )
+    return lo[last], hi[last], w[last]
 
 
-def read_edge_list(path, n_nodes: int) -> sp.csr_array:
+def read_edge_list(path, n_nodes: int):
     """Read ``i j w`` lines into a symmetric (n_nodes, n_nodes) CSR array.
 
     See the module docstring for the rules; a file that breaks one raises
@@ -196,10 +225,10 @@ def read_edge_list(path, n_nodes: int) -> sp.csr_array:
         edges = _loadtxt(path, _EDGE_DTYPE)
     except ValueError:
         raise _edge_list_error(path, n_nodes) from None
-    adjacency = _edge_csr(edges["i"], edges["j"], edges["w"], n_nodes)
-    if adjacency is None:
+    columns = _edge_columns(edges["i"], edges["j"], edges["w"], n_nodes)
+    if columns is None:
         raise _edge_list_error(path, n_nodes)
-    return adjacency
+    return _edge_csr(*columns, n_nodes)
 
 
 def _feature_lines(chunk) -> str:
@@ -231,7 +260,7 @@ def write_features_csv(path, graph: PopulationGraph, map_chunks=map) -> str:
 def _features_error(path, n_fields: int) -> FileFormatError:
     """The error for the first row of a rejected features CSV that breaks a rule."""
     seen = set()
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -266,7 +295,7 @@ def read_features_csv(path):
 
     Rows may come in any order; node ids must cover 0..N-1 exactly once.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise FileFormatError(f"{path}: empty file")
@@ -354,8 +383,9 @@ def _read_sidecar(features_path, edges_path):
     if _sha256_of_arrays(arrays) != head[3]:
         return None
     features, labels, train, i, j, w = arrays
-    adjacency = _edge_csr(i, j, w, n_nodes=features.shape[0])
-    return None if adjacency is None else (features, labels, train, adjacency)
+    n = features.shape[0]
+    columns = _edge_columns(i, j, w, n)
+    return None if columns is None else (features, labels, train, _edge_storage(*columns, n))
 
 
 def save_graph(graph: PopulationGraph, features_path, edges_path, threads=None) -> None:
@@ -422,7 +452,7 @@ def read_meta_csv(path):
     module docstring), and numeric cells finite: ``1_000``, ``inf`` or
     ``1e400`` raises :class:`FileFormatError` naming the line and the column.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

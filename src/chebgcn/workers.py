@@ -6,7 +6,8 @@ per usable CPU where a worker can pin NumPy's BLAS to one thread, else 1.
 Every worker pins its own BLAS when it starts; the calling process keeps
 its BLAS as it was. Workers start by the platform's default method, fork on
 Linux up to Python 3.13; under spawn or forkserver each one re-imports
-NumPy and SciPy first.
+NumPy first, and SciPy only when a task or its initializer's arguments hold
+a CSR array.
 """
 
 import collections

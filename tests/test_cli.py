@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 import yaml
 
+import chebgcn
 import chebgcn.io
 import chebgcn.workers
 from chebgcn.affinity import MetaElement, affinity_graph
@@ -671,3 +676,69 @@ def test_input_checks_exit_2_naming_the_field(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["features", "edges", "meta", "config"])
+def test_a_byte_that_is_not_utf8_is_bad_input(tmp_path, capsys, kind):
+    meta_fixture(tmp_path)
+    (tmp_path / "edges.txt").write_text("0 1 1.0\n1 2 1.0\n2 3 0.5\n")
+    out = tmp_path / "res"
+    if kind == "meta":
+        command, extra = "build-graph", {"affinity": {"meta": str(tmp_path / "meta.csv"),
+                                                      "features": str(tmp_path / "features.csv")}}
+    else:
+        command, extra = "train", {"dataset": {"source": "files",
+                                               "features": str(tmp_path / "features.csv"),
+                                               "edges": str(tmp_path / "edges.txt")}}
+    cfg = write_cfg(tmp_path, quick_sections(out, experiment={"folds": 2}, **extra))
+    assert main([command, "--config", cfg, "--threads", "1"]) == 0
+    path = {"features": tmp_path / "features.csv", "edges": tmp_path / "edges.txt",
+            "meta": tmp_path / "meta.csv", "config": tmp_path / "run.yaml"}[kind]
+    lines = path.read_bytes().split(b"\n")
+    if kind == "config":
+        line, lines = 1, [b"# \xff", *lines]
+    else:
+        line = 3
+        lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+    offset = path.read_bytes().index(b"\xff")
+    assert main([command, "--config", cfg, "--threads", "1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {path}:{line}: not UTF-8 text: byte 0xff at offset {offset}")
+
+
+# Each command runs in a fresh interpreter: it prints whether importing the
+# package loaded scipy.sparse, the exit code, and whether the run loaded it.
+SCIPY_PROBE = """\
+import sys
+import chebgcn.cli
+imported = "scipy.sparse" in sys.modules
+code = chebgcn.cli.main(sys.argv[1:])
+print(imported, code, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_scipy_sparse_loads_only_for_csr_graphs(tmp_path):
+    # Importing scipy.sparse takes longer than NumPy, so a run on a dense
+    # graph, and the package import itself, leave it out.
+    src = Path(chebgcn.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(command, sections):
+        cfg = write_cfg(tmp_path, sections, f"{command}.yaml")
+        done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, command, "--config", cfg,
+                               "--threads", "1"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()[-3:]
+
+    meta_fixture(tmp_path)
+    for graph_command, data, sparse in [("build-graph", tmp_path / "dense", "False"),
+                                        ("simdata", tmp_path / "csr", "True")]:
+        graph = quick_sections(data, sim={"beta": 0.4}, affinity={
+            "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv")})
+        assert run(graph_command, graph) == ["False", "0", sparse]
+        train = quick_sections(tmp_path / "res", experiment={"folds": 2}, dataset={
+            "source": "files", "features": str(data / "features.csv"),
+            "edges": str(data / "edges.txt")})
+        assert run("train", train) == ["False", "0", sparse]

@@ -586,7 +586,10 @@ class TestSidecar:
     @pytest.mark.parametrize("make", [
         lambda: tiny_graph(n=10, seed=9),
         lambda: multi_chunk_graph(n=3000, d=4, adjacency=multi_chunk_adjacency()),
-    ], ids=["dense", "csr"])
+        # 2 edges on 4 nodes: 4 of 16 entries, dense at exactly the cutoff
+        lambda: multi_chunk_graph(n=4, d=2, adjacency=np.array(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2.5], [0, 0, 2.5, 0]])),
+    ], ids=["dense", "csr", "at-the-cutoff"])
     def test_a_hit_gives_the_parsed_graph_without_parsing(self, tmp_path, spy, make):
         graph = make()
         paths = self.save(tmp_path, graph)
@@ -594,6 +597,8 @@ class TestSidecar:
         assert spy == []
         assert_same_graph(hit, parsed_graph(*paths))
         assert_same_graph(hit, graph)
+        # the sidecar's columns go straight into the storage the graph keeps
+        assert type(chebgcn.io._read_sidecar(*paths)[3]) is type(graph.adjacency)
 
     @pytest.mark.parametrize("corrupt", [
         "features-byte", "edges-byte", "other-graph", "missing", "truncated", "header-only",
@@ -662,14 +667,24 @@ class TestSidecar:
         assert_same_graph(load_graph(tmp_path / "other.csv", edges), other)
         assert len(spy) == 2
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads, storage", [
+        pytest.param(1, "csr", id="1"), pytest.param(2, "csr", id="2"),
+        pytest.param(1, "dense", id="dense-storage"),
+    ])
     def test_the_sidecar_bytes_do_not_depend_on_threads_or_runs(self, tmp_path, monkeypatch,
-                                                                threads):
+                                                                threads, storage):
         monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
         g = multi_chunk_graph(n=3000, d=4, adjacency=multi_chunk_adjacency())
         save_graph(g, tmp_path / "a.csv", tmp_path / "a.txt", threads=1)
+        if storage == "dense":
+            # the same graph with its adjacency stored dense: the writer is storage-blind
+            monkeypatch.setattr("chebgcn.graph.SPARSE_DENSITY_CUTOFF", 0.0)
+            g = PopulationGraph(adjacency=g.adjacency, features=g.features, labels=g.labels,
+                                train_mask=g.train_mask)
+            assert isinstance(g.adjacency, np.ndarray)
         save_graph(g, tmp_path / "b.csv", tmp_path / "b.txt", threads=threads)
-        assert (tmp_path / "a.txt.cache").read_bytes() == (tmp_path / "b.txt.cache").read_bytes()
+        for name in ("txt", "txt.cache"):
+            assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
 
 
 class TestMetaCsv:

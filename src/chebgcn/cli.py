@@ -14,7 +14,8 @@ override the config file. train, sweep and compare run their folds in
 BLAS pinned to one thread; simdata and build-graph format large graph files
 in as many, and write a binary sidecar beside edges.txt that later loads of
 the graph use instead of parsing the text while it matches (see
-chebgcn.io). Output files do not depend on the count. The
+chebgcn.io); they write edge columns and never build adjacency storage or
+import scipy.sparse. Output files do not depend on the count. The
 effective config is echoed into the output directory as
 effective-config.yaml, so any run can be repeated from its own output.
 """
@@ -138,7 +139,8 @@ def cmd_build_graph(cfg: dict) -> int:
     graph = PopulationGraph(adjacency=adjacency, features=features, labels=labels,
                             train_mask=train)
     wrote = _save_graph(cfg, graph)
-    isolated = int(np.sum(graph.degrees() == 0))
+    ends = np.concatenate(graph.edges[:2])
+    isolated = np.count_nonzero(np.bincount(ends, minlength=graph.n_nodes) == 0)
     # An edgeless graph has had its warning from _save_graph.
     if isolated and graph.n_edges:
         _warn(f"{isolated} nodes are isolated under the current thresholds")

@@ -1,17 +1,20 @@
 """Population graphs, normalized Laplacians, and Chebyshev filtering.
 
-All numeric data is float64. :func:`to_storage` picks each adjacency's
-storage once, by density: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense
-ndarray at or above it. Laplacians keep the storage of their adjacency, and
-both storage paths compute the same values to within floating-point roundoff.
+All numeric data is float64. A :class:`PopulationGraph` holds its edges as
+the upper-triangle columns ``(lo, hi, w)`` that an edge list and its sidecar
+hold (see :mod:`chebgcn.io`), and builds its ``adjacency`` from them when
+first read: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense ndarray at or above
+it. Laplacians keep the storage of their adjacency, and both storage paths
+compute the same values to within floating-point roundoff.
 
 A storage is an ndarray or a canonical ``scipy.sparse.csr_array``, so
-``isinstance(m, np.ndarray)`` tells them apart. ``scipy.sparse`` is imported
-only where a CSR array is built or read: its import takes longer than
-NumPy's, and a dense graph never needs it.
+``isinstance(m, np.ndarray)`` tells them apart. ``scipy.sparse``, slower to
+import than NumPy, is imported only where a CSR array is built or read.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,14 +28,32 @@ class GraphInvariantError(ValueError):
     """A graph or Laplacian violates a structural invariant."""
 
 
+class _Edges(NamedTuple):
+    """Canonical upper-triangle edge columns of an ``n``-node graph: int64
+    ``lo < hi`` in ``[0, n)``, the ``(lo, hi)`` pairs strictly increasing,
+    ``w`` float64, finite and positive."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    w: np.ndarray
+    n: int
+
+    def canonical(self) -> bool:
+        """Whether the columns keep every rule above."""
+        lo, hi, w, n = self
+        if not (lo.dtype == hi.dtype == np.int64 and w.dtype == np.float64
+                and lo.shape == hi.shape == w.shape == (w.size,)):
+            return False
+        keys = lo * n + hi  # strictly increasing once lo and hi are in range
+        return not w.size or bool(lo.min() >= 0 and hi.max() < n and np.all(lo < hi)
+                                  and np.all(keys[1:] > keys[:-1]) and np.all(w > 0.0)
+                                  and np.all(w < np.inf))
+
+
 def _stored_sparse(nnz: int, n: int, m: int) -> bool:
     """The storage rule: CSR when fewer than ``SPARSE_DENSITY_CUTOFF`` of an
     (n, m) matrix's entries are nonzero."""
     return nnz < SPARSE_DENSITY_CUTOFF * n * m
-
-
-def _nnz(matrix) -> int:
-    return int(np.count_nonzero(matrix)) if isinstance(matrix, np.ndarray) else matrix.nnz
 
 
 def _canonical_csr(matrix):
@@ -47,25 +68,9 @@ def _canonical_csr(matrix):
     return out
 
 
-def to_storage(matrix):
-    """Return a float64 copy of ``matrix``: canonical CSR when fewer than
-    ``SPARSE_DENSITY_CUTOFF`` of its entries are nonzero, a dense ndarray
-    otherwise. Stored zeros of a sparse input count as zero entries."""
-    sparse = False
-    if not isinstance(matrix, np.ndarray):
-        import scipy.sparse as sp
-
-        sparse = sp.issparse(matrix)
-        if sparse:
-            matrix = _canonical_csr(matrix)
-    if _stored_sparse(_nnz(matrix), *matrix.shape):
-        return matrix if sparse else _canonical_csr(matrix)
-    return matrix.toarray() if sparse else np.array(matrix, dtype=np.float64)
-
-
 def _edge_csr(lo, hi, w, n: int):
-    """The symmetric (n, n) CSR array of canonical upper-triangle edge
-    columns: ``lo < hi``, the pairs sorted and unique, ``w`` nonzero."""
+    """The symmetric (n, n) CSR array of canonical edge columns (see
+    :class:`_Edges`)."""
     import scipy.sparse as sp
 
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
@@ -79,10 +84,9 @@ def _edge_csr(lo, hi, w, n: int):
 
 
 def _edge_storage(lo, hi, w, n: int):
-    """The adjacency of canonical upper-triangle edge columns (see
-    :func:`_edge_csr`) in the storage :func:`to_storage` picks for it. The
-    edge count decides before anything is built, so a dense graph is filled
-    in directly, without a CSR step."""
+    """The adjacency of canonical edge columns (see :class:`_Edges`) in the
+    storage the density rule picks. The edge count decides before anything
+    is built, so a dense graph is filled in directly, without a CSR step."""
     if _stored_sparse(2 * w.size, n, n):
         return _edge_csr(lo, hi, w, n)
     out = np.zeros((n, n))
@@ -101,46 +105,55 @@ def _freeze(matrix):
     return matrix
 
 
-def _is_symmetric(matrix) -> bool:
-    if isinstance(matrix, np.ndarray):
-        return np.array_equal(matrix, matrix.T)
-    return (matrix != matrix.T).nnz == 0
+def _matrix_edges(matrix) -> _Edges:
+    """The edge columns of an adjacency matrix (an ndarray, anything
+    ``np.array`` takes, or a scipy sparse matrix), once it is known to be
+    square, finite, symmetric and nonnegative with a zero diagonal. Zeros,
+    stored ones of a sparse matrix included, are not edges."""
+    dense = isinstance(matrix, np.ndarray)
+    if not dense:
+        import scipy.sparse as sp
 
-
-def _check_adjacency(adj) -> None:
-    """Reject an adjacency, as :func:`to_storage` returns it, that is not
-    square, finite, symmetric and nonnegative with a zero diagonal."""
+        dense = not sp.issparse(matrix)
+    adj = np.asarray(matrix, dtype=np.float64) if dense else _canonical_csr(matrix)
     if adj.shape[0] != adj.shape[1]:
         raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
-    dense = isinstance(adj, np.ndarray)
-    data = adj if dense else adj.data
-    if not np.isfinite(data).all():
-        if dense:
-            row, col = np.argwhere(~np.isfinite(adj))[0]
-            value = adj[row, col]
-        else:
-            import scipy.sparse as sp
-
-            coo = sp.coo_array(adj)
-            k = np.flatnonzero(~np.isfinite(coo.data))[0]
-            row, col, value = coo.row[k], coo.col[k], coo.data[k]
-        raise GraphInvariantError(f"edge weights must be finite: edge ({row}, {col}) is {value}")
-    if not _is_symmetric(adj):
+    if dense:
+        # Row-major order, as CSR stores its entries. A flat scan of a
+        # boolean mask is several times faster than np.nonzero on 2-D floats.
+        flat = np.flatnonzero(adj != 0.0)
+        rows, cols = np.divmod(flat, adj.shape[1])
+        vals = adj.ravel()[flat]
+    else:
+        rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        cols, vals = adj.indices.astype(np.int64), adj.data
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise GraphInvariantError(
+            f"edge weights must be finite: edge ({rows[k]}, {cols[k]}) is {vals[k]}")
+    if not (np.array_equal(adj, adj.T) if dense else (adj != adj.T).nnz == 0):
         raise GraphInvariantError("adjacency must be exactly symmetric")
-    if data.size and float(np.min(data)) < 0.0:
+    if vals.size and float(np.min(vals)) < 0.0:
         raise GraphInvariantError("edge weights must be nonnegative")
-    if np.any(adj.diagonal() != 0.0):
+    if np.any(rows == cols):
         raise GraphInvariantError("adjacency diagonal must be zero (no self-loops)")
+    upper = rows < cols
+    return _Edges(rows[upper].astype(np.int64, copy=False), cols[upper], vals[upper],
+                  adj.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PopulationGraph:
     """A node-attributed graph over a whole population of samples.
 
     Fields
     ------
-    adjacency : csr_array or ndarray, (N, N)
-        Symmetric, nonnegative, finite edge weights with a zero diagonal.
+    edges : tuple of ndarray (lo, hi, w)
+        The edge columns of the (N, N) ``adjacency`` argument, which must be
+        symmetric, nonnegative and finite with a zero diagonal, dense or
+        scipy sparse: one entry per nonzero weight ``w`` at ``(lo, hi)``,
+        ``lo < hi``, sorted by ``(lo, hi)``.
     features : ndarray, (N, d)
         One row of finite measurements per node.
     labels : ndarray of int, (N,)
@@ -150,25 +163,31 @@ class PopulationGraph:
     test_mask : ndarray of bool, (N,)
         Not a parameter: ``~train_mask``, computed on construction.
 
-    The adjacency is stored as :func:`to_storage` picks. Instances are
-    immutable: arrays are copied on construction and their buffers marked
-    read-only.
+    ``adjacency`` is built from ``edges`` when first read: CSR below
+    ``SPARSE_DENSITY_CUTOFF``, a dense ndarray at or above it. Instances are
+    immutable: arrays are copied on construction and their buffers, the
+    adjacency's too, marked read-only.
     """
 
-    adjacency: object
+    edges: tuple
     features: np.ndarray
     labels: np.ndarray
     train_mask: np.ndarray
-    test_mask: np.ndarray = field(init=False)
+    test_mask: np.ndarray
 
-    def __post_init__(self):
-        adj = to_storage(self.adjacency)
-        feats = np.array(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        train = np.array(self.train_mask, dtype=bool)
+    def __init__(self, adjacency, features, labels, train_mask):
+        # Package code hands over canonical columns as an _Edges, uncopied.
+        if isinstance(adjacency, _Edges):
+            edges = adjacency
+            if not edges.canonical():
+                raise GraphInvariantError("edge columns must be canonical (see graph._Edges)")
+        else:
+            edges = _matrix_edges(adjacency)
+        feats = np.array(features, dtype=np.float64)
+        labels = np.asarray(labels)
+        train = np.array(train_mask, dtype=bool)
 
-        _check_adjacency(adj)
-        n = adj.shape[0]
+        n = edges.n
         if n == 0:
             raise GraphInvariantError("graph must contain at least one node")
         if feats.ndim != 2 or feats.shape[0] != n:
@@ -191,23 +210,28 @@ class PopulationGraph:
 
         labels = labels.astype(np.int64)
         test = ~train
-        for arr in (feats, labels, train, test):
+        for arr in (*edges[:3], feats, labels, train, test):
             arr.setflags(write=False)
-        _freeze(adj)
-        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "edges", tuple(edges[:3]))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "train_mask", train)
         object.__setattr__(self, "test_mask", test)
 
+    @functools.cached_property
+    def adjacency(self):
+        """(N, N) edge weights, CSR or ndarray as the density rule picks;
+        built from ``edges`` on first read, then kept."""
+        return _freeze(_edge_storage(*self.edges, self.n_nodes))
+
     @property
     def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
 
     @property
     def n_edges(self) -> int:
         """Number of undirected edges (node pairs with a nonzero weight)."""
-        return _nnz(self.adjacency) // 2
+        return self.edges[2].size
 
     @property
     def n_features(self) -> int:
@@ -250,9 +274,9 @@ class NormalizedLaplacian:
 def build_laplacian(graph) -> NormalizedLaplacian:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2} of a graph.
 
-    Accepts a :class:`PopulationGraph` or a bare adjacency matrix (stored as
-    :func:`to_storage` picks and checked as a graph's adjacency is); the
-    Laplacian keeps the adjacency's storage.
+    Accepts a :class:`PopulationGraph` or a bare adjacency matrix (checked
+    and stored as a graph's adjacency is); the Laplacian keeps the
+    adjacency's storage.
     Rows and columns of isolated nodes come out as identity rows: their
     degree inverse is taken to be zero. The result is symmetrized as
     (L + L^T) / 2 so that it is exactly equal to its transpose despite
@@ -261,8 +285,7 @@ def build_laplacian(graph) -> NormalizedLaplacian:
     if isinstance(graph, PopulationGraph):
         adj = graph.adjacency  # checked at construction
     else:
-        adj = to_storage(graph)
-        _check_adjacency(adj)
+        adj = _edge_storage(*_matrix_edges(graph))
 
     deg = adj.sum(axis=1)
     d_inv_sqrt = np.zeros_like(deg)

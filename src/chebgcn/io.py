@@ -10,15 +10,16 @@ worker processes (``workers.worker_map``) once a graph holds
 Each worker holds at most two slices in flight, and the slices are written
 in file order by one formatter per file, so the bytes do not depend on the
 worker count. Under spawn or forkserver each worker re-imports NumPy
-first, about 0.15 s on a 2-vCPU VM; SciPy's ``scipy.sparse`` (another
-0.2 s) loads only where a graph is stored as CSR.
+first, about 0.15 s on a 2-vCPU VM. Graphs are written and loaded as edge
+columns (``PopulationGraph.edges``), without ``scipy.sparse`` (another
+0.2 s); here only :func:`read_edge_list`, which returns CSR, imports it.
 
 Readers parse whole columns with ``np.loadtxt`` and check them with array
 tests. Only when a file is rejected are its lines walked again, to name the
-first bad line as ``path:lineno``. Text files are read as UTF-8, whatever
-the locale, and a byte that breaks it is named by line and offset. Numbers
-must be plain ASCII literals (no ``_`` digit separators), integers must fit
-in int64, and every float must be finite.
+first bad line as ``path:lineno``. Text files are read as UTF-8 after any
+byte-order mark, whatever the locale, and a byte that breaks UTF-8 is named
+by line and offset. Numbers must be plain ASCII literals (no ``_`` digit
+separators), integers must fit in int64, and every float must be finite.
 
 Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
 
@@ -29,27 +30,22 @@ Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
   undirected edge.
 - When an edge is listed more than once, its last line wins, and a weight of
   0 removes it.
-- The result is a canonical CSR array (sorted indices, no duplicates, no
-  explicit zeros): memory grows with the number of edges, not with
-  ``n_nodes ** 2``.
+- The result, canonical edge columns (``graph._Edges``) or the canonical
+  CSR array they give, grows with the number of edges, not ``n_nodes ** 2``.
 
 ``save_graph`` also writes a binary sidecar beside the edge list,
 ``<edges>.cache``, so that ``load_graph`` can skip the text parse. It is a
 run of ``.npy`` records: the sha256 of the bytes written to the features CSV
 and to the edge list, a sha256 of the arrays that follow, then the arrays
 that parsing the two files gives back (features, labels, train mask, and
-the edge list's ``i``, ``j``, ``w`` columns in file order). ``load_graph``
-uses it only when both files on disk still have those digests and its own
-records check out; a sidecar that is missing, stale, truncated or
-unreadable means the text is parsed, never an error. Either way the edge
-columns go through the same rules (``_edge_columns``) and the arrays
-through :class:`PopulationGraph`, so a sidecar gives bit for bit the graph
-the text gives. A sidecar's columns are assembled straight into the
-storage :func:`~chebgcn.graph.to_storage` would pick, so a dense graph
-never passes through CSR; a parse builds CSR first, as
-:func:`read_edge_list` returns it. The text stays the source of truth:
-``load_graph`` never writes, and only ``save_graph`` writes a sidecar,
-moved into place after both files.
+the graph's edge columns, which the edge list holds in file order).
+``load_graph`` uses it only when both files on disk still have those
+digests, its own records check out and its edge columns are canonical; a
+sidecar that is missing, stale, truncated, unreadable or breaks a rule
+means the text is parsed, never an error. Either way the arrays go through
+:class:`PopulationGraph`, so a sidecar gives bit for bit the graph the text
+gives. The text stays the source of truth: ``load_graph`` never writes, and
+only ``save_graph`` writes a sidecar, moved into place after both files.
 """
 
 import contextlib
@@ -62,7 +58,7 @@ import warnings
 
 import numpy as np
 
-from .graph import PopulationGraph, _edge_csr, _edge_storage
+from .graph import PopulationGraph, _edge_csr, _Edges
 from .workers import worker_count, worker_map
 
 MISSING_TOKENS = {"", "na", "nan", "none"}
@@ -113,9 +109,9 @@ def _utf8_fault(path) -> str:
 
 @contextlib.contextmanager
 def _open_text(path, **kwargs):
-    """``open(path)`` for reading UTF-8 text; a byte that is not UTF-8
-    raises :class:`FileFormatError` naming its line."""
-    with open(path, encoding="utf-8", **kwargs) as fh:
+    """``open(path)`` for reading UTF-8 text after any byte-order mark; a
+    byte that is not UTF-8 raises :class:`FileFormatError` naming its line."""
+    with open(path, encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -126,7 +122,7 @@ def _loadtxt(source, dtype, **kwargs) -> np.ndarray:
     """Parse ``source`` into a 1-D structured array; no data rows give an empty one."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, dtype=dtype, ndmin=1, encoding="utf-8", **kwargs)
+        return np.loadtxt(source, dtype=dtype, ndmin=1, encoding="utf-8-sig", **kwargs)
 
 
 def _edge_lines(chunk) -> str:
@@ -150,28 +146,14 @@ def _write_text(path, pieces) -> str:
     return digest.hexdigest()
 
 
-def write_edge_list(path, adjacency, map_chunks=map):
-    """Write the upper triangle of a symmetric adjacency as ``i j w`` lines,
-    sorted by ``i`` and then ``j``; ``map_chunks`` formats the chunks.
-
-    Returns the sha256 hex digest of the bytes written and the lines'
-    ``(rows, cols, weights)`` columns, in file order.
+def write_edge_list(path, lo, hi, w, map_chunks=map) -> str:
+    """Write edge columns, a graph's ``edges``, as ``i j w`` lines, one per
+    edge in column order; ``map_chunks`` formats the chunks. Returns the
+    sha256 hex digest of the bytes written.
     """
-    if isinstance(adjacency, np.ndarray):
-        # np.nonzero walks in row-major order, as CSR stores the triangle.
-        rows, cols = np.nonzero(np.triu(adjacency, k=1))
-        vals = adjacency[rows, cols].astype(np.float64, copy=False)
-    else:
-        import scipy.sparse as sp
-
-        upper = sp.triu(adjacency, k=1, format="csr").astype(np.float64, copy=False)
-        upper.sum_duplicates()
-        rows = np.repeat(np.arange(upper.shape[0]), np.diff(upper.indptr))
-        cols, vals = upper.indices, upper.data
     step = _CHUNK_FIELDS // 3
-    chunks = ((rows[s:s + step], cols[s:s + step], vals[s:s + step])
-              for s in range(0, rows.size, step))
-    return _write_text(path, map_chunks(_edge_lines, chunks)), (rows, cols, vals)
+    chunks = ((lo[s:s + step], hi[s:s + step], w[s:s + step]) for s in range(0, w.size, step))
+    return _write_text(path, map_chunks(_edge_lines, chunks))
 
 
 def _edge_list_error(path, n_nodes: int) -> FileFormatError:
@@ -199,20 +181,23 @@ def _edge_list_error(path, n_nodes: int) -> FileFormatError:
     return FileFormatError(f"{path}: not an edge list")
 
 
-def _edge_columns(i, j, w, n_nodes: int):
-    """The canonical upper-triangle columns ``(lo, hi, w)`` that edge
-    columns ``i``, ``j``, ``w`` in file order give (see
-    ``graph._edge_csr``), or None when a row breaks a rule."""
+def _read_edge_columns(path, n_nodes: int) -> _Edges:
+    """The canonical edge columns (``graph._Edges``) of an edge list; see
+    :func:`read_edge_list`."""
+    try:
+        edges = _loadtxt(path, _EDGE_DTYPE)
+    except ValueError:
+        raise _edge_list_error(path, n_nodes) from None
+    i, j, w = edges["i"], edges["j"], edges["w"]
     ok = (i >= 0) & (i < n_nodes) & (j >= 0) & (j < n_nodes) & (i != j)
-    ok &= np.isfinite(w) & (w >= 0.0)
-    if not ok.all():
-        return None
+    if not (ok & np.isfinite(w) & (w >= 0.0)).all():
+        raise _edge_list_error(path, n_nodes)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # np.unique keeps the first of equal keys, so run it on the lines reversed.
     last = np.unique((lo * n_nodes + hi)[::-1], return_index=True)[1]
     last = i.size - 1 - last
     last = last[w[last] != 0.0]
-    return lo[last], hi[last], w[last]
+    return _Edges(lo[last], hi[last], w[last], n_nodes)
 
 
 def read_edge_list(path, n_nodes: int):
@@ -221,14 +206,7 @@ def read_edge_list(path, n_nodes: int):
     See the module docstring for the rules; a file that breaks one raises
     :class:`FileFormatError` naming its first bad line.
     """
-    try:
-        edges = _loadtxt(path, _EDGE_DTYPE)
-    except ValueError:
-        raise _edge_list_error(path, n_nodes) from None
-    columns = _edge_columns(edges["i"], edges["j"], edges["w"], n_nodes)
-    if columns is None:
-        raise _edge_list_error(path, n_nodes)
-    return _edge_csr(*columns, n_nodes)
+    return _edge_csr(*_read_edge_columns(path, n_nodes))
 
 
 def _feature_lines(chunk) -> str:
@@ -367,7 +345,7 @@ def _write_sidecar(path, text_digests, arrays) -> None:
 
 
 def _read_sidecar(features_path, edges_path):
-    """(features, labels, train_mask, adjacency) from the sidecar beside
+    """(edge columns, features, labels, train_mask) from the sidecar beside
     ``edges_path``, or None unless it matches both files and itself."""
     try:
         with open(_sidecar_path(edges_path), "rb") as fh:
@@ -382,18 +360,17 @@ def _read_sidecar(features_path, edges_path):
         return None
     if _sha256_of_arrays(arrays) != head[3]:
         return None
-    features, labels, train, i, j, w = arrays
-    n = features.shape[0]
-    columns = _edge_columns(i, j, w, n)
-    return None if columns is None else (features, labels, train, _edge_storage(*columns, n))
+    features, labels, train, lo, hi, w = arrays
+    edges = _Edges(lo, hi, w, features.shape[0])
+    return (edges, features, labels, train) if edges.canonical() else None
 
 
 def save_graph(graph: PopulationGraph, features_path, edges_path, threads=None) -> None:
     """Write ``features_path`` (:func:`write_features_csv`), ``edges_path``
-    (:func:`write_edge_list`) and the sidecar beside it (see the module
-    docstring), formatting the text chunks in ``threads`` worker processes
-    (None: ``workers.worker_count``'s default) when the graph holds at least
-    ``POOL_MIN_FIELDS`` fields, else here.
+    (:func:`write_edge_list` of ``graph.edges``) and the sidecar beside it
+    (see the module docstring), formatting the text chunks in ``threads``
+    worker processes (None: ``workers.worker_count``'s default) when the
+    graph holds at least ``POOL_MIN_FIELDS`` fields, else here.
 
     The files are written whole or not at all: each goes to a temporary file
     beside its target, and they are moved onto their targets, features
@@ -413,11 +390,9 @@ def save_graph(graph: PopulationGraph, features_path, edges_path, threads=None) 
             temps.append(_new_file_beside(path))
         with worker_map(workers) as map_chunks:
             features_digest = write_features_csv(temps[0], graph, map_chunks)
-            edges_digest, (rows, cols, vals) = write_edge_list(temps[1], graph.adjacency,
-                                                               map_chunks)
+            edges_digest = write_edge_list(temps[1], *graph.edges, map_chunks)
         # The arrays the parser returns for the two files just written.
-        arrays = (graph.features, graph.labels, graph.train_mask,
-                  rows.astype(np.int64, copy=False), cols.astype(np.int64), vals)
+        arrays = (graph.features, graph.labels, graph.train_mask, *graph.edges)
         _write_sidecar(temps[2], (features_digest, edges_digest), arrays)
         for temp, path in zip(temps, targets):
             os.replace(temp, path)
@@ -435,9 +410,8 @@ def load_graph(features_path, edges_path) -> PopulationGraph:
     parts = _read_sidecar(features_path, edges_path)
     if parts is None:
         features, labels, train = read_features_csv(features_path)
-        parts = features, labels, train, read_edge_list(edges_path, n_nodes=features.shape[0])
-    features, labels, train, adjacency = parts
-    return PopulationGraph(adjacency=adjacency, features=features, labels=labels, train_mask=train)
+        parts = _read_edge_columns(edges_path, features.shape[0]), features, labels, train
+    return PopulationGraph(*parts)
 
 
 def read_meta_csv(path):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import _gaussian_weights, pairwise_distance
-from .graph import PopulationGraph
+from .graph import PopulationGraph, _Edges
 
 FEATURE_MODES = ("discriminative", "random")
 EDGE_WEIGHT_MODES = ("binary", "similarity")
@@ -71,12 +71,12 @@ def generate(config: SimConfig) -> PopulationGraph:
         labels[c * n : (c + 1) * n] = c
 
     dist = pairwise_distance(positions, "euclidean")
-    close = dist < config.beta
-    np.fill_diagonal(close, False)
+    lo, hi = np.nonzero(np.triu(dist < config.beta, k=1))
     if config.edge_weights == "binary":
-        adjacency = close.astype(np.float64)
+        w = np.ones(lo.size)
     else:
-        adjacency = _gaussian_weights(dist, None) * close
+        w = _gaussian_weights(dist, None)[lo, hi]
+        lo, hi, w = lo[w > 0.0], hi[w > 0.0], w[w > 0.0]  # an underflowed weight is no edge
 
     if config.feature_mode == "discriminative":
         features = positions
@@ -84,7 +84,7 @@ def generate(config: SimConfig) -> PopulationGraph:
         features = rng.uniform(0.0, 1.0, size=(total, 2))
 
     return PopulationGraph(
-        adjacency=adjacency,
+        adjacency=_Edges(lo, hi, w, total),
         features=features,
         labels=labels,
         train_mask=np.ones(total, dtype=bool),

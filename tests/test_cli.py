@@ -153,7 +153,7 @@ class TestTrainCommand:
         write_features_csv(tmp_path / "features.csv", graph)
         from chebgcn.io import write_edge_list
 
-        write_edge_list(tmp_path / "edges.txt", graph.adjacency)
+        write_edge_list(tmp_path / "edges.txt", *graph.edges)
         out = tmp_path / "res"
         sections = quick_sections(out, dataset={
             "source": "files",
@@ -435,9 +435,9 @@ def test_the_graph_sidecar_changes_no_result(tmp_path, monkeypatch, command, spa
     sidecar = data / "edges.txt.cache"
     saved = sidecar.read_bytes()
     parses = []
-    read_edge_list = chebgcn.io.read_edge_list
-    monkeypatch.setattr("chebgcn.io.read_edge_list",
-                        lambda *a, **kw: parses.append(a) or read_edge_list(*a, **kw))
+    read_edge_columns = chebgcn.io._read_edge_columns
+    monkeypatch.setattr("chebgcn.io._read_edge_columns",
+                        lambda *a, **kw: parses.append(a) or read_edge_columns(*a, **kw))
     graphs, results = [], []
     for use_sidecar in (True, False):
         if use_sidecar:
@@ -707,6 +707,30 @@ def test_a_byte_that_is_not_utf8_is_bad_input(tmp_path, capsys, kind):
         f"error: {path}:{line}: not UTF-8 text: byte 0xff at offset {offset}")
 
 
+@pytest.mark.parametrize("kind", ["features", "edges", "meta"])
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, kind):
+    # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+    meta_fixture(tmp_path)
+    (tmp_path / "edges.txt").write_text("0 1 1.0\n1 2 1.0\n2 3 0.5\n")
+    if kind == "meta":
+        command, extra = "build-graph", {"affinity": {"meta": str(tmp_path / "meta.csv"),
+                                                      "features": str(tmp_path / "features.csv")}}
+    else:
+        command, extra = "train", {"dataset": {"source": "files",
+                                               "features": str(tmp_path / "features.csv"),
+                                               "edges": str(tmp_path / "edges.txt")}}
+    path = tmp_path / {"features": "features.csv", "edges": "edges.txt", "meta": "meta.csv"}[kind]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + path.read_bytes())
+        out = tmp_path / f"res-{len(bom)}"
+        cfg = write_cfg(tmp_path, quick_sections(out, experiment={"folds": 2}, **extra))
+        assert main([command, "--config", cfg, "--threads", "1"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "effective-config.yaml"})
+    assert outputs[0] == outputs[1]
+
+
 # Each command runs in a fresh interpreter: it prints whether importing the
 # package loaded scipy.sparse, the exit code, and whether the run loaded it.
 SCIPY_PROBE = """\
@@ -719,8 +743,9 @@ print(imported, code, "scipy.sparse" in sys.modules)
 
 
 def test_scipy_sparse_loads_only_for_csr_graphs(tmp_path):
-    # Importing scipy.sparse takes longer than NumPy, so a run on a dense
-    # graph, and the package import itself, leave it out.
+    # Importing scipy.sparse takes longer than NumPy, so the package import,
+    # building and writing a graph of any density, and a run on a dense
+    # graph leave it out: only a CSR Laplacian loads it.
     src = Path(chebgcn.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH")]))}
@@ -733,11 +758,22 @@ def test_scipy_sparse_loads_only_for_csr_graphs(tmp_path):
         return done.stdout.split()[-3:]
 
     meta_fixture(tmp_path)
-    for graph_command, data, sparse in [("build-graph", tmp_path / "dense", "False"),
-                                        ("simdata", tmp_path / "csr", "True")]:
+    # 40 nodes on 8 sites: a site-only gate joins each node to 4 others, 10% of the pairs
+    sites = tmp_path / "sites"
+    sites.mkdir()
+    n = 40
+    write_features_csv(sites / "features.csv", PopulationGraph(
+        adjacency=np.zeros((n, n)), features=np.random.default_rng(0).standard_normal((n, 4)),
+        labels=np.arange(n) % 2, train_mask=np.ones(n, dtype=bool)))
+    (sites / "meta.csv").write_text("node,site\n" + "".join(f"{i},s{i % 8}\n" for i in range(n)))
+    for graph_command, inputs, data, sparse in [
+        ("build-graph", tmp_path, tmp_path / "dense", "False"),
+        ("simdata", tmp_path, tmp_path / "csr", "True"),
+        ("build-graph", sites, tmp_path / "sites-csr", "True"),
+    ]:
         graph = quick_sections(data, sim={"beta": 0.4}, affinity={
-            "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv")})
-        assert run(graph_command, graph) == ["False", "0", sparse]
+            "meta": str(inputs / "meta.csv"), "features": str(inputs / "features.csv")})
+        assert run(graph_command, graph) == ["False", "0", "False"]
         train = quick_sections(tmp_path / "res", experiment={"folds": 2}, dataset={
             "source": "files", "features": str(data / "features.csv"),
             "edges": str(data / "edges.txt")})

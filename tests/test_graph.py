@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from chebgcn.affinity import _gaussian_weights, pairwise_distance
 from chebgcn.graph import (
+    SPARSE_DENSITY_CUTOFF,
     GraphInvariantError,
     NormalizedLaplacian,
     PopulationGraph,
@@ -11,10 +13,11 @@ from chebgcn.graph import (
     chebyshev_apply,
     khop_reach,
     rescale_laplacian,
-    to_storage,
+    _Edges,
 )
 
 from chebgcn.io import write_edge_list
+from chebgcn.simdata import SimConfig, generate
 
 from conftest import (
     bfs_hop_distances,
@@ -28,7 +31,7 @@ from conftest import (
 
 def make_graph(adjacency, **fields):
     """A graph on ``adjacency``, all train, with any other field replaced by ``fields``."""
-    n = adjacency.shape[0]
+    n = adjacency.n if isinstance(adjacency, _Edges) else adjacency.shape[0]
     return PopulationGraph(**{
         "adjacency": adjacency,
         "features": np.arange(2 * n, dtype=float).reshape(n, 2),
@@ -310,8 +313,8 @@ class TestPopulationGraph:
     def test_rejects_non_finite_weights_naming_the_pair(self, storage, weight):
         # a 4-node path is 37.5% dense, a 10-node path 18%
         a = path_adjacency(4 if storage == "dense" else 10)
+        assert sp.issparse(make_graph(a).adjacency) == (storage == "sparse")
         a[1, 2] = a[2, 1] = weight
-        assert sp.issparse(to_storage(a)) == (storage == "sparse")
         with pytest.raises(GraphInvariantError, match=rf"finite: edge \(1, 2\) is {weight}"):
             make_graph(a)
 
@@ -354,7 +357,7 @@ class TestPopulationGraph:
         g = make_graph(stored, features=np.ones((30, 2)))
         assert g.n_edges == 1
         npt.assert_array_equal(g.adjacency.indices, [2, 1])
-        write_edge_list(tmp_path / "edges.txt", g.adjacency)
+        write_edge_list(tmp_path / "edges.txt", *g.edges)
         assert (tmp_path / "edges.txt").read_text() == "1 2 1.0\n"
         # the caller's matrix keeps its entries and shares no buffer with the graph
         assert stored.nnz == 4
@@ -377,9 +380,121 @@ class TestPopulationGraph:
         data = np.concatenate([path.data, np.zeros(10)])
         stored = sp.csr_array((data, (rows, cols)), shape=(10, 10))
         assert stored.nnz == 28
-        adj = to_storage(stored)
+        adj = make_graph(stored).adjacency
         assert sp.issparse(adj) and adj.nnz == 18
         npt.assert_array_equal(adj.toarray(), path_adjacency(10))
+
+
+def stored_matrix(matrix):
+    """The adjacency a graph stored when it kept its input matrix itself:
+    canonical float64 CSR when fewer than SPARSE_DENSITY_CUTOFF of the
+    entries are nonzero (stored zeros not counted), else a float64 array."""
+    csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    if csr.nnz < SPARSE_DENSITY_CUTOFF * np.prod(csr.shape):
+        return csr
+    return csr.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
+
+
+def assert_bitwise(got, want):
+    assert type(got) is type(want)
+    if sp.issparse(want):
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+        # The same index values; they are int32 whatever index dtype a CSR
+        # input had, since the storage is built from the edge columns.
+        for field in ("indices", "indptr"):
+            assert getattr(got, field).dtype == np.int32, field
+            npt.assert_array_equal(getattr(got, field), getattr(want, field))
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def upper_columns(dense):
+    """A symmetric dense matrix's canonical edge columns, pair by pair."""
+    n = dense.shape[0]
+    lo, hi = np.array([(i, j) for i in range(n) for j in range(i + 1, n) if dense[i, j] != 0.0],
+                      dtype=np.int64).T
+    return _Edges(lo, hi, dense[lo, hi], n)
+
+
+def with_stored_zeros(dense):
+    """``dense`` as CSR, with zeros stored on its anti-diagonal too."""
+    n = dense.shape[0]
+    coo, anti = sp.coo_array(dense), np.arange(n)
+    return sp.csr_array((np.concatenate([coo.data, np.zeros(n)]),
+                         (np.concatenate([coo.row, anti]), np.concatenate([coo.col, anti[::-1]]))),
+                        shape=(n, n))
+
+
+# (name, dense adjacency): density below, above and exactly at the cutoff.
+DENSITIES = [
+    ("below", random_adjacency(np.random.default_rng(1), 12, p=0.1, weighted=True)),
+    ("above", random_adjacency(np.random.default_rng(2), 12, p=0.6, weighted=True)),
+    # 2 edges on 4 nodes fill 4 of 16 entries
+    ("at", np.array([[0, 1.5, 0, 0], [1.5, 0, 0, 0], [0, 0, 0, 0.25], [0, 0, 0.25, 0]])),
+]
+
+
+class TestEdgeColumns:
+    """A graph holds edge columns and builds the adjacency it used to store
+    from them, bit for bit, on first read."""
+
+    @pytest.mark.parametrize("given", ["dense", "csr", "csr-stored-zeros", "columns"])
+    @pytest.mark.parametrize("name, dense", DENSITIES, ids=[d[0] for d in DENSITIES])
+    def test_adjacency_is_the_stored_matrix_bit_for_bit(self, given, name, dense):
+        arg = {"dense": dense, "csr": sp.csr_array(dense), "columns": upper_columns(dense),
+               "csr-stored-zeros": with_stored_zeros(dense)}[given]
+        g = make_graph(arg)
+        assert "adjacency" not in vars(g)
+        assert g.n_edges == np.count_nonzero(dense) // 2
+        want = stored_matrix(dense if given == "columns" else arg)
+        assert sp.issparse(want) == (name == "below")
+        assert_bitwise(g.adjacency, want)
+        assert_bitwise(g.degrees(), want.sum(axis=1))
+        assert g.adjacency is g.adjacency
+        for got, ref in zip(g.edges, upper_columns(dense)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("weights", ["binary", "similarity"])
+    @pytest.mark.parametrize("beta", [0.5, 3.0], ids=["csr", "dense"])
+    def test_generate_stores_the_thresholded_matrix(self, weights, beta):
+        g = generate(SimConfig(n_per_class=40, beta=beta, edge_weights=weights))
+        dist = pairwise_distance(g.features, "euclidean")
+        close = dist < beta
+        np.fill_diagonal(close, False)
+        dense = close.astype(np.float64)
+        if weights == "similarity":
+            dense = _gaussian_weights(dist, None) * close
+        want = stored_matrix(dense)
+        assert sp.issparse(want) == (beta == 0.5)
+        assert g.n_edges == np.count_nonzero(dense) // 2
+        assert_bitwise(g.adjacency, want)
+        assert_bitwise(g.degrees(), want.sum(axis=1))
+
+    @pytest.mark.parametrize("break_rule", [
+        "unsorted", "repeated", "reversed", "zero-weight", "nan-weight", "inf-weight",
+        "negative-index", "index-past-n", "int32-index",
+    ])
+    def test_non_canonical_columns_are_rejected(self, break_rule):
+        lo, hi, w, n = upper_columns(DENSITIES[1][1])
+        if break_rule == "unsorted":
+            lo, hi, w = lo[::-1], hi[::-1], w[::-1]
+        elif break_rule == "repeated":
+            lo, hi, w = np.repeat(lo, 2), np.repeat(hi, 2), np.repeat(w, 2)
+        elif break_rule == "reversed":
+            lo, hi = hi, lo
+        elif break_rule == "int32-index":
+            lo = lo.astype(np.int32)
+        else:
+            k, column, value = {"zero-weight": (0, w, 0.0), "nan-weight": (0, w, np.nan),
+                                "inf-weight": (0, w, np.inf), "negative-index": (0, lo, -1),
+                                "index-past-n": (-1, hi, n)}[break_rule]
+            column[k] = value
+        with pytest.raises(GraphInvariantError, match="edge columns must be canonical"):
+            make_graph(_Edges(lo, hi, w, n))
 
 
 @pytest.mark.parametrize("call, error, fragment", [

@@ -40,6 +40,14 @@ def tiny_graph(n=6, seed=0, p=0.5):
     )
 
 
+def edges_of(adjacency):
+    """The edge columns of a graph on ``adjacency``."""
+    n = adjacency.shape[0]
+    return PopulationGraph(adjacency=adjacency, features=np.zeros((n, 1)),
+                           labels=np.zeros(n, dtype=np.int64),
+                           train_mask=np.ones(n, dtype=bool)).edges
+
+
 def write_text(tmp_path, text, name="edges.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -51,7 +59,7 @@ class TestEdgeList:
         g = tiny_graph()
         assert not sp.issparse(g.adjacency)
         path = tmp_path / "edges.txt"
-        write_edge_list(path, g.adjacency)
+        write_edge_list(path, *g.edges)
         back = read_edge_list(path, n_nodes=g.n_nodes)
         npt.assert_array_equal(back.toarray(), np.asarray(g.adjacency))
 
@@ -59,14 +67,14 @@ class TestEdgeList:
         g = tiny_graph(n=12, seed=3, p=0.15)
         assert sp.issparse(g.adjacency)
         path = tmp_path / "edges.txt"
-        write_edge_list(path, g.adjacency)
+        write_edge_list(path, *g.edges)
         back = read_edge_list(path, n_nodes=12)
         npt.assert_array_equal(back.toarray(), g.adjacency.toarray())
 
     def test_file_holds_sorted_upper_triangle(self, tmp_path):
         adj = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.5], [0.0, 1.5, 0.0]])
         path = tmp_path / "edges.txt"
-        write_edge_list(path, adj)
+        write_edge_list(path, *edges_of(adj))
         assert path.read_text() == "0 1 2.0\n1 2 1.5\n"
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -253,7 +261,7 @@ class TestWritersByteIdentity:
                 shape=adjacency.shape,
             )
             assert not adjacency.has_sorted_indices
-        write_edge_list(tmp_path / "edges.txt", adjacency)
+        write_edge_list(tmp_path / "edges.txt", *edges_of(adjacency))
         assert (tmp_path / "edges.txt").read_bytes() == (
             b"0 1 5e-324\n"
             b"2 1000 1e-05\n"
@@ -274,7 +282,7 @@ class TestWritersByteIdentity:
 
     def test_edge_list_matches_line_by_line_format_across_chunks(self, tmp_path):
         adj = multi_chunk_adjacency()
-        write_edge_list(tmp_path / "edges.txt", adj)
+        write_edge_list(tmp_path / "edges.txt", *edges_of(adj))
         assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(adj)
 
     def test_features_match_csv_module_across_chunks(self, tmp_path):
@@ -286,7 +294,8 @@ class TestWritersByteIdentity:
 def multi_chunk_adjacency(n=3000):
     """A symmetric CSR adjacency whose edge list spans several chunks."""
     rng = np.random.default_rng(1)
-    upper = sp.random_array((n, n), density=0.004, rng=rng, format="coo")
+    rows, cols = rng.integers(0, n, size=(2, round(0.004 * n * n)))
+    upper = sp.coo_array((rng.uniform(0.5, 2.0, rows.size), (rows, cols)), shape=(n, n))
     adj = sp.triu(upper, k=1).tocsr()
     adj = adj + adj.T
     assert adj.nnz // 2 > 8192
@@ -548,6 +557,9 @@ def assert_same_graph(a, b):
     for field in ("features", "labels", "train_mask", "test_mask"):
         assert getattr(a, field).dtype == getattr(b, field).dtype
         npt.assert_array_equal(getattr(a, field), getattr(b, field))
+    for column_a, column_b in zip(a.edges, b.edges):
+        assert column_a.dtype == column_b.dtype
+        npt.assert_array_equal(column_a, column_b)
 
 
 def change_one_byte(path, lineno):
@@ -572,7 +584,7 @@ class TestSidecar:
     def spy(self, monkeypatch):
         """Counts the text parses ``load_graph`` runs."""
         calls = []
-        for name in ("read_features_csv", "read_edge_list"):
+        for name in ("read_features_csv", "_read_edge_columns"):
             real = getattr(chebgcn.io, name)
             monkeypatch.setattr(f"chebgcn.io.{name}",
                                 lambda *a, _real=real, **kw: calls.append(_real) or _real(*a, **kw))
@@ -595,10 +607,10 @@ class TestSidecar:
         paths = self.save(tmp_path, graph)
         hit = load_graph(*paths)
         assert spy == []
+        # the storage is built from the sidecar's columns when first read
+        assert "adjacency" not in vars(hit)
         assert_same_graph(hit, parsed_graph(*paths))
         assert_same_graph(hit, graph)
-        # the sidecar's columns go straight into the storage the graph keeps
-        assert type(chebgcn.io._read_sidecar(*paths)[3]) is type(graph.adjacency)
 
     @pytest.mark.parametrize("corrupt", [
         "features-byte", "edges-byte", "other-graph", "missing", "truncated", "header-only",
@@ -640,6 +652,31 @@ class TestSidecar:
             # the text changed, so the graph the stale sidecar holds is not the answer
             with pytest.raises(AssertionError):
                 assert_same_graph(back, saved)
+
+    @pytest.mark.parametrize("break_rule", ["unsorted", "repeated", "reversed", "zero-weight"])
+    def test_non_canonical_columns_mean_parse(self, tmp_path, spy, break_rule):
+        # a sidecar whose digests all match but whose edge columns break a rule
+        features, edges = self.save(tmp_path, tiny_graph(n=12, seed=3, p=0.4))
+        head, *arrays = self.records(edges)
+        lo, hi, w = arrays[3:]
+        if break_rule == "unsorted":
+            lo, hi, w = lo[::-1], hi[::-1], w[::-1]
+        elif break_rule == "repeated":
+            lo, hi, w = np.repeat(lo, 2), np.repeat(hi, 2), np.repeat(w, 2)
+        elif break_rule == "reversed":
+            lo, hi = hi, lo
+        else:
+            w = np.concatenate([[0.0], w[1:]])
+        chebgcn.io._write_sidecar(f"{edges}.cache", head[1:3], (*arrays[:3], lo, hi, w))
+        back = load_graph(features, edges)
+        assert len(spy) == 2
+        assert_same_graph(back, parsed_graph(features, edges))
+
+    @staticmethod
+    def records(edges):
+        """The head record and the arrays of the sidecar beside ``edges``."""
+        with open(f"{edges}.cache", "rb") as fh:
+            return [np.lib.format.read_array(fh) for _ in range(1 + chebgcn.io._SIDECAR_ARRAYS)]
 
     def test_a_bad_text_file_still_names_its_line(self, tmp_path):
         features, edges = self.save(tmp_path, tiny_graph(n=12, seed=3, p=0.4))

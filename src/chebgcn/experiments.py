@@ -22,9 +22,10 @@ from .nn import (
     InceptionModule,
     Network,
     ShapeMismatchError,
+    _cross_entropy,
+    _loss_targets,
     glorot_uniform,
     make_optimizer,
-    masked_cross_entropy,
     network_backward,
     network_forward,
 )
@@ -266,11 +267,15 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     epochs = [cfg.epochs] * net.folds
     active = np.arange(net.folds)  # stack position -> fold
     stoppers = [None] * net.folds
+    n_classes = (net.modules[-1].d_out if net.classifier_weight is None
+                 else net.classifier_weight.shape[-1])
+    targets, train_counts = _loss_targets(labels, train_mask, n_classes)
     if cfg.early_stop_window > 0:
         stoppers = [EarlyStopper(cfg.early_stop_window) for _ in active]
         monitor_mask = train_mask
         if cfg.stop_metric == "val":
             monitor_mask = np.where(val_mask.any(axis=1)[:, None], val_mask, train_mask)
+        _, monitor_counts = _loss_targets(labels, monitor_mask, n_classes)
     work = net
 
     def leave(going):
@@ -292,7 +297,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
         rngs = [dropout_rng[f] for f in active] if cfg.dropout > 0.0 else None
         scores, tape = network_forward(work, lap, x, input_basis, dropout=cfg.dropout,
                                        dropout_rng=rngs)
-        losses, grad = masked_cross_entropy(scores, labels, train_mask[active])
+        losses, grad = _cross_entropy(scores, train_mask[active], targets, train_counts[active])
         grads = network_backward(tape, grad)
         if cfg.weight_decay > 0.0:
             for name, p in work.parameters().items():
@@ -310,7 +315,8 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
         optimizer.step(work.parameters(), grads)
         if cfg.early_stop_window > 0:
             scores, _ = network_forward(work, lap, x, input_basis)
-            monitor_losses, _ = masked_cross_entropy(scores, labels, monitor_mask[active])
+            monitor_losses, _ = _cross_entropy(scores, monitor_mask[active], targets,
+                                               monitor_counts[active])
             going = ~np.isfinite(monitor_losses)
             for i in np.flatnonzero(~going):
                 going[i] = stoppers[i].update(monitor_losses[i], state_fn=lambda i=i: {

@@ -241,10 +241,6 @@ class PopulationGraph:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of every node."""
-        return self.adjacency.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class NormalizedLaplacian:
@@ -288,14 +284,16 @@ def build_laplacian(graph) -> NormalizedLaplacian:
         adj = _edge_storage(*_matrix_edges(graph))
 
     deg = adj.sum(axis=1)
-    d_inv_sqrt = np.zeros_like(deg)
-    nonzero = deg > 0
-    d_inv_sqrt[nonzero] = 1.0 / np.sqrt(deg[nonzero])
+    d_inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
 
     n = adj.shape[0]
     if isinstance(adj, np.ndarray):
-        lap = np.eye(n) - adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-        lap = (lap + lap.T) * 0.5
+        lap = adj * d_inv_sqrt[:, None]
+        lap *= d_inv_sqrt[None, :]
+        np.subtract(0.0, lap, out=lap)  # +0.0 off the diagonal, as I - x gives
+        lap.flat[::n + 1] += 1.0
+        lap += lap.T
+        lap *= 0.5
     else:
         import scipy.sparse as sp
 
@@ -313,7 +311,8 @@ def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
     """
     n = lap.n_nodes
     if isinstance(lap.matrix, np.ndarray):
-        scaled = lap.matrix - np.eye(n)
+        scaled = lap.matrix.copy()
+        scaled.flat[::n + 1] -= 1.0
     else:
         import scipy.sparse as sp
 

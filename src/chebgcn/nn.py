@@ -12,9 +12,9 @@ A network may also be a stack of F networks of one shape, one per
 cross-validation fold: every parameter then carries a leading fold axis,
 and the folds train together. Hidden states are (N, F * width) with each
 fold's columns side by side. Each branch of the first module runs as one
-wide product off the columns [T_0 X ... T_k X] of the input basis that every
-fold shares, and the Chebyshev recurrence of later modules runs once for the
-whole stack wherever its wide products are exact.
+wide product off the basis B = [T_0 X ... T_k X] every fold shares, its weight
+gradient as one product G^T B, and the Chebyshev recurrence of later modules
+once for the whole stack, wherever such wide products are exact.
 Each fold still gets bitwise the values it would get alone; a single network
 is the F-less case of the same code.
 
@@ -25,6 +25,7 @@ the test suite instead.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -57,42 +58,46 @@ def _fold_view(a, folds):
     return a.reshape(a.shape[0], folds, -1).transpose(1, 0, 2)
 
 
-# (shape and strides of a, columns of b, folds) -> whether one wide product
-# gives every fold the bits of its own product. The answer depends on the
-# BLAS build and the shapes only, so one cache serves every caller.
+# (form, shape and strides of a, columns of b, folds) -> whether one wide
+# product gives every fold the bits of its own product. The answer depends on
+# the BLAS build and the shapes only, so one cache serves every caller.
 _WIDE_IS_EXACT = {}
 
 
-def _wide_is_exact(a, cols, folds):
-    """Whether ``a @ b`` for any b of ``cols`` columns gives each of its
-    ``folds`` column blocks the bits of ``a @ block``.
+def _wide_is_exact(a, cols, folds, left=False):
+    """Whether ``a @ b`` (with ``left``, ``b.T @ a``) for any b of ``cols``
+    columns gives each of its ``folds`` blocks the bits of its block's product.
 
     BLAS picks its kernel from a product's shape, and its small-matrix
     kernels sum in another order than the blocked ones, so a wide product can
     round differently from a narrow one. A probe on random columns, run once
-    per shape, decides. SciPy sums each row of a sparse product in the same
-    order at any width.
+    per form and shape, decides. SciPy sums each row of a sparse product in
+    the same order at any width.
     """
     if folds == 1 or not isinstance(a, np.ndarray):
         return True
-    key = (a.shape, a.strides, cols, folds)
+    key = (left, a.shape, a.strides, cols, folds)
     if key not in _WIDE_IS_EXACT:
-        probe = np.random.default_rng(0).standard_normal((a.shape[1], cols))
-        _WIDE_IS_EXACT[key] = np.array_equal(a @ probe, _per_fold_matmul(a, probe, folds))
+        probe = np.random.default_rng(0).standard_normal((a.shape[0 if left else 1], cols))
+        wide = probe.T @ a if left else a @ probe
+        _WIDE_IS_EXACT[key] = np.array_equal(wide, _per_fold_matmul(a, probe, folds, left))
     return _WIDE_IS_EXACT[key]
 
 
-def _fold_matmul(a, b, folds):
-    """``a @ b`` for b of ``folds`` equal column blocks, each block's columns
-    bitwise ``a @ block``: one wide product where it is exact, else one
-    product per block."""
-    return a @ b if _wide_is_exact(a, b.shape[1], folds) else _per_fold_matmul(a, b, folds)
+def _fold_matmul(a, b, folds, left=False):
+    """``a @ b``, or with ``left`` ``b.T @ a`` (faster than ``(a.T @ b).T``, same
+    bits in every shape measured), for b of ``folds`` equal column blocks, each
+    block's part bitwise its own: one wide product where exact, else per block."""
+    if not _wide_is_exact(a, b.shape[1], folds, left):
+        return _per_fold_matmul(a, b, folds, left)
+    return b.T @ a if left else a @ b
 
 
-def _per_fold_matmul(a, b, folds):
+def _per_fold_matmul(a, b, folds, left=False):
     w = b.shape[1] // folds
-    return np.concatenate(
-        [a @ np.ascontiguousarray(b[:, f * w:(f + 1) * w]) for f in range(folds)], axis=1)
+    blocks = [np.ascontiguousarray(b[:, f * w:(f + 1) * w]) for f in range(folds)]
+    return (np.concatenate([block.T @ a for block in blocks]) if left
+            else np.concatenate([a @ block for block in blocks], axis=1))
 
 
 def _fold_basis(lap, h, order, folds):
@@ -288,7 +293,8 @@ def _module_backward(module, lap, mtape, g):
             bg = bg * mask
         if first:
             cols = (br.order + 1) * br.d_in
-            dtheta = _fold_view(_fold_matmul(mtape.basis[:, :cols].T, bg, folds), folds)
+            dtheta = _fold_matmul(mtape.basis[:, :cols], bg, folds, left=True)
+            dtheta = dtheta.reshape(folds, -1, cols).transpose(0, 2, 1)
         else:
             theta = br.theta.reshape((folds,) + br.theta.shape[-3:])
             bg3 = _fold_view(bg, folds)
@@ -525,39 +531,48 @@ def masked_cross_entropy(scores, labels, mask):
     row's gradient sums to zero up to roundoff.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
     if scores.ndim not in (2, 3):
         raise ShapeMismatchError(f"scores must be ([F,] N, C), got shape {scores.shape}")
     n, n_classes = scores.shape[-2:]
-    if labels.shape != (n,) or mask.shape != scores.shape[:-1]:
-        raise ShapeMismatchError("labels must be 1-D with one entry per row, and the mask "
-                                 "one entry per row of each fold")
-    s3 = scores.reshape(-1, n, n_classes)
+    if mask.shape != scores.shape[:-1]:
+        raise ShapeMismatchError("the mask must have one entry per row of each fold")
     m3 = mask.reshape(-1, n)
-    counts = m3.sum(axis=1)
+    losses, grad = _cross_entropy(scores.reshape(-1, n, n_classes), m3,
+                                  *_loss_targets(labels, m3, n_classes))
+    return (float(losses[0]), grad[0]) if scores.ndim == 2 else (losses, grad)
+
+
+def _loss_targets(labels, mask, n_classes):
+    """(N,) labels checked against an (F, N) mask and clipped into range (rows
+    outside every mask may carry any label), and each fold's row count."""
+    labels = np.asarray(labels)
+    if labels.shape != mask.shape[1:]:
+        raise ShapeMismatchError("labels must be 1-D with one entry per row")
+    counts = mask.sum(axis=1)
     if not counts.all():
         raise ValueError("mask selects no rows; loss is undefined")
-    picked = labels[m3.any(axis=0)]
+    picked = labels[mask.any(axis=0)]
     if picked.min() < 0 or picked.max() >= n_classes:
         raise ValueError("a masked label is outside [0, n_classes)")
+    return np.clip(labels, 0, n_classes - 1), counts
+
+
+def _cross_entropy(s3, mask, targets, counts):
+    """masked_cross_entropy of (F, N, C) scores after _loss_targets. The
+    shift, and below 8 classes the sum, run over the class slices: the bits of
+    the axis-2 reductions, as NumPy sums fewer than 8 entries in order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # the shift can land at -inf for extreme score gaps (exp maps that to
-        # 0), and already non-finite scores pass through as nan for callers
-        # that check the loss
-        shifted = s3 - s3.max(axis=2, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    logp = shifted - logz
-    # rows outside every mask may carry any label; they get no gradient
-    rows, cols = np.arange(n), np.clip(labels, 0, n_classes - 1)
-    label_logp = logp[:, rows, cols]
-    losses = np.array([-label_logp[f][m].mean() for f, m in enumerate(m3)])
+        # a shift to -inf (exp maps it to 0) or nan from non-finite scores is fine
+        shifted = s3 - reduce(np.maximum, np.moveaxis(s3, 2, 0))[:, :, None]
+    exp = np.exp(shifted)
+    total = reduce(np.add, np.moveaxis(exp, 2, 0)) if s3.shape[2] < 8 else exp.sum(axis=2)
+    logp = shifted - np.log(total)[:, :, None]
+    rows = np.arange(s3.shape[1])
+    losses = np.array([-logp[f, rows, targets][m].mean() for f, m in enumerate(mask)])
     probs = np.exp(logp)
-    probs[:, rows, cols] -= 1.0
-    grad = np.where(m3[:, :, None], probs / counts[:, None, None], 0.0)
-    if scores.ndim == 2:
-        return float(losses[0]), grad[0]
-    return losses, grad
+    probs[:, rows, targets] -= 1.0
+    return losses, np.where(mask[:, :, None], probs / counts[:, None, None], 0.0)
 
 
 def _check_gradient(name, p, g):

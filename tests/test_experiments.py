@@ -52,6 +52,7 @@ from chebgcn.nn import (
     InceptionModule,
     Network,
     ShapeMismatchError,
+    _cross_entropy,
     masked_cross_entropy,
     network_backward,
     network_forward,
@@ -530,12 +531,12 @@ class TestFoldStacks:
     def test_one_stack_takes_every_exit(self, toy_graph, storage, monkeypatch):
         losses = []
 
-        def recording(scores, labels, mask):
-            out = masked_cross_entropy(scores, labels, mask)
+        def recording(*args):
+            out = _cross_entropy(*args)
             losses.append(out[0])
             return out
 
-        monkeypatch.setattr("chebgcn.experiments.masked_cross_entropy", recording)
+        monkeypatch.setattr("chebgcn.experiments._cross_entropy", recording)
         lap = rescale_laplacian(build_laplacian(toy_graph))
         lap = NormalizedLaplacian(matrix=storage(lap.toarray()))
         train = np.array([t for t, _ in stratified_folds(toy_graph.labels, 3, seed=5)])
@@ -586,6 +587,35 @@ class TestFoldStacks:
         assert _stack_size(single_layer(10, 16), 10_000, 2, 10, 1) == 10
         # order 10 past the first module: 11 * 600 * 16 * 8 bytes per fold
         assert _stack_size(sequential((1, 10), 16), 600, 2, 10, 1) == 2
+
+
+class TestCohortLosses:
+    """A cohort-shaped stack: 5 folds of 300 nodes with d = 200 on a dense
+    Laplacian, one order-3 filter, as the benchmark's cohort workload trains
+    it. Its final training losses are pinned, so that a change in how an
+    epoch is computed shows here, not only in the benchmark's accuracies."""
+
+    # Per-fold final training losses. Roundoff, such as another BLAS build's,
+    # moves them by about 1e-16 relative and a gradient scaled by 1.05 by
+    # about 1e-1, so 1e-10 tells the two apart.
+    PINNED = [0.00935555666394209, 0.011162171979160711, 0.010193596578821658,
+              0.009335276405861877, 0.010670163735015701]
+
+    def test_final_training_losses_are_pinned(self):
+        rng = np.random.default_rng(2023)
+        n, d = 300, 200
+        labels = rng.permutation(np.arange(n) % 2)
+        x = rng.standard_normal((n, d))
+        x[:, :20] += np.where(labels == 1, 0.5, -0.5)[:, None]
+        adj = np.triu(rng.random((n, n)) < 0.5, 1).astype(float)
+        lap = rescale_laplacian(build_laplacian(adj + adj.T))
+        assert isinstance(lap.matrix, np.ndarray)
+        train = np.array([t for t, _ in stratified_folds(labels, 5, seed=0)])
+        rngs = [np.random.default_rng(f) for f in range(5)]
+        stack = build_network(single_layer(3, 16), d, 2, rngs)
+        assert train_network(stack, lap, x, labels, train, TrainConfig(epochs=40)) == [40] * 5
+        losses, _ = masked_cross_entropy(network_forward(stack, lap, x)[0], labels, train)
+        npt.assert_allclose(losses, self.PINNED, rtol=1e-10)
 
 
 class TestRunCv:

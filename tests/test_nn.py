@@ -14,10 +14,14 @@ from chebgcn.nn import (
     Network,
     ShapeMismatchError,
     StaleTapeError,
+    _cross_entropy,
     _fold_basis,
     _fold_matmul,
+    _loss_targets,
     _module_backward,
     _module_forward,
+    _per_fold_matmul,
+    _wide_is_exact,
     make_optimizer,
     masked_cross_entropy,
     network_backward,
@@ -371,6 +375,63 @@ class TestMaskedCrossEntropy:
             masked_cross_entropy(np.zeros((2, 2)), np.array([0, 2]), np.ones(2, dtype=bool))
 
 
+def axis_cross_entropy(s3, labels, mask):
+    """The loss with its shift and log-sum-exp as axis-2 reductions, the
+    formula the class-slice core must match bit for bit."""
+    n, n_classes = s3.shape[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = s3 - s3.max(axis=2, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    rows, cols = np.arange(n), np.clip(labels, 0, n_classes - 1)
+    losses = np.array([-logp[f, rows, cols][m].mean() for f, m in enumerate(mask)])
+    probs = np.exp(logp)
+    probs[:, rows, cols] -= 1.0
+    return losses, np.where(mask[:, :, None], probs / mask.sum(axis=1)[:, None, None], 0.0)
+
+
+class TestLossCore:
+    """The epoch loop's loss core takes the shift and, below 8 classes, the
+    log-sum-exp over the class slices; it must give the bits of the axis-2
+    reductions, non-finite values included."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("folds", [1, 5])
+    def test_bitwise_the_axis_formula(self, n_classes, folds):
+        rng = np.random.default_rng(100 + n_classes)
+        s3 = rng.standard_normal((folds, 50, n_classes)) * 30
+        s3[0, 0, 0], s3[0, 0, -1] = 1e308, -1e308  # the shifted low score is -inf
+        s3[-1, 1, 0] = np.nan  # passes through as nan
+        s3[-1, 2, -1] = np.inf
+        labels = rng.integers(0, n_classes, 50)
+        outside = rng.random(50) < 0.2  # rows outside every mask carry any label
+        outside[:3] = False
+        labels[outside] = n_classes + 3
+        mask = (rng.random((folds, 50)) < 0.6) & ~outside
+        mask[:, :3] = True
+        targets, counts = _loss_targets(labels, mask, n_classes)
+        with np.errstate(invalid="ignore"):
+            want = axis_cross_entropy(s3, labels, mask)
+            got = _cross_entropy(s3, mask, targets, counts)
+            public = masked_cross_entropy(s3, labels, mask)
+        assert np.isfinite(want[1][0, 0]).all() and np.isnan(want[0][-1])
+        for loss, grad in (got, public):
+            assert loss.tobytes() == want[0].tobytes()
+            assert grad.tobytes() == want[1].tobytes()
+
+    def test_targets_are_checked_once_and_clipped(self):
+        labels = np.array([0, 1, 5, -2])
+        mask = np.array([[True, False, False, False], [True, True, False, False]])
+        targets, counts = _loss_targets(labels, mask, 2)
+        npt.assert_array_equal(targets, [0, 1, 1, 0])
+        npt.assert_array_equal(counts, [1, 2])
+        with pytest.raises(ValueError, match="outside"):
+            _loss_targets(labels, mask | np.array([False, False, True, False]), 2)
+        with pytest.raises(ValueError, match="no rows"):
+            _loss_targets(labels, mask & np.array([[True], [False]]), 2)
+        with pytest.raises(ShapeMismatchError, match="one entry per row"):
+            _loss_targets(labels[:3], mask, 2)
+
+
 class TestNetworkBackward:
     def test_zero_score_gradient_gives_zero_parameter_gradients(self):
         lt = make_lap(6, seed=50)
@@ -571,9 +632,9 @@ class TestFirstModule:
     def test_one_product_per_branch_each_way(self, monkeypatch, folds):
         shapes = []
 
-        def counting(a, b, f):
-            shapes.append(a.shape)
-            return _fold_matmul(a, b, f)
+        def counting(a, b, f, left=False):
+            shapes.append((a.shape, left))
+            return _fold_matmul(a, b, f, left)
 
         monkeypatch.setattr("chebgcn.nn._fold_matmul", counting)
         rng = np.random.default_rng(90)
@@ -581,10 +642,11 @@ class TestFirstModule:
         module = InceptionModule(branches=[ChebFilterLayer.create(k, 3, 4, rng) for k in (1, 4)])
         net = fold_stack(Network(modules=[module]), folds)
         scores, tape = network_forward(net, make_lap(12, seed=90), x)
-        assert shapes == [(12, 6), (12, 15)]
+        assert shapes == [((12, 6), False), ((12, 15), False)]
         shapes.clear()
         network_backward(tape, np.ones_like(scores))
-        assert shapes == [(6, 12), (15, 12)]  # dtheta only: the input is data
+        # dtheta only, as g.T @ basis: the input is data
+        assert shapes == [((12, 6), True), ((12, 15), True)]
 
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
     @pytest.mark.parametrize("folds, d", [(1, 2), (3, 2), (3, 32), (2, 200)])
@@ -617,6 +679,43 @@ class TestFirstModule:
             bound = np.stack([np.abs(basis[:, :cols]).T @ gs[2 * f + si] for f in range(folds)])
             diff = np.abs(dt - dt2).reshape(bound.shape)
             assert (diff <= 2 * n * eps / (1 - n * eps) * bound).all()
+
+
+class TestWeightGradientProduct:
+    """The first module's weight gradient runs as g.T @ basis, wide over the
+    folds where a probe of that form finds it exact, else one product per
+    fold; either way each fold gets the bits of its own product."""
+
+    # (nodes, basis columns a branch takes, columns cached, width, folds):
+    # the cohort benchmark's order-3 filter on d = 200, and d = 2 filters
+    SHAPES = [(1000, 800, 800, 16, 5), (600, 4, 22, 16, 10), (600, 6, 6, 16, 2),
+              (600, 22, 22, 16, 10), (40, 2, 6, 1, 3), (40, 6, 22, 8, 3)]
+
+    @pytest.mark.parametrize("n, cols, cached, width, folds", SHAPES)
+    def test_each_fold_gets_the_bits_of_its_own_product(self, monkeypatch, n, cols, cached,
+                                                         width, folds):
+        rng = np.random.default_rng(cols + width)
+        basis = rng.standard_normal((n, cached))[:, :cols]
+        g = rng.standard_normal((n, folds * width))
+        alone = [np.ascontiguousarray(g[:, f * width:(f + 1) * width]).T @ basis
+                 for f in range(folds)]
+        got = _fold_matmul(basis, g, folds, left=True)
+        if _wide_is_exact(basis, g.shape[1], folds, left=True):
+            npt.assert_array_equal(g.T @ basis, got)
+        monkeypatch.setattr("chebgcn.nn._wide_is_exact", lambda *args: False)
+        for product in (got, _fold_matmul(basis, g, folds, left=True)):
+            for f, want in enumerate(alone):
+                npt.assert_array_equal(product[f * width:(f + 1) * width], want)
+
+    def test_the_probe_is_keyed_by_form(self, monkeypatch):
+        monkeypatch.setattr("chebgcn.nn._WIDE_IS_EXACT", cache := {})
+        a = np.random.default_rng(3).standard_normal((30, 12))
+        _wide_is_exact(a, 6, 3)
+        _wide_is_exact(a, 6, 3, left=True)
+        assert sorted(key[0] for key in cache) == [False, True]
+        # a left probe has one row per row of a, a right one per column
+        assert _per_fold_matmul(a, np.ones((30, 6)), 3, left=True).shape == (6, 12)
+        assert _per_fold_matmul(a, np.ones((12, 6)), 3).shape == (30, 6)
 
 
 class TestClassifierLayer:

@@ -7,20 +7,27 @@ similarity then weights the surviving edges with a Gaussian kernel on a
 pairwise distance. Several meta-data elements can be mixed by averaging
 their per-element graphs.
 
-All pairwise matrices are built so that they are exactly symmetric, which
-the graph substrate requires.
+Every pairwise matrix here is computed a block of rows at a time: a block's
+distances to all nodes, its similarity weights, its gates and their sum. The
+graph builder keeps only each block's upper-triangle edges, so it never
+holds an (N, N) array. The public helpers assemble their dense (N, N)
+results from the same blocks, exactly symmetric, as the graph substrate
+requires.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PopulationGraph
+from .graph import PopulationGraph, _Edges
 
-
-# Bytes of one row block of the Euclidean distance's (rows, N, d) difference
-# array; simdata's 600 x 2 positions fit in one block.
+# Bytes of one row block: of the Euclidean distance's (rows, N, d)
+# difference array, and of a (rows, N) float64 block of distances, weights
+# or their sum.
 _DISTANCE_BLOCK_BYTES = 8 * 2**20
+_ROW_BLOCK_BYTES = 2**19
+# Most distances the bandwidth's mean hands to one NumPy sum.
+_SUM_LEAF = 2**14
 
 
 class AffinityError(ValueError):
@@ -91,36 +98,149 @@ def pairwise_distance(features: np.ndarray, metric: str = "correlation") -> np.n
     is 1 - Pearson correlation, in [0, 2]; rows with zero variance have no
     defined correlation and raise, naming the first offending node.
     """
+    rows, blocks = _distance_rows(features, metric)
+    return _symmetric(rows, blocks, mirror=metric == "correlation")
+
+
+def _row_blocks(n: int, d: int | None = None) -> list:
+    """(start, stop) ranges of rows covering n rows, in order: each block
+    within _ROW_BLOCK_BYTES as an (rows, n) float64 array and, given a
+    feature count d, within _DISTANCE_BLOCK_BYTES as an (rows, n, d) one.
+    Only a lone row is a one-row block, since NumPy multiplies a one-row
+    matrix with a matrix-vector kernel that can round differently."""
+    rows = _ROW_BLOCK_BYTES // (8 * max(1, n))
+    if d is not None:
+        rows = min(rows, _DISTANCE_BLOCK_BYTES // (8 * max(1, n * d)))
+    starts = list(range(0, n, max(2, rows)))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _zero_diagonal(block: np.ndarray, start: int) -> np.ndarray:
+    """Clear, in place, the diagonal entries of rows start: of an (N, N)
+    matrix held as the (rows, N) block ``block``."""
+    block.flat[start::block.shape[1] + 1] = 0
+    return block
+
+
+def _distance_rows(features, metric):
+    """Check features for ``metric``; returns (rows, blocks). rows(s, e) is
+    rows s:e of the distance matrix with a zero diagonal, for (s, e) in
+    blocks. A correlation block is one GEMM, which can round a pair's last
+    bit differently from the pair's transpose in another block, so a dense
+    correlation result takes each pair from the row of its lower index."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise AffinityError(f"features must be 2-D, got shape {x.shape}")
-    n = x.shape[0]
     if metric == "euclidean":
-        # row blocks keep the (rows, N, d) temporaries bounded; each entry is
-        # bitwise what one broadcast over all rows gives
-        dist = np.empty((n, n))
-        rows = max(1, _DISTANCE_BLOCK_BYTES // max(1, 8 * n * x.shape[1]))
-        for s in range(0, n, rows):
-            diff = x[s:s + rows, None, :] - x[None, :, :]
-            dist[s:s + rows] = np.sqrt((diff * diff).sum(axis=-1))
-    elif metric == "correlation":
-        if x.shape[1] < 2:
-            raise AffinityError("correlation distance needs at least 2 features per node")
-        centered = x - x.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(centered, axis=1)
-        flat = np.flatnonzero(norms == 0.0)
-        if flat.size:
-            raise AffinityError(
-                f"node {flat[0]} has constant features; correlation distance is undefined"
-            )
-        gram = centered @ centered.T
-        gram = (gram + gram.T) * 0.5  # force exact symmetry despite BLAS blocking
-        corr = gram / np.outer(norms, norms)
-        dist = 1.0 - corr
-    else:
+        def rows(s, e):
+            # each entry is bitwise what one broadcast over all rows gives
+            diff = x[s:e, None, :] - x[None, :, :]
+            return _zero_diagonal(np.sqrt((diff * diff).sum(axis=-1)), s)
+
+        return rows, _row_blocks(x.shape[0], x.shape[1])
+    if metric != "correlation":
         raise AffinityError(f"unknown distance {metric!r}")
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    if x.shape[1] < 2:
+        raise AffinityError("correlation distance needs at least 2 features per node")
+    centered = x - x.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    flat = np.flatnonzero(norms == 0.0)
+    if flat.size:
+        raise AffinityError(
+            f"node {flat[0]} has constant features; correlation distance is undefined"
+        )
+
+    def rows(s, e):
+        corr = (centered[s:e] @ centered.T) / np.outer(norms[s:e], norms)
+        return _zero_diagonal(1.0 - corr, s)
+
+    return rows, _row_blocks(x.shape[0])
+
+
+def _symmetric(rows, blocks, mirror: bool) -> np.ndarray:
+    """The dense matrix of row blocks with a zero diagonal. With ``mirror``
+    its lower triangle is copied from the upper one; without, the blocks
+    must be exactly symmetric already, as Euclidean ones are."""
+    n = blocks[-1][1] if blocks else 0
+    out = np.empty((n, n))
+    for s, e in blocks:
+        out[s:e] = rows(s, e)
+    if not mirror:
+        return out
+    upper = np.triu(out, 1)
+    return upper + upper.T
+
+
+def _bandwidth(rows, blocks) -> float:
+    """The mean off-diagonal distance, ``rho[~np.eye(N, dtype=bool)].mean()``
+    for the matrix rho whose row blocks ``rows`` gives, bit for bit, without
+    holding rho; raises if it is zero.
+
+    NumPy sums a contiguous array in a pairwise tree: it cuts an array of
+    more than 128 values at half its size, rounded down to a multiple of 8,
+    and sums the halves the same way. The off-diagonal values stream here in
+    row-major order through that tree, and NumPy sums each subtree of at
+    most _SUM_LEAF values itself.
+    """
+    n = blocks[-1][1]
+    values = (np.delete(rows(s, e).ravel(), np.arange(e - s) * (n + 1) + s) for s, e in blocks)
+    pending = np.empty(0)
+
+    def total(count):
+        nonlocal pending
+        if count > _SUM_LEAF:
+            half = count // 2 - count // 2 % 8
+            return total(half) + total(count - half)
+        while pending.size < count:
+            pending = np.concatenate([pending, next(values)])
+        leaf, pending = pending[:count], pending[count:]
+        return leaf.sum()
+
+    count = n * (n - 1)
+    sigma = float(total(count) / count)
+    if sigma <= 0.0:
+        raise AffinityError(
+            "mean pairwise distance is zero (identical rows); pass an explicit sigma"
+        )
+    return sigma
+
+
+def _gaussian(rho: np.ndarray, sigma: float, start: int = 0) -> np.ndarray:
+    """exp(-rho^2 / (2 sigma^2)) of the rows start: of a distance matrix,
+    zero on the diagonal."""
+    return _zero_diagonal(np.exp(-(rho * rho) / (2.0 * sigma * sigma)), start)
+
+
+def _gaussian_weights(rho: np.ndarray, sigma: float | None) -> np.ndarray:
+    """_gaussian of a whole (N, N) distance matrix; ``sigma=None`` takes the
+    mean off-diagonal distance."""
+    if sigma is None:
+        sigma = _bandwidth(lambda s, e: rho[s:e], [(0, rho.shape[0])])
+    return _gaussian(rho, sigma)
+
+
+def _similarity_rows(features, kernel: SimilarityKernel):
+    """(rows, blocks): rows(s, e) is rows s:e of similarity_weights."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise AffinityError("similarity needs a 2-D feature matrix with at least 2 nodes")
+    dist, blocks = _distance_rows(x, kernel.distance)
+    sigma = _bandwidth(dist, blocks) if kernel.sigma is None else kernel.sigma
+    return (lambda s, e: _gaussian(dist(s, e), sigma, s)), blocks
+
+
+def _gate_rows(meta: MetaElement, s: int, e: int, strict: bool) -> np.ndarray:
+    """Rows s:e of binarize_edges(meta, strict)."""
+    v = meta.values
+    gap = np.abs(v[s:e, None] - v[None, :])
+    edges = gap < meta.beta if strict else gap <= meta.beta
+    _zero_diagonal(edges, s)
+    if meta.missing is not None and meta.missing.any():
+        edges[meta.missing[s:e], :] = False
+        edges[:, meta.missing] = False
+    return edges
 
 
 def binarize_edges(meta: MetaElement, strict: bool = False) -> np.ndarray:
@@ -130,14 +250,7 @@ def binarize_edges(meta: MetaElement, strict: bool = False) -> np.ndarray:
     beta = 0 connects nothing. The diagonal is always False, and nodes
     flagged missing have no edges.
     """
-    v = meta.values
-    gap = np.abs(v[:, None] - v[None, :])
-    edges = gap < meta.beta if strict else gap <= meta.beta
-    np.fill_diagonal(edges, False)
-    if meta.missing is not None and meta.missing.any():
-        edges[meta.missing, :] = False
-        edges[:, meta.missing] = False
-    return edges
+    return _gate_rows(meta, 0, meta.n_nodes, strict)
 
 
 def similarity_weights(features: np.ndarray, kernel: SimilarityKernel) -> np.ndarray:
@@ -147,25 +260,8 @@ def similarity_weights(features: np.ndarray, kernel: SimilarityKernel) -> np.nda
     the bandwidth is the mean off-diagonal pairwise distance; if that mean
     is zero (all rows identical) there is no usable scale and this raises.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise AffinityError("similarity needs a 2-D feature matrix with at least 2 nodes")
-    return _gaussian_weights(pairwise_distance(x, kernel.distance), kernel.sigma)
-
-
-def _gaussian_weights(rho: np.ndarray, sigma: float | None) -> np.ndarray:
-    """exp(-rho^2 / (2 sigma^2)) of a pairwise distance matrix, zero on the
-    diagonal; ``sigma=None`` takes the mean off-diagonal distance."""
-    if sigma is None:
-        off = ~np.eye(rho.shape[0], dtype=bool)
-        sigma = float(rho[off].mean())
-        if sigma <= 0.0:
-            raise AffinityError(
-                "mean pairwise distance is zero (identical rows); pass an explicit sigma"
-            )
-    weights = np.exp(-(rho * rho) / (2.0 * sigma * sigma))
-    np.fill_diagonal(weights, 0.0)
-    return weights
+    return _symmetric(*_similarity_rows(features, kernel),
+                      mirror=kernel.distance == "correlation")
 
 
 def build_affinity(
@@ -187,12 +283,21 @@ def build_affinity(
     it is given. ``kernel`` defaults to the correlation kernel with automatic
     bandwidth; it is unused by mixed_nosim.
     """
-    return _build_affinity(elements, features, kernel, mode, element, strict)[0]
+    lo, hi, w, n = _build_affinity(elements, features, kernel, mode, element, strict)[0]
+    out = np.zeros((n, n))
+    out[lo, hi] = w
+    out[hi, lo] = w
+    return out
 
 
 def _build_affinity(elements, features, kernel, mode, element, strict):
-    """build_affinity's adjacency and, for each gate summed into it, the
-    (element, edge count) pair, counted as the gate is summed."""
+    """build_affinity's graph as canonical edge columns (``graph._Edges``)
+    and, for each gate summed into it, the (element, edge count) pair.
+
+    It works a block of rows at a time: the block's similarity weights, each
+    element's gate and their sum, in build_affinity's order of operations,
+    then the block's upper-triangle nonzeros. So it holds no (N, N) array.
+    """
     elements = list(elements)
     if not elements:
         raise AffinityError("need at least one meta-data element")
@@ -210,20 +315,32 @@ def _build_affinity(elements, features, kernel, mode, element, strict):
     elif element is not None:
         raise AffinityError(f"element {element!r} applies only in single mode, not {mode!r}")
 
-    weights = None
+    weights, blocks = None, _row_blocks(n)
     if mode != "mixed_nosim":
-        weights = similarity_weights(features, SimilarityKernel() if kernel is None else kernel)
-        if weights.shape[0] != n:
-            raise AffinityError(f"features cover {weights.shape[0]} nodes but meta-data {n}")
-    # Every term is non-negative, so starting the sum from zeros is exact.
-    out = np.zeros((n, n))
-    counts = []
-    for m in elements:
-        gate = binarize_edges(m, strict=strict)
-        counts.append((m, np.count_nonzero(gate) // 2))
-        out += gate if weights is None else weights * gate
-    out /= len(elements)
-    return out, counts
+        x = np.asarray(features)
+        if x.ndim == 2 and x.shape[0] != n:
+            raise AffinityError(f"features cover {x.shape[0]} nodes but meta-data {n}")
+        weights, blocks = _similarity_rows(x, SimilarityKernel() if kernel is None else kernel)
+    counts = [0] * len(elements)
+    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for s, e in blocks:
+        w = None if weights is None else weights(s, e)
+        # Every term is non-negative, so starting the sum from zeros is exact.
+        out = np.zeros((e - s, n))
+        for k, m in enumerate(elements):
+            gate = _gate_rows(m, s, e, strict)
+            counts[k] += np.count_nonzero(gate)
+            out += gate if w is None else w * gate
+        out /= len(elements)
+        flat = np.flatnonzero(np.triu(out, s + 1))
+        keys.append(flat + s * n)
+        vals.append(out.ravel()[flat])
+    # Rebinding frees each list once joined, so the columns peak at their size.
+    keys = np.concatenate(keys)
+    vals = np.concatenate(vals)
+    hi = keys % n
+    keys //= n
+    return _Edges(keys, hi, vals, n), [(m, count // 2) for m, count in zip(elements, counts)]
 
 
 def affinity_graph(
@@ -235,14 +352,11 @@ def affinity_graph(
     element: str | None = None,
     strict: bool = False,
 ) -> PopulationGraph:
-    """Convenience wrapper: build the affinity adjacency and wrap it in a graph."""
-    adjacency = build_affinity(
-        elements, features, kernel=kernel, mode=mode, element=element, strict=strict
-    )
-    n = adjacency.shape[0]
+    """Convenience wrapper: build the affinity graph's edges and wrap them in a graph."""
+    edges = _build_affinity(elements, features, kernel, mode, element, strict)[0]
     return PopulationGraph(
-        adjacency=adjacency,
+        adjacency=edges,
         features=features,
         labels=labels,
-        train_mask=np.ones(n, dtype=bool),
+        train_mask=np.ones(edges.n, dtype=bool),
     )

@@ -15,7 +15,8 @@ BLAS pinned to one thread; simdata and build-graph format large graph files
 in as many, and write a binary sidecar beside edges.txt that later loads of
 the graph use instead of parsing the text while it matches (see
 chebgcn.io); they write edge columns and never build adjacency storage or
-import scipy.sparse. Output files do not depend on the count. The
+import scipy.sparse, and build-graph makes its columns a block of rows at a
+time, without an (N, N) matrix. Output files do not depend on the count. The
 effective config is echoed into the output directory as
 effective-config.yaml, so any run can be repeated from its own output.
 """
@@ -71,7 +72,7 @@ def _dataset_graph(cfg: dict) -> PopulationGraph:
     # Folds are dealt round-robin within each class, so the largest class
     # must hold a node for every fold.
     folds = cfg["experiment"]["folds"]
-    largest = int(np.unique(graph.labels, return_counts=True)[1].max())
+    largest = int(np.bincount(graph.labels).max())
     if folds > largest:
         raise ConfigError(f"experiment.folds is {folds}, but the largest class of the "
                           f"{graph.n_nodes} nodes has {largest}, so at most {largest} folds fit")
@@ -133,11 +134,10 @@ def cmd_build_graph(cfg: dict) -> int:
             missing=missing if missing.any() else None,
         ))
     kernel = SimilarityKernel(distance=aff["distance"], sigma=aff["sigma"])
-    adjacency, counts = _build_affinity(
+    edges, counts = _build_affinity(
         elements, features, kernel, aff["mode"], aff["element"], aff["strict"]
     )
-    graph = PopulationGraph(adjacency=adjacency, features=features, labels=labels,
-                            train_mask=train)
+    graph = PopulationGraph(adjacency=edges, features=features, labels=labels, train_mask=train)
     wrote = _save_graph(cfg, graph)
     ends = np.concatenate(graph.edges[:2])
     isolated = np.count_nonzero(np.bincount(ends, minlength=graph.n_nodes) == 0)

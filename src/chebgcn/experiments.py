@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .graph import NormalizedLaplacian, build_laplacian, chebyshev_apply, rescale_laplacian
+from .graph import NormalizedLaplacian, _chebyshev_basis, _chebyshev_laplacian
 from .nn import (
     ACTIVATIONS,
     AGGREGATORS,
@@ -222,7 +222,7 @@ def _carve_validation(train_mask, labels, fraction, seed):
     when a class has at least 2 training nodes."""
     rng = np.random.default_rng(seed)
     val = np.zeros(train_mask.shape[0], dtype=bool)
-    for c in np.unique(labels[train_mask]):
+    for c in np.flatnonzero(np.bincount(labels[train_mask])):
         idx = np.flatnonzero(train_mask & (labels == c))
         n_val = max(1, int(round(fraction * idx.size)))
         n_val = min(n_val, idx.size - 1)
@@ -262,7 +262,7 @@ def train_network(net, lap, x, labels, train_mask, cfg: TrainConfig,
     if cfg.early_stop_window > 0 and cfg.stop_metric == "val" and val_mask is None:
         raise ValueError('early stopping on stop_metric "val" needs a val_mask')
     if input_basis is None:
-        input_basis = np.hstack(chebyshev_apply(lap, x, net.modules[0].order))
+        input_basis = _chebyshev_basis(lap, x, net.modules[0].order)
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     epochs = [cfg.epochs] * net.folds
     active = np.arange(net.folds)  # stack position -> fold
@@ -390,7 +390,7 @@ class _FoldContext:
     x: np.ndarray
     labels: np.ndarray
     n_classes: int
-    # np.hstack(chebyshev_apply(lap, x, k)) for the highest first-module order k of any task
+    # _chebyshev_basis(lap, x, k) for the highest first-module order k of any task
     basis: np.ndarray
 
 
@@ -492,11 +492,11 @@ def _cross_validate(graph, cells, threads) -> list:
         indexed = [(fi, train, test) for fi, (train, test) in enumerate(folds)]
         size = _stack_size(arch, graph.n_nodes, graph.n_classes, len(indexed), threads)
         tasks += [(arch, cfg, tuple(indexed[i:i + size])) for i in range(0, len(indexed), size)]
-    lap = rescale_laplacian(build_laplacian(graph))
+    lap = _chebyshev_laplacian(graph)
     order = max(b.order for arch, _, _ in cells for b in arch.modules[0].branches)
     ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
                        n_classes=graph.n_classes,
-                       basis=np.hstack(chebyshev_apply(lap, graph.features, order)))
+                       basis=_chebyshev_basis(lap, graph.features, order))
     workers = min(threads, len(tasks))
     if workers > 1:
         with worker_map(workers, _set_worker_context, (ctx,)) as pool_map:

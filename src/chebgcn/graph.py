@@ -5,7 +5,8 @@ the upper-triangle columns ``(lo, hi, w)`` that an edge list and its sidecar
 hold (see :mod:`chebgcn.io`), and builds its ``adjacency`` from them when
 first read: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense ndarray at or above
 it. Laplacians keep the storage of their adjacency, and both storage paths
-compute the same values to within floating-point roundoff.
+compute the same values to within floating-point roundoff. A dense Laplacian
+is built from the edge columns in one (N, N) buffer, without the adjacency.
 
 A storage is an ndarray or a canonical ``scipy.sparse.csr_array``, so
 ``isinstance(m, np.ndarray)`` tells them apart. ``scipy.sparse``, slower to
@@ -279,28 +280,45 @@ def build_laplacian(graph) -> NormalizedLaplacian:
     roundoff.
     """
     if isinstance(graph, PopulationGraph):
-        adj = graph.adjacency  # checked at construction
+        edges = _Edges(*graph.edges, graph.n_nodes)  # checked at construction
     else:
-        adj = _edge_storage(*_matrix_edges(graph))
+        edges = _matrix_edges(graph)
+    if not _stored_sparse(2 * edges.w.size, edges.n, edges.n):
+        return NormalizedLaplacian(matrix=_edge_laplacian(edges, 1.0))
 
+    import scipy.sparse as sp
+
+    adj = graph.adjacency if isinstance(graph, PopulationGraph) else _edge_csr(*edges)
     deg = adj.sum(axis=1)
-    d_inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+    d_half = sp.diags_array(_inverse_sqrt(deg), format="csr")
+    lap = sp.eye_array(edges.n, format="csr") - d_half @ adj @ d_half
+    return NormalizedLaplacian(matrix=_canonical_csr((lap + lap.T) * 0.5))
 
-    n = adj.shape[0]
-    if isinstance(adj, np.ndarray):
-        lap = adj * d_inv_sqrt[:, None]
-        lap *= d_inv_sqrt[None, :]
-        np.subtract(0.0, lap, out=lap)  # +0.0 off the diagonal, as I - x gives
-        lap.flat[::n + 1] += 1.0
-        lap += lap.T
-        lap *= 0.5
-    else:
-        import scipy.sparse as sp
 
-        d_half = sp.diags_array(d_inv_sqrt, format="csr")
-        lap = sp.eye_array(n, format="csr") - d_half @ adj @ d_half
-        lap = _canonical_csr((lap + lap.T) * 0.5)
-    return NormalizedLaplacian(matrix=lap)
+def _inverse_sqrt(deg: np.ndarray) -> np.ndarray:
+    """D^{-1/2} of node degrees, zero where a node is isolated."""
+    return np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+
+
+def _edge_laplacian(edges: _Edges, diagonal: float) -> np.ndarray:
+    """The dense normalized Laplacian of canonical edge columns with its
+    diagonal set to ``diagonal``: 1.0 gives I - D^{-1/2} A D^{-1/2}, 0.0 the
+    Chebyshev rescaling L - I. One (N, N) buffer first holds the weights,
+    whose row sums are the degrees, then each edge's (L + L^T) / 2 entry
+    ((0 - (w d_lo) d_hi) + (0 - (w d_hi) d_lo)) * 0.5 with d = D^{-1/2}, at
+    both of its positions: bit for bit what the formula gives on the dense
+    adjacency."""
+    lo, hi, w, n = edges
+    out = np.zeros((n, n))
+    out[lo, hi] = w
+    out[hi, lo] = w
+    d = _inverse_sqrt(out.sum(axis=1))
+    vals = (0.0 - (w * d[lo]) * d[hi]) + (0.0 - (w * d[hi]) * d[lo])
+    vals *= 0.5
+    out[lo, hi] = vals
+    out[hi, lo] = vals
+    out.flat[::n + 1] = diagonal
+    return out
 
 
 def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
@@ -320,6 +338,16 @@ def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
     return NormalizedLaplacian(matrix=scaled)
 
 
+def _chebyshev_laplacian(graph: PopulationGraph) -> NormalizedLaplacian:
+    """``rescale_laplacian(build_laplacian(graph))``, bit for bit. A dense one
+    is built in one (N, N) buffer from the graph's edge columns, so neither
+    the adjacency nor a second (N, N) array is made."""
+    edges = _Edges(*graph.edges, graph.n_nodes)
+    if _stored_sparse(2 * edges.w.size, edges.n, edges.n):
+        return rescale_laplacian(build_laplacian(graph))
+    return NormalizedLaplacian(matrix=_edge_laplacian(edges, 0.0))
+
+
 def chebyshev_apply(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> list[np.ndarray]:
     """Chebyshev basis applied to a signal: [T_0(L)x, T_1(L)x, ..., T_order(L)x].
 
@@ -327,15 +355,7 @@ def chebyshev_apply(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> list
     T_0(L)x = x and T_1(L)x = Lx, where L is ``lap.matrix`` (normally the
     rescaled Laplacian). ``x`` must be a 2-D (n_nodes, d) array.
     """
-    if not (isinstance(order, (int, np.integer)) and order >= 0):
-        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"signal must be 2-D (n_nodes, d), got shape {x.shape}")
-    if x.shape[0] != lap.n_nodes:
-        raise ValueError(
-            f"signal has {x.shape[0]} rows but the Laplacian has {lap.n_nodes} nodes"
-        )
+    x = _check_signal(lap, x, order)
     mat = lap.matrix
     out = [x]
     if order >= 1:
@@ -345,6 +365,40 @@ def chebyshev_apply(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> list
         term *= 2.0
         term -= out[-2]
         out.append(term)
+    return out
+
+
+def _check_signal(lap: NormalizedLaplacian, x, order) -> np.ndarray:
+    """``x`` as float64, once it and ``order`` are known to suit a basis of ``lap``."""
+    if not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"signal must be 2-D (n_nodes, d), got shape {x.shape}")
+    if x.shape[0] != lap.n_nodes:
+        raise ValueError(
+            f"signal has {x.shape[0]} rows but the Laplacian has {lap.n_nodes} nodes"
+        )
+    return x
+
+
+def _chebyshev_basis(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> np.ndarray:
+    """``np.hstack(chebyshev_apply(lap, x, order))``, bit for bit, as one
+    (N, (order + 1) d) matrix. For a dense L, T_r(L)x is multiplied straight
+    into columns r d:(r + 1) d, so no term is copied."""
+    mat = lap.matrix
+    if not isinstance(mat, np.ndarray):
+        return np.hstack(chebyshev_apply(lap, x, order))
+    x = _check_signal(lap, x, order)
+    d = x.shape[1]
+    out = np.empty((x.shape[0], (order + 1) * d))
+    terms = [out[:, r * d:(r + 1) * d] for r in range(order + 1)]
+    terms[0][...] = x
+    for r in range(1, order + 1):
+        np.matmul(mat, terms[r - 1], out=terms[r])
+        if r >= 2:
+            terms[r] *= 2.0
+            terms[r] -= terms[r - 2]
     return out
 
 

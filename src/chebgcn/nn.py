@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import NormalizedLaplacian, chebyshev_apply
+from .graph import NormalizedLaplacian, _chebyshev_basis, chebyshev_apply
 
 AGGREGATORS = ("concat", "maxpool")
 ACTIVATIONS = ("relu", "linear")
@@ -260,11 +260,16 @@ def _module_forward(module, lap, h, input_basis=None):
         out = outs[0] if len(outs) == 1 else np.concatenate(
             [z.reshape(n, folds, -1) for z in outs], axis=2).reshape(n, -1)
         return out, _ModuleTape(basis, relu_masks, winners=None)
-    stacked_outs = np.stack(outs)
-    # argmax picks the lowest branch index on ties, which keeps the backward
-    # routing deterministic and idempotent.
-    winners = np.argmax(stacked_outs, axis=0)
-    return stacked_outs.max(axis=0), _ModuleTape(basis, relu_masks, winners)
+    # A branch wins a cell only by a strict >, so ties go to the lowest branch
+    # index, which keeps the backward routing deterministic and idempotent. A
+    # NaN wins no cell it did not start in; it still reaches the output, and
+    # a fold with a non-finite score leaves its stack before the next step.
+    out = outs[0]
+    winners = np.zeros(out.shape, dtype=np.intp)
+    for i, z in enumerate(outs[1:], start=1):
+        np.copyto(winners, i, where=z > out)
+        np.maximum(out, z, out=out)
+    return out, _ModuleTape(basis, relu_masks, winners)
 
 
 def _module_backward(module, lap, mtape, g):
@@ -448,7 +453,7 @@ def network_forward(net: Network, lap: NormalizedLaplacian, x, input_basis=None,
     n, d = x.shape
     order = net.modules[0].order
     if input_basis is None:
-        input_basis = np.hstack(chebyshev_apply(lap, x, order))
+        input_basis = _chebyshev_basis(lap, x, order)
     shape = np.shape(input_basis)
     if len(shape) != 2 or shape[0] != n or shape[1] < (order + 1) * d or shape[1] % d:
         raise ShapeMismatchError(f"input_basis must be ({n}, (k + 1) * {d}) for an order k >= "

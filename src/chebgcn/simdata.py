@@ -96,7 +96,8 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
 
     Within each class the nodes are shuffled and dealt round-robin to folds,
     so per-fold class proportions differ from the global ones by at most one
-    node per class. Every node lands in exactly one test fold.
+    node per class. Every node lands in exactly one test fold. ``labels``
+    are nonnegative integer class indices, as a graph's are.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -104,7 +105,7 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(n, dtype=np.int64)
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         fold_of[idx] = np.arange(idx.size) % n_folds

@@ -244,11 +244,13 @@ class TestBuildAffinity:
     def test_single_mode_gates_only_the_chosen_element(self, monkeypatch):
         calls = []
 
-        def counting(meta, strict=False):
-            calls.append(meta.name)
-            return binarize_edges(meta, strict=strict)
+        gate_rows = affinity._gate_rows
 
-        monkeypatch.setattr(affinity, "binarize_edges", counting)
+        def counting(meta, *args):
+            calls.append(meta.name)
+            return gate_rows(meta, *args)
+
+        monkeypatch.setattr(affinity, "_gate_rows", counting)
         build_affinity(self.elements, self.x, self.kernel, mode="single", element="site")
         assert calls == ["site"]
 
@@ -329,3 +331,144 @@ def test_input_checks_reject_bad_arguments(call, fragment):
     with pytest.raises(AffinityError) as info:
         call()
     assert fragment in str(info.value)
+
+
+def dense_affinity(elements, x, kernel, mode, strict):
+    """The affinity graph by whole (N, N) matrices: the gates, the distances
+    (one broadcast, or one Gram product), the mean off-diagonal distance,
+    the weights and their sum, in the builder's order of operations."""
+    n = elements[0].n_nodes
+    gates = []
+    for m in elements:
+        gap = np.abs(m.values[:, None] - m.values[None, :])
+        gate = gap < m.beta if strict else gap <= m.beta
+        np.fill_diagonal(gate, False)
+        if m.missing is not None:
+            gate[m.missing, :] = False
+            gate[:, m.missing] = False
+        gates.append(gate)
+    out = np.zeros((n, n))
+    if mode == "mixed_nosim":
+        for gate in gates:
+            out += gate
+    else:
+        if kernel.distance == "euclidean":
+            diff = x[:, None, :] - x[None, :, :]
+            rho = np.sqrt((diff * diff).sum(axis=-1))
+        else:
+            centered = x - x.mean(axis=1, keepdims=True)
+            norms = np.linalg.norm(centered, axis=1)
+            rho = 1.0 - (centered @ centered.T) / np.outer(norms, norms)
+        np.fill_diagonal(rho, 0.0)
+        sigma = kernel.sigma
+        if sigma is None:
+            sigma = rho[~np.eye(n, dtype=bool)].mean()
+        w = np.exp(-(rho * rho) / (2.0 * sigma * sigma))
+        np.fill_diagonal(w, 0.0)
+        for gate in gates:
+            out += w * gate
+    out /= len(gates)
+    return out, [np.count_nonzero(gate) // 2 for gate in gates]
+
+
+def cohort_elements(rng, n, sites=4):
+    """An age with a tolerance and some unknowns, a sex and a site; node 0
+    has an unknown age and a site of its own, so the mixed graphs leave it
+    to its sex alone and a single site graph isolates it."""
+    missing = rng.random(n) < 0.1
+    missing[0] = True
+    site = rng.integers(0, sites, n).astype(float)
+    site[0] = sites
+    return [
+        MetaElement("age", np.where(missing, 0.0, rng.uniform(20.0, 80.0, n).round(1)), 2.0,
+                    missing=missing),
+        MetaElement("sex", rng.integers(0, 2, n).astype(float), 0.0),
+        MetaElement("site", site, 0.0),
+    ]
+
+
+class TestRowBlockBuilder:
+    """The builder's edge columns against the dense formulas, over several
+    row blocks, the last of them merged rather than one row tall."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(affinity, "_ROW_BLOCK_BYTES", 7 * 8 * 50)
+
+    @pytest.mark.parametrize("mode, element", [
+        ("single", "site"), ("single", None), ("mixed", None), ("mixed_nosim", None)])
+    @pytest.mark.parametrize("distance, sigma", [
+        ("euclidean", None), ("euclidean", 0.7), ("correlation", None), ("correlation", 0.4)])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_columns_match_the_dense_formulas(self, mode, element, distance, sigma, strict):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((50, 6))
+        elements = cohort_elements(rng, 50)
+        kernel = SimilarityKernel(distance=distance, sigma=sigma)
+        assert affinity._row_blocks(50)[-2:] == [(35, 42), (42, 50)]
+        edges, counts = affinity._build_affinity(elements, x, kernel, mode, element, strict)
+        chosen = elements if mode != "single" else [elements[2 if element else 0]]
+        want, want_counts = dense_affinity(chosen, x, kernel, mode, strict)
+        assert [(m.name, c) for m, c in counts] == [
+            (m.name, c) for m, c in zip(chosen, want_counts)]
+        lo, hi = np.nonzero(np.triu(want, 1))
+        assert edges.n == 50 and edges.lo.dtype == edges.hi.dtype == np.int64
+        npt.assert_array_equal(edges.lo, lo)
+        npt.assert_array_equal(edges.hi, hi)
+        if distance == "euclidean" or mode == "mixed_nosim":
+            npt.assert_array_equal(edges.w, want[lo, hi])
+        else:
+            # a row block's GEMM may round a Gram entry's last bit differently
+            # from one product over all rows
+            npt.assert_allclose(edges.w, want[lo, hi], rtol=1e-13, atol=0.0)
+        if element == "site":  # node 0 has a site of its own
+            assert 0 not in np.concatenate([edges.lo, edges.hi])
+        npt.assert_array_equal(build_affinity(elements, x, kernel, mode, element, strict),
+                               edges_dense(edges))
+
+    def test_dense_helpers_are_the_row_blocks(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((50, 6))
+        meta = cohort_elements(rng, 50)[0]
+        for strict in (False, True):
+            npt.assert_array_equal(binarize_edges(meta, strict), dense_affinity(
+                [meta], x, None, "mixed_nosim", strict)[0] != 0.0)
+        for distance in ("euclidean", "correlation"):
+            kernel = SimilarityKernel(distance=distance)
+            w = similarity_weights(x, kernel)
+            full = MetaElement("all", np.zeros(50), 0.0)
+            npt.assert_array_equal(w, build_affinity([full], x, kernel))
+            npt.assert_array_equal(w, w.T)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 7, 300])
+    def test_bandwidth_is_the_mean_of_one_off_diagonal_array(self, blocks):
+        # 89,700 off-diagonal values: several pairwise-sum leaves and row blocks
+        rho = pairwise_distance(np.random.default_rng(23).standard_normal((300, 5)), "euclidean")
+        bounds = list(range(0, 300, 300 // blocks)) + [300]
+        got = affinity._bandwidth(lambda s, e: rho[s:e], list(zip(bounds, bounds[1:])))
+        assert got == rho[~np.eye(300, dtype=bool)].mean()
+
+
+def edges_dense(edges):
+    out = np.zeros((edges.n, edges.n))
+    out[edges.lo, edges.hi] = edges.w
+    out[edges.hi, edges.lo] = edges.w
+    return out
+
+
+def test_builder_holds_no_dense_matrix():
+    rng = np.random.default_rng(24)
+    n = 1000
+    x = rng.standard_normal((n, 200))
+    elements = cohort_elements(rng, n, sites=20)
+    tracemalloc.start()
+    try:
+        edges, _ = affinity._build_affinity(elements, x, None, "mixed", None, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.w.size > 0.25 * n * n
+    # one (N, N) float64 array plus 32 bytes per edge; dense gates, weights
+    # and their sum, then a scan of the sum for its edges, hold about four
+    # (N, N) arrays
+    assert peak < 8 * n * n + 32 * edges.w.size

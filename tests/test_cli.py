@@ -778,3 +778,30 @@ def test_scipy_sparse_loads_only_for_csr_graphs(tmp_path):
             "source": "files", "features": str(data / "features.csv"),
             "edges": str(data / "edges.txt")})
         assert run("train", train) == ["False", "0", sparse]
+
+
+MA_PROBE = """\
+import sys
+import chebgcn.cli
+code = chebgcn.cli.main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_train_on_a_dense_graph_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (about 10 ms and 1.6 MB) on its first call;
+    # counting classes with np.bincount keeps a run on a dense graph off it.
+    src = Path(chebgcn.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
+    data = tmp_path / "data"
+    cfg = write_cfg(tmp_path, quick_sections(
+        tmp_path / "res", sim={"beta": 3.0}, dataset={
+            "source": "files", "features": str(data / "features.csv"),
+            "edges": str(data / "edges.txt")}))
+    assert main(["simdata", "--config", cfg, "--out", str(data)]) == 0
+    assert isinstance(load_graph(data / "features.csv", data / "edges.txt").adjacency, np.ndarray)
+    done = subprocess.run([sys.executable, "-c", MA_PROBE, "train", "--config", cfg,
+                           "--threads", "1"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]

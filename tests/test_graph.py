@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +15,8 @@ from chebgcn.graph import (
     chebyshev_apply,
     khop_reach,
     rescale_laplacian,
+    _chebyshev_basis,
+    _chebyshev_laplacian,
     _Edges,
 )
 
@@ -518,3 +522,91 @@ def test_input_checks_reject_bad_arguments(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+def formula_laplacian(adj):
+    """I - D^{-1/2} A D^{-1/2}, symmetrized as (L + L^T) / 2, by the
+    vectorized formula over the whole dense adjacency."""
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    d = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+    lap = adj * d[:, None]
+    lap *= d[None, :]
+    np.subtract(0.0, lap, out=lap)
+    lap.flat[::n + 1] += 1.0
+    lap += lap.T
+    lap *= 0.5
+    return lap
+
+
+def isolated_graph(rng, n, p):
+    """A weighted random graph whose first two nodes are isolated."""
+    a = random_adjacency(rng, n, p=p, weighted=True)
+    a[:2] = a[:, :2] = 0.0
+    return make_graph(a), a
+
+
+class TestEdgeLaplacian:
+    """Laplacians built from edge columns against the whole-matrix formula."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_laplacians_are_the_formula_bit_for_bit(self, seed):
+        g, a = isolated_graph(np.random.default_rng(seed), 40, p=0.5)
+        want = formula_laplacian(a)
+        lap = build_laplacian(g)
+        assert isinstance(lap.matrix, np.ndarray) and lap.matrix.tobytes() == want.tobytes()
+        assert build_laplacian(a).matrix.tobytes() == want.tobytes()
+        want.flat[::41] -= 1.0
+        assert "adjacency" not in vars(g)
+        for got in (_chebyshev_laplacian(g), rescale_laplacian(build_laplacian(g))):
+            assert isinstance(got.matrix, np.ndarray) and got.matrix.tobytes() == want.tobytes()
+        assert "adjacency" not in vars(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csr_laplacians_keep_their_code(self, seed):
+        g, a = isolated_graph(np.random.default_rng(seed), 40, p=0.08)
+        assert sp.issparse(g.adjacency)
+        want = rescale_laplacian(build_laplacian(g)).matrix
+        got = _chebyshev_laplacian(g).matrix
+        assert got.has_canonical_format
+        for field in ("data", "indices", "indptr"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        formula = formula_laplacian(a)
+        formula.flat[::41] -= 1.0
+        npt.assert_allclose(got.toarray(), formula, rtol=0.0, atol=1e-15)
+
+    def test_training_laplacian_holds_one_dense_matrix(self):
+        rng = np.random.default_rng(5)
+        n = 1000
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < 0.55
+        keep[(lo == 3) | (hi == 3)] = False  # an isolated node
+        g = make_graph(_Edges(lo[keep], hi[keep], rng.uniform(0.1, 1.0, keep.sum()), n))
+        del lo, hi, keep
+        tracemalloc.start()
+        try:
+            lap = _chebyshev_laplacian(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(lap.matrix, np.ndarray) and lap.matrix[3].tolist() == [0.0] * n
+        assert "adjacency" not in vars(g)
+        # one (N, N) float64 array plus 32 bytes per edge; the adjacency, L,
+        # the temporary of L + L^T and the rescaled copy are four
+        assert peak < 8 * n * n + 32 * g.n_edges
+
+
+class TestChebyshevBasis:
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("n, d", [(30, 1), (30, 3), (200, 16)])
+    def test_basis_is_the_stacked_terms_bit_for_bit(self, storage, n, d):
+        rng = np.random.default_rng(n + d)
+        g, _ = isolated_graph(rng, n, p=0.5 if storage == "dense" else 0.05)
+        lap = _chebyshev_laplacian(g)
+        assert isinstance(lap.matrix, np.ndarray) == (storage == "dense")
+        x = rng.standard_normal((n, d))
+        for order in range(11):
+            want = np.hstack(chebyshev_apply(lap, x, order))
+            got = _chebyshev_basis(lap, x, order)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+

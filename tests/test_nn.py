@@ -5,7 +5,13 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from chebgcn.graph import NormalizedLaplacian, build_laplacian, chebyshev_apply, rescale_laplacian
+from chebgcn.graph import (
+    NormalizedLaplacian,
+    _chebyshev_basis,
+    build_laplacian,
+    chebyshev_apply,
+    rescale_laplacian,
+)
 from chebgcn.nn import (
     Adam,
     ChebFilterLayer,
@@ -148,6 +154,20 @@ class TestInceptionModule:
         mod = InceptionModule(branches=[layer, twin], aggregator="maxpool")
         npt.assert_array_equal(inception_forward(mod, lt, h), gc_forward(layer, lt, h))
 
+    def test_maxpool_winner_is_the_first_largest_branch(self):
+        lt = make_lap(12, seed=41)
+        rng = np.random.default_rng(42)
+        h = rng.standard_normal((12, 3))
+        first = ChebFilterLayer.create(2, 3, 4, rng)
+        twin = ChebFilterLayer(theta=first.theta.copy(), bias=first.bias.copy())
+        branches = [first, ChebFilterLayer.create(1, 3, 4, rng), twin]
+        outs = np.stack([_module_forward(InceptionModule([br]), lt, h)[0] for br in branches])
+        out, mtape = _module_forward(InceptionModule(branches, "maxpool"), lt, h)
+        npt.assert_array_equal(out, outs.max(axis=0))
+        npt.assert_array_equal(mtape.winners, np.argmax(outs, axis=0))
+        # the twin ties the first branch everywhere, ReLU zeros tie all three
+        assert 1 in mtape.winners and 2 not in mtape.winners and (outs == 0.0).any()
+
     def test_concat_width_is_sum_of_branch_widths(self):
         lt = make_lap(20, seed=9, p=0.2)
         rng = np.random.default_rng(10)
@@ -264,11 +284,15 @@ class TestNetworkForward:
     def test_one_basis_per_module(self, monkeypatch):
         calls = []
 
-        def counting_apply(lap, h, order):
-            calls.append(order)
-            return chebyshev_apply(lap, h, order)
+        def counting(build):
+            def counted(lap, h, order):
+                calls.append(order)
+                return build(lap, h, order)
+            return counted
 
-        monkeypatch.setattr("chebgcn.nn.chebyshev_apply", counting_apply)
+        # the first module's basis matrix, then each later module's terms
+        monkeypatch.setattr("chebgcn.nn._chebyshev_basis", counting(_chebyshev_basis))
+        monkeypatch.setattr("chebgcn.nn.chebyshev_apply", counting(chebyshev_apply))
         lt = make_lap(10, seed=37)
         rng = np.random.default_rng(38)
         x = rng.standard_normal((10, 3))

@@ -8,18 +8,19 @@ pairwise distance. Several meta-data elements can be mixed by averaging
 their per-element graphs.
 
 Every pairwise matrix here is computed a block of rows at a time: a block's
-distances to all nodes, its similarity weights, its gates and their sum. The
-graph builder keeps only each block's upper-triangle edges, so it never
-holds an (N, N) array. The public helpers assemble their dense (N, N)
-results from the same blocks, exactly symmetric, as the graph substrate
-requires.
+distances to all nodes, its similarity weights, its gates and their sum. Both
+graph builders, this affinity graph and the simulated data's Euclidean
+threshold graph (``_epsilon_edges``), keep only each block's upper-triangle
+edges (``_block_edges``), so neither holds an (N, N) array. The public
+helpers assemble their dense (N, N) results from the same blocks, exactly
+symmetric, as the graph substrate requires.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PopulationGraph, _Edges
+from .graph import PopulationGraph, _edge_dense, _Edges
 
 # Bytes of one row block: of the Euclidean distance's (rows, N, d)
 # difference array, and of a (rows, N) float64 block of distances, weights
@@ -213,14 +214,6 @@ def _gaussian(rho: np.ndarray, sigma: float, start: int = 0) -> np.ndarray:
     return _zero_diagonal(np.exp(-(rho * rho) / (2.0 * sigma * sigma)), start)
 
 
-def _gaussian_weights(rho: np.ndarray, sigma: float | None) -> np.ndarray:
-    """_gaussian of a whole (N, N) distance matrix; ``sigma=None`` takes the
-    mean off-diagonal distance."""
-    if sigma is None:
-        sigma = _bandwidth(lambda s, e: rho[s:e], [(0, rho.shape[0])])
-    return _gaussian(rho, sigma)
-
-
 def _similarity_rows(features, kernel: SimilarityKernel):
     """(rows, blocks): rows(s, e) is rows s:e of similarity_weights."""
     x = np.asarray(features, dtype=np.float64)
@@ -283,20 +276,15 @@ def build_affinity(
     it is given. ``kernel`` defaults to the correlation kernel with automatic
     bandwidth; it is unused by mixed_nosim.
     """
-    lo, hi, w, n = _build_affinity(elements, features, kernel, mode, element, strict)[0]
-    out = np.zeros((n, n))
-    out[lo, hi] = w
-    out[hi, lo] = w
-    return out
+    return _edge_dense(*_build_affinity(elements, features, kernel, mode, element, strict)[0])
 
 
 def _build_affinity(elements, features, kernel, mode, element, strict):
     """build_affinity's graph as canonical edge columns (``graph._Edges``)
     and, for each gate summed into it, the (element, edge count) pair.
 
-    It works a block of rows at a time: the block's similarity weights, each
-    element's gate and their sum, in build_affinity's order of operations,
-    then the block's upper-triangle nonzeros. So it holds no (N, N) array.
+    Each block of rows holds its similarity weights, each element's gate and
+    their sum, in build_affinity's order of operations.
     """
     elements = list(elements)
     if not elements:
@@ -322,8 +310,8 @@ def _build_affinity(elements, features, kernel, mode, element, strict):
             raise AffinityError(f"features cover {x.shape[0]} nodes but meta-data {n}")
         weights, blocks = _similarity_rows(x, SimilarityKernel() if kernel is None else kernel)
     counts = [0] * len(elements)
-    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for s, e in blocks:
+
+    def summed(s, e):
         w = None if weights is None else weights(s, e)
         # Every term is non-negative, so starting the sum from zeros is exact.
         out = np.zeros((e - s, n))
@@ -332,7 +320,21 @@ def _build_affinity(elements, features, kernel, mode, element, strict):
             counts[k] += np.count_nonzero(gate)
             out += gate if w is None else w * gate
         out /= len(elements)
-        flat = np.flatnonzero(np.triu(out, s + 1))
+        return out
+
+    edges = _block_edges(summed, blocks, n)
+    return edges, [(m, count // 2) for m, count in zip(elements, counts)]
+
+
+def _block_edges(rows, blocks, n: int) -> _Edges:
+    """The canonical edge columns (``graph._Edges``) of the symmetric
+    float64 (n, n) matrix whose rows s:e ``rows(s, e)`` gives, for (s, e)
+    in ``blocks``: each block's upper-triangle nonzeros, so no (n, n) array
+    is held."""
+    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for s, e in blocks:
+        out = rows(s, e)
+        flat = np.flatnonzero(np.triu(out != 0.0, s + 1))
         keys.append(flat + s * n)
         vals.append(out.ravel()[flat])
     # Rebinding frees each list once joined, so the columns peak at their size.
@@ -340,7 +342,22 @@ def _build_affinity(elements, features, kernel, mode, element, strict):
     vals = np.concatenate(vals)
     hi = keys % n
     keys //= n
-    return _Edges(keys, hi, vals, n), [(m, count // 2) for m, count in zip(elements, counts)]
+    return _Edges(keys, hi, vals, n)
+
+
+def _epsilon_edges(points, beta: float, weighted: bool) -> _Edges:
+    """The ε-graph of ``points`` as canonical edge columns: an edge wherever
+    the Euclidean distance is strictly below ``beta``, of weight 1.0 or, if
+    ``weighted``, the Gaussian similarity at the mean pairwise distance (an
+    underflowed weight is no edge). Built a row block at a time."""
+    dist, blocks = _distance_rows(points, "euclidean")
+    sigma = _bandwidth(dist, blocks) if weighted else None
+
+    def rows(s, e):
+        rho = dist(s, e)
+        return (rho < beta) * (_gaussian(rho, sigma, s) if weighted else 1.0)
+
+    return _block_edges(rows, blocks, len(points))
 
 
 def affinity_graph(

@@ -4,9 +4,8 @@ All numeric data is float64. A :class:`PopulationGraph` holds its edges as
 the upper-triangle columns ``(lo, hi, w)`` that an edge list and its sidecar
 hold (see :mod:`chebgcn.io`), and builds its ``adjacency`` from them when
 first read: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense ndarray at or above
-it. Laplacians keep the storage of their adjacency, and both storage paths
-compute the same values to within floating-point roundoff. A dense Laplacian
-is built from the edge columns in one (N, N) buffer, without the adjacency.
+it. A Laplacian keeps the storage of its adjacency and is built from the
+edge columns by one per-edge formula in both storages, without the adjacency.
 
 A storage is an ndarray or a canonical ``scipy.sparse.csr_array``, so
 ``isinstance(m, np.ndarray)`` tells them apart. ``scipy.sparse``, slower to
@@ -69,31 +68,39 @@ def _canonical_csr(matrix):
     return out
 
 
-def _edge_csr(lo, hi, w, n: int):
-    """The symmetric (n, n) CSR array of canonical edge columns (see
-    :class:`_Edges`)."""
+def _edge_csr(lo, hi, w, n: int, diagonal: float | None = None):
+    """The symmetric (n, n) CSR array of edge columns with canonical
+    ``lo``/``hi`` (see :class:`_Edges`), with ``diagonal`` at every (i, i)
+    if given. Stored zeros are dropped."""
     import scipy.sparse as sp
 
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     lo, hi = lo.astype(index), hi.astype(index)
-    # The pairs are sorted, so listing each edge's (hi, lo) entry before its
-    # (lo, hi) one leaves every CSR row sorted and spares scipy a sort.
-    return sp.csr_array(
-        (np.concatenate([w, w]), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
-        shape=(n, n),
-    )
+    nodes, diag = np.empty(0, dtype=index), np.empty(0)
+    if diagonal is not None:
+        nodes, diag = np.arange(n, dtype=index), np.full(n, diagonal)
+    # The pairs are sorted, so listing the (hi, lo) entries, the diagonal,
+    # then the (lo, hi) entries leaves each CSR row sorted and spares a sort.
+    out = sp.csr_array((np.concatenate([w, diag, w]),
+                        (np.concatenate([hi, nodes, lo]), np.concatenate([lo, nodes, hi]))),
+                       shape=(n, n))
+    out.eliminate_zeros()
+    return out
+
+
+def _edge_dense(lo, hi, w, n: int) -> np.ndarray:
+    """The symmetric (n, n) ndarray of canonical edge columns."""
+    out = np.zeros((n, n))
+    out[lo, hi] = w
+    out[hi, lo] = w
+    return out
 
 
 def _edge_storage(lo, hi, w, n: int):
     """The adjacency of canonical edge columns (see :class:`_Edges`) in the
     storage the density rule picks. The edge count decides before anything
     is built, so a dense graph is filled in directly, without a CSR step."""
-    if _stored_sparse(2 * w.size, n, n):
-        return _edge_csr(lo, hi, w, n)
-    out = np.zeros((n, n))
-    out[lo, hi] = w
-    out[hi, lo] = w
-    return out
+    return (_edge_csr if _stored_sparse(2 * w.size, n, n) else _edge_dense)(lo, hi, w, n)
 
 
 def _freeze(matrix):
@@ -283,42 +290,29 @@ def build_laplacian(graph) -> NormalizedLaplacian:
         edges = _Edges(*graph.edges, graph.n_nodes)  # checked at construction
     else:
         edges = _matrix_edges(graph)
-    if not _stored_sparse(2 * edges.w.size, edges.n, edges.n):
-        return NormalizedLaplacian(matrix=_edge_laplacian(edges, 1.0))
-
-    import scipy.sparse as sp
-
-    adj = graph.adjacency if isinstance(graph, PopulationGraph) else _edge_csr(*edges)
-    deg = adj.sum(axis=1)
-    d_half = sp.diags_array(_inverse_sqrt(deg), format="csr")
-    lap = sp.eye_array(edges.n, format="csr") - d_half @ adj @ d_half
-    return NormalizedLaplacian(matrix=_canonical_csr((lap + lap.T) * 0.5))
+    return NormalizedLaplacian(matrix=_edge_laplacian(edges, 1.0))
 
 
-def _inverse_sqrt(deg: np.ndarray) -> np.ndarray:
-    """D^{-1/2} of node degrees, zero where a node is isolated."""
-    return np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-
-
-def _edge_laplacian(edges: _Edges, diagonal: float) -> np.ndarray:
-    """The dense normalized Laplacian of canonical edge columns with its
-    diagonal set to ``diagonal``: 1.0 gives I - D^{-1/2} A D^{-1/2}, 0.0 the
-    Chebyshev rescaling L - I. One (N, N) buffer first holds the weights,
-    whose row sums are the degrees, then each edge's (L + L^T) / 2 entry
-    ((0 - (w d_lo) d_hi) + (0 - (w d_hi) d_lo)) * 0.5 with d = D^{-1/2}, at
-    both of its positions: bit for bit what the formula gives on the dense
-    adjacency."""
+def _edge_laplacian(edges: _Edges, diagonal: float):
+    """The normalized Laplacian of canonical edge columns in the storage the
+    density rule picks, with ``diagonal`` on its diagonal: 1.0 gives
+    I - D^{-1/2} A D^{-1/2}, 0.0 the Chebyshev rescaling L - I (a CSR one
+    stores no zeros). The degrees are the adjacency's row sums in that
+    storage, and each edge's (L + L^T) / 2 entry is
+    ((0 - (w d_lo) d_hi) + (0 - (w d_hi) d_lo)) * 0.5 with d = D^{-1/2}: bit
+    for bit the whole-matrix formula. A dense L reuses the adjacency buffer."""
     lo, hi, w, n = edges
-    out = np.zeros((n, n))
-    out[lo, hi] = w
-    out[hi, lo] = w
-    d = _inverse_sqrt(out.sum(axis=1))
+    adj = _edge_storage(lo, hi, w, n)
+    deg = adj.sum(axis=1)
+    d = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
     vals = (0.0 - (w * d[lo]) * d[hi]) + (0.0 - (w * d[hi]) * d[lo])
     vals *= 0.5
-    out[lo, hi] = vals
-    out[hi, lo] = vals
-    out.flat[::n + 1] = diagonal
-    return out
+    if not isinstance(adj, np.ndarray):
+        return _edge_csr(lo, hi, vals, n, diagonal)
+    adj[lo, hi] = vals
+    adj[hi, lo] = vals
+    adj.flat[::n + 1] = diagonal
+    return adj
 
 
 def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
@@ -339,13 +333,9 @@ def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
 
 
 def _chebyshev_laplacian(graph: PopulationGraph) -> NormalizedLaplacian:
-    """``rescale_laplacian(build_laplacian(graph))``, bit for bit. A dense one
-    is built in one (N, N) buffer from the graph's edge columns, so neither
-    the adjacency nor a second (N, N) array is made."""
-    edges = _Edges(*graph.edges, graph.n_nodes)
-    if _stored_sparse(2 * edges.w.size, edges.n, edges.n):
-        return rescale_laplacian(build_laplacian(graph))
-    return NormalizedLaplacian(matrix=_edge_laplacian(edges, 0.0))
+    """``rescale_laplacian(build_laplacian(graph))``, bit for bit, built from
+    the graph's edge columns without its adjacency or a second Laplacian."""
+    return NormalizedLaplacian(matrix=_edge_laplacian(_Edges(*graph.edges, graph.n_nodes), 0.0))
 
 
 def chebyshev_apply(lap: NormalizedLaplacian, x: np.ndarray, order: int) -> list[np.ndarray]:

@@ -1,17 +1,19 @@
 """Synthetic two-class benchmark data with a planted geometric graph.
 
 Each class is an isotropic 2-D Gaussian cloud. The graph connects every
-pair of points closer than a Euclidean threshold. Features are either the
-point positions themselves (so both the graph and the features carry class
-signal) or fresh uniform noise (so only the graph does).
+pair of points closer than a Euclidean threshold; the affinity module's
+row-block builder makes its edge columns, so no (N, N) distance matrix is
+held. Features are either the point positions themselves (so both the graph
+and the features carry class signal) or fresh uniform noise (so only the
+graph does).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import _gaussian_weights, pairwise_distance
-from .graph import PopulationGraph, _Edges
+from .affinity import _epsilon_edges
+from .graph import PopulationGraph
 
 FEATURE_MODES = ("discriminative", "random")
 EDGE_WEIGHT_MODES = ("binary", "similarity")
@@ -70,21 +72,11 @@ def generate(config: SimConfig) -> PopulationGraph:
         positions[c * n : (c + 1) * n] = rng.normal(mean, np.sqrt(var), size=(n, 2))
         labels[c * n : (c + 1) * n] = c
 
-    dist = pairwise_distance(positions, "euclidean")
-    lo, hi = np.nonzero(np.triu(dist < config.beta, k=1))
-    if config.edge_weights == "binary":
-        w = np.ones(lo.size)
-    else:
-        w = _gaussian_weights(dist, None)[lo, hi]
-        lo, hi, w = lo[w > 0.0], hi[w > 0.0], w[w > 0.0]  # an underflowed weight is no edge
-
-    if config.feature_mode == "discriminative":
-        features = positions
-    else:
+    features = positions
+    if config.feature_mode == "random":
         features = rng.uniform(0.0, 1.0, size=(total, 2))
-
     return PopulationGraph(
-        adjacency=_Edges(lo, hi, w, total),
+        adjacency=_epsilon_edges(positions, config.beta, config.edge_weights == "similarity"),
         features=features,
         labels=labels,
         train_mask=np.ones(total, dtype=bool),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,30 @@ class TestSimdataCommand:
         assert main(["simdata", "--config", cfg_a, "--seed", "1"]) == 0
         assert main(["simdata", "--config", cfg_b, "--seed", "2"]) == 0
         assert (a / "features.csv").read_bytes() != (b / "features.csv").read_bytes()
+
+    # sha256 of (features.csv, edges.txt) per packaged preset at seed 0. All
+    # five use binary weights, so no libm exp goes into the bytes; the two
+    # presets with variances (1.0, 1.0) draw the same data.
+    PRESET_DIGESTS = {
+        "compact-clusters": ("93e4f6c46a335f7bca787d41ce1d8ad16c01b42d313419b90c34be9b8adf2010",
+                             "d2cb3f6bd86be1ec2baad00c69e6767acb31c12fc684da09edb184862d5a1f46"),
+        "order-pairs-sweep": ("40a7e38b535615300739b5df75dd269eea703dc5b41b73f4bd8fdae3909b2957",
+                              "157df4c44fbb288bb2330f6a41bc64a2972210585eb7c585130850060037e747"),
+        "order-sensitivity": ("14c7e6aff74443e6d07a010387369ee93fe6c084844e511d57f958deb03c0d23",
+                              "fc2a6b6e8f5a49c08d951d3cd66f08abad9b3a8186c6bc1d685e2c295beb3da0"),
+        "overlap-compare": ("40a7e38b535615300739b5df75dd269eea703dc5b41b73f4bd8fdae3909b2957",
+                            "157df4c44fbb288bb2330f6a41bc64a2972210585eb7c585130850060037e747"),
+        "random-features": ("08a12ecbacfd5194a7b23df80869c3de1d1ac713fb459d00deb1a0c28016e7b1",
+                            "d2cb3f6bd86be1ec2baad00c69e6767acb31c12fc684da09edb184862d5a1f46"),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+    def test_preset_graph_files_keep_their_bytes(self, tmp_path, preset):
+        assert main(["simdata", "--config", f"{preset}.cfg", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("features.csv", "edges.txt"))
+        assert got == self.PRESET_DIGESTS[preset]
 
 
 class TestTrainCommand:

@@ -46,6 +46,7 @@ from chebgcn.graph import (
     build_laplacian,
     chebyshev_apply,
     rescale_laplacian,
+    _chebyshev_laplacian,
 )
 from chebgcn.nn import (
     ChebFilterLayer,
@@ -616,6 +617,33 @@ class TestCohortLosses:
         assert train_network(stack, lap, x, labels, train, TrainConfig(epochs=40)) == [40] * 5
         losses, _ = masked_cross_entropy(network_forward(stack, lap, x)[0], labels, train)
         npt.assert_allclose(losses, self.PINNED, rtol=1e-10)
+
+
+class TestSimLosses:
+    """The companion of TestCohortLosses on a CSR Laplacian, at the benchmark's
+    cv-deep shapes: 3-fold stacks on the 600-node overlap-compare graph with
+    d = 2, two order-(1, 10) nets, 30 epochs, through the training path's
+    Laplacian and first-module basis."""
+
+    # Per-fold final training losses, to 1e-10 relative as TestCohortLosses'.
+    PINNED = {
+        "sequential": [0.15782292403474368, 0.2097378460440752, 0.22299966193337387],
+        "inception": [0.15509996973288362, 0.2115874811584684, 0.2131660874902404],
+    }
+
+    @pytest.mark.parametrize("name, arch", [("sequential", sequential((1, 10), 16)),
+                                            ("inception", inception((1, 10), 16))])
+    def test_final_training_losses_are_pinned(self, name, arch):
+        g = generate(SimConfig(variances=(1.0, 1.0), seed=0))
+        lap = _chebyshev_laplacian(g)
+        assert not isinstance(lap.matrix, np.ndarray)
+        train = np.array([t for t, _ in stratified_folds(g.labels, 3, seed=0)])
+        stack = build_network(arch, 2, 2, [np.random.default_rng(f) for f in range(3)])
+        cfg = TrainConfig(epochs=30, lr=0.2)
+        assert train_network(stack, lap, g.features, g.labels, train, cfg) == [30] * 3
+        losses, _ = masked_cross_entropy(network_forward(stack, lap, g.features)[0],
+                                         g.labels, train)
+        npt.assert_allclose(losses, self.PINNED[name], rtol=1e-10)
 
 
 class TestRunCv:

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from chebgcn.affinity import _gaussian_weights, pairwise_distance
+from chebgcn.affinity import pairwise_distance
 from chebgcn.graph import (
     SPARSE_DENSITY_CUTOFF,
     GraphInvariantError,
@@ -389,14 +389,21 @@ class TestPopulationGraph:
         npt.assert_array_equal(adj.toarray(), path_adjacency(10))
 
 
-def stored_matrix(matrix):
-    """The adjacency a graph stored when it kept its input matrix itself:
-    canonical float64 CSR when fewer than SPARSE_DENSITY_CUTOFF of the
-    entries are nonzero (stored zeros not counted), else a float64 array."""
+def canonical_csr(matrix):
+    """A float64 CSR copy of ``matrix``: sorted indices, no duplicates and no
+    stored zeros."""
     csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
     csr.sum_duplicates()
     csr.eliminate_zeros()
     csr.sort_indices()
+    return csr
+
+
+def stored_matrix(matrix):
+    """The adjacency a graph stored when it kept its input matrix itself:
+    canonical float64 CSR when fewer than SPARSE_DENSITY_CUTOFF of the
+    entries are nonzero (stored zeros not counted), else a float64 array."""
+    csr = canonical_csr(matrix)
     if csr.nnz < SPARSE_DENSITY_CUTOFF * np.prod(csr.shape):
         return csr
     return csr.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
@@ -471,7 +478,8 @@ class TestEdgeColumns:
         np.fill_diagonal(close, False)
         dense = close.astype(np.float64)
         if weights == "similarity":
-            dense = _gaussian_weights(dist, None) * close
+            sigma = dist[~np.eye(dist.shape[0], dtype=bool)].mean()
+            dense = np.exp(-(dist * dist) / (2.0 * sigma * sigma)) * close
         want = stored_matrix(dense)
         assert sp.issparse(want) == (beta == 0.5)
         assert g.n_edges == np.count_nonzero(dense) // 2
@@ -539,6 +547,19 @@ def formula_laplacian(adj):
     return lap
 
 
+def csr_formula_laplacian(adj, rescaled=False):
+    """I - D^{-1/2} A D^{-1/2} of a CSR adjacency by SciPy's whole-matrix
+    formula, symmetrized as (L + L^T) / 2, then L - I if ``rescaled``; as
+    canonical CSR."""
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    d_half = sp.diags_array(np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0),
+                            format="csr")
+    lap = sp.eye_array(n, format="csr") - d_half @ adj @ d_half
+    lap = canonical_csr((lap + lap.T) * 0.5)
+    return canonical_csr(lap - sp.eye_array(n, format="csr")) if rescaled else lap
+
+
 def isolated_graph(rng, n, p):
     """A weighted random graph whose first two nodes are isolated."""
     a = random_adjacency(rng, n, p=p, weighted=True)
@@ -565,12 +586,16 @@ class TestEdgeLaplacian:
     @pytest.mark.parametrize("seed", range(4))
     def test_csr_laplacians_keep_their_code(self, seed):
         g, a = isolated_graph(np.random.default_rng(seed), 40, p=0.08)
-        assert sp.issparse(g.adjacency)
-        want = rescale_laplacian(build_laplacian(g)).matrix
-        got = _chebyshev_laplacian(g).matrix
-        assert got.has_canonical_format
-        for field in ("data", "indices", "indptr"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert a[2:].any() and not a[:2].any() and not np.all(a == np.round(a))
+        cases = [(build_laplacian(g), False), (build_laplacian(sp.csr_array(a)), False),
+                 (rescale_laplacian(build_laplacian(g)), True), (_chebyshev_laplacian(g), True)]
+        assert "adjacency" not in vars(g)
+        for lap, rescaled in cases:
+            got, want = lap.matrix, csr_formula_laplacian(sp.csr_array(a), rescaled)
+            assert sp.issparse(got) and got.has_canonical_format
+            for field in ("data", "indices", "indptr"):
+                x, y = getattr(got, field), getattr(want, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
         formula = formula_laplacian(a)
         formula.flat[::41] -= 1.0
         npt.assert_allclose(got.toarray(), formula, rtol=0.0, atol=1e-15)

@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from chebgcn import affinity, simdata
 from chebgcn.affinity import SimilarityKernel, pairwise_distance, similarity_weights
 from chebgcn.simdata import SimConfig, generate, stratified_folds
 
@@ -125,17 +126,19 @@ class TestGenerate:
         on_edges = dense_adj(g)[gate]
         assert (on_edges > 0).all() and (on_edges <= 1).all()
 
-    def test_similarity_graph_takes_one_distance_matrix(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1:])
-            return pairwise_distance(*args, **kwargs)
-
-        monkeypatch.setattr(simdata, "pairwise_distance", counted)
-        monkeypatch.setattr(affinity, "pairwise_distance", counted)
-        generate(SimConfig(n_per_class=15, seed=10, edge_weights="similarity"))
-        assert calls == [("euclidean",)]
+    @pytest.mark.parametrize("weights", ["binary", "similarity"])
+    def test_generate_holds_no_dense_matrix(self, weights):
+        tracemalloc.start()
+        try:
+            g = generate(SimConfig(n_per_class=1000, variances=(1.0, 1.0), edge_weights=weights))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = g.n_nodes
+        # one (N, N) float64 array plus 32 bytes per edge, the affinity
+        # builder's bound; a whole distance matrix, thresholded, is that
+        # array and its masks
+        assert peak < 8 * n * n + 32 * g.n_edges
 
     def test_tight_variance_gives_denser_same_class_blocks(self):
         loose = generate(SimConfig(n_per_class=100, variances=(1.0, 1.0), seed=11))

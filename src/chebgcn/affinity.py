@@ -135,12 +135,17 @@ def _distance_rows(features, metric):
     if x.ndim != 2:
         raise AffinityError(f"features must be 2-D, got shape {x.shape}")
     if metric == "euclidean":
+        blocks = _row_blocks(x.shape[0], x.shape[1])
+        # One (rows, N, d) buffer for every block's differences and their
+        # squares, so no block allocates (and maps) its own.
+        buffer = np.empty((max((e - s for s, e in blocks), default=0), *x.shape))
+
         def rows(s, e):
             # each entry is bitwise what one broadcast over all rows gives
-            diff = x[s:e, None, :] - x[None, :, :]
-            return _zero_diagonal(np.sqrt((diff * diff).sum(axis=-1)), s)
+            diff = np.subtract(x[s:e, None, :], x[None, :, :], out=buffer[:e - s])
+            return _zero_diagonal(np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1)), s)
 
-        return rows, _row_blocks(x.shape[0], x.shape[1])
+        return rows, blocks
     if metric != "correlation":
         raise AffinityError(f"unknown distance {metric!r}")
     if x.shape[1] < 2:

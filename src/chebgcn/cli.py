@@ -16,12 +16,18 @@ in as many, and write a binary sidecar beside edges.txt that later loads of
 the graph use instead of parsing the text while it matches (see
 chebgcn.io); they write edge columns and never build adjacency storage or
 import scipy.sparse, and build-graph makes its columns a block of rows at a
-time, without an (N, N) matrix. Output files do not depend on the count. The
-effective config is echoed into the output directory as
-effective-config.yaml, so any run can be repeated from its own output.
+time, without an (N, N) matrix. build-graph starts its formatting workers
+as soon as it has parsed the features CSV, sized by the io pool-size rule
+as if every pair of nodes were an edge, and they format features.csv while
+it reads the meta-data and builds the affinity; if that fails, the workers
+stop and the output directory is left as it was. Output files do not
+depend on the count. The effective config is echoed into the output
+directory as effective-config.yaml, so any run can be repeated from its
+own output.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,7 +51,14 @@ from .experiments import (
     COMPARE_MODELS,
 )
 from .graph import GraphInvariantError, PopulationGraph
-from .io import FileFormatError, load_graph, read_features_csv, read_meta_csv, save_graph
+from .io import (
+    FileFormatError,
+    _graph_writer,
+    load_graph,
+    read_features_csv,
+    read_meta_csv,
+    save_graph,
+)
 from .simdata import generate
 
 
@@ -92,11 +105,11 @@ def _check_graph(graph: PopulationGraph) -> None:
         _warn("graph has no edges; every node is isolated")
 
 
-def _save_graph(cfg: dict, graph: PopulationGraph) -> str:
-    """Write features.csv, edges.txt and its sidecar; returns the line that
-    reports the text files."""
+def _save_graph(cfg: dict, graph: PopulationGraph, write) -> str:
+    """Write features.csv, edges.txt and its sidecar with ``write(graph,
+    features_path, edges_path)``; returns the line that reports the text files."""
     out = _prepare_out(cfg)
-    save_graph(graph, out / "features.csv", out / "edges.txt", threads=cfg["experiment"]["threads"])
+    write(graph, out / "features.csv", out / "edges.txt")
     _check_graph(graph)
     return (f"wrote {out / 'features.csv'} and {out / 'edges.txt'}: "
             f"{graph.n_nodes} nodes, {graph.n_edges} edges")
@@ -104,15 +117,13 @@ def _save_graph(cfg: dict, graph: PopulationGraph) -> str:
 
 def cmd_simdata(cfg: dict) -> int:
     graph = generate(cfgmod.to_sim_config(cfg))
-    print(_save_graph(cfg, graph))
+    print(_save_graph(cfg, graph, functools.partial(save_graph,
+                                                    threads=cfg["experiment"]["threads"])))
     return 0
 
 
-def cmd_build_graph(cfg: dict) -> int:
-    aff = cfg["affinity"]
-    _require_file(aff["meta"], "affinity.meta")
-    _require_file(aff["features"], "affinity.features")
-    features, labels, train = read_features_csv(aff["features"])
+def _meta_elements(aff: dict, n_nodes: int) -> list:
+    """The meta-data elements ``aff`` selects from its meta CSV."""
     columns = read_meta_csv(aff["meta"])
     names = aff["elements"] if aff["elements"] is not None else list(columns)
     unused = [name for name in aff["betas"] if name not in names]
@@ -123,9 +134,9 @@ def cmd_build_graph(cfg: dict) -> int:
         if name not in columns:
             raise ConfigError(f"affinity.elements: no column {name!r} in {aff['meta']}")
         values, missing = columns[name]
-        if values.shape[0] != features.shape[0]:
+        if values.shape[0] != n_nodes:
             raise ConfigError(
-                f"meta-data covers {values.shape[0]} nodes but features cover {features.shape[0]}"
+                f"meta-data covers {values.shape[0]} nodes but features cover {n_nodes}"
             )
         elements.append(MetaElement(
             name=name,
@@ -133,12 +144,27 @@ def cmd_build_graph(cfg: dict) -> int:
             beta=float(aff["betas"].get(name, 0.0)),
             missing=missing if missing.any() else None,
         ))
-    kernel = SimilarityKernel(distance=aff["distance"], sigma=aff["sigma"])
-    edges, counts = _build_affinity(
-        elements, features, kernel, aff["mode"], aff["element"], aff["strict"]
-    )
-    graph = PopulationGraph(adjacency=edges, features=features, labels=labels, train_mask=train)
-    wrote = _save_graph(cfg, graph)
+    return elements
+
+
+def cmd_build_graph(cfg: dict) -> int:
+    aff = cfg["affinity"]
+    _require_file(aff["meta"], "affinity.meta")
+    _require_file(aff["features"], "affinity.features")
+    features, labels, train = read_features_csv(aff["features"])
+    n = features.shape[0]
+    # features.csv is formatted while the graph is built. Any two nodes may
+    # be an edge, which bounds the fields the writer's pool-size rule counts.
+    with _graph_writer(features, labels, train, n * (n - 1) // 2,
+                       cfg["experiment"]["threads"]) as write:
+        elements = _meta_elements(aff, n)
+        kernel = SimilarityKernel(distance=aff["distance"], sigma=aff["sigma"])
+        edges, counts = _build_affinity(
+            elements, features, kernel, aff["mode"], aff["element"], aff["strict"]
+        )
+        graph = PopulationGraph(adjacency=edges, features=features, labels=labels,
+                                train_mask=train)
+        wrote = _save_graph(cfg, graph, write)
     ends = np.concatenate(graph.edges[:2])
     isolated = np.count_nonzero(np.bincount(ends, minlength=graph.n_nodes) == 0)
     # An edgeless graph has had its warning from _save_graph.

@@ -2,17 +2,23 @@
 
 Floats are written with ``repr`` so that a write/read round trip reproduces
 the exact same float64 values. Writers format ``_CHUNK_FIELDS`` fields at a
-time and write each slice with one call, so the Python strings they hold
-stay bounded however large the file. ``save_graph``, which ``simdata`` and
-``build-graph`` call with their ``--threads``, formats those slices in
-worker processes (``workers.worker_map``) once a graph holds
-``POOL_MIN_FIELDS`` fields, below which a pool costs more than it saves.
-Each worker holds at most two slices in flight, and the slices are written
-in file order by one formatter per file, so the bytes do not depend on the
-worker count. Under spawn or forkserver each worker re-imports NumPy
-first, about 0.15 s on a 2-vCPU VM. Graphs are written and loaded as edge
-columns (``PopulationGraph.edges``), without ``scipy.sparse`` (another
-0.2 s); here only :func:`read_edge_list`, which returns CSR, imports it.
+time and write each slice with one call. One writer, ``_graph_writer``,
+writes every graph: ``save_graph`` runs it on a finished graph (``simdata``
+calls it with its ``--threads``), and ``build-graph`` starts it as soon as
+the features CSV is parsed, then builds the graph inside it. It formats
+the slices in worker processes (``workers.worker_map``) when the files may
+hold ``POOL_MIN_FIELDS`` fields, below which a pool costs more than it
+saves: ``save_graph`` counts the graph's edges, and ``build-graph``, whose
+edges do not exist yet, counts every pair of nodes as one. The pool gets
+every slice of the features CSV at once and formats them while the graph
+is built, so their strings are held until written; the edge list's slices
+follow, at most two per worker in flight, so its strings stay bounded
+however large the file. The slices are written in file order by one
+formatter per file, so the bytes do not depend on the worker count. Under
+spawn or forkserver each worker re-imports NumPy first, about 0.15 s on a
+2-vCPU VM. Graphs are written and loaded as edge columns
+(``PopulationGraph.edges``), without ``scipy.sparse`` (another 0.2 s); here
+only :func:`read_edge_list`, which returns CSR, imports it.
 
 Readers parse whole columns with ``np.loadtxt`` and check them with array
 tests. Only when a file is rejected are its lines walked again, to name the
@@ -33,7 +39,7 @@ Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
 - The result, canonical edge columns (``graph._Edges``) or the canonical
   CSR array they give, grows with the number of edges, not ``n_nodes ** 2``.
 
-``save_graph`` also writes a binary sidecar beside the edge list,
+The graph writer also writes a binary sidecar beside the edge list,
 ``<edges>.cache``, so that ``load_graph`` can skip the text parse. It is a
 run of ``.npy`` records: the sha256 of the bytes written to the features CSV
 and to the edge list, a sha256 of the arrays that follow, then the arrays
@@ -41,20 +47,23 @@ that parsing the two files gives back (features, labels, train mask, and
 the graph's edge columns, which the edge list holds in file order).
 ``load_graph`` uses it only when both files on disk still have those
 digests, its own records check out and its edge columns are canonical; a
-sidecar that is missing, stale, truncated, unreadable or breaks a rule
-means the text is parsed, never an error. Either way the arrays go through
-:class:`PopulationGraph`, so a sidecar gives bit for bit the graph the text
-gives. The text stays the source of truth: ``load_graph`` never writes, and
-only ``save_graph`` writes a sidecar, moved into place after both files.
+sidecar that is missing, stale, truncated, unreadable (a ``.npy`` header
+NumPy cannot tokenize included) or breaks a rule means the text is parsed,
+never an error. Either way the arrays go through :class:`PopulationGraph`,
+so a sidecar gives bit for bit the graph the text gives. The text stays the
+source of truth: ``load_graph`` never writes, and only the graph writer
+writes a sidecar, moved into place after both files.
 """
 
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import math
 import os
 import warnings
+from tokenize import TokenError
 
 import numpy as np
 
@@ -66,12 +75,12 @@ MISSING_TOKENS = {"", "na", "nan", "none"}
 # Fields formatted per write call: 8192 edge-list lines.
 _CHUNK_FIELDS = 3 * 8192
 
-# Fields (3 per edge plus the feature CSV's cells) from which save_graph
-# formats in worker processes. On a 2-vCPU VM (Python 3.11, forked workers)
-# 2 workers took 4.6x the serial time at 21k fields, 1.3x at 200-300k and
-# 0.98x at 395k on random 2,000-node graphs with 2 features, and 0.86x at
-# 587k; on a 1,000-node, 55%-dense graph with 200 features (1.03M fields)
-# they took 0.62x (527 against 844 ms).
+# Fields (3 per edge plus the feature CSV's cells) from which the graph
+# writer formats in worker processes. On a 2-vCPU VM (Python 3.11, forked
+# workers) 2 workers took 4.6x the serial time at 21k fields, 1.3x at
+# 200-300k and 0.98x at 395k on random 2,000-node graphs with 2 features,
+# and 0.86x at 587k; on a 1,000-node, 55%-dense graph with 200 features
+# (1.03M fields) they took 0.62x (527 against 844 ms).
 POOL_MIN_FIELDS = 2**19
 
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
@@ -219,6 +228,14 @@ def _feature_lines(chunk) -> str:
     )
 
 
+def _feature_chunks(features, labels, train_mask):
+    """The (first node, features, labels, splits) chunks of a features CSV."""
+    splits = np.where(train_mask, "train", "test")
+    step = max(1, _CHUNK_FIELDS // (features.shape[1] + 3))
+    for s in range(0, len(labels), step):
+        yield s, features[s:s + step], labels[s:s + step], splits[s:s + step]
+
+
 def write_features_csv(path, graph: PopulationGraph, map_chunks=map) -> str:
     """Write node features, labels, and split tags as ``node,f0,...,label,split``,
     where the split is ``train`` for the nodes of ``graph.train_mask`` and
@@ -227,10 +244,7 @@ def write_features_csv(path, graph: PopulationGraph, map_chunks=map) -> str:
     digest of the bytes written.
     """
     header = ["node"] + [f"f{i}" for i in range(graph.n_features)] + ["label", "split"]
-    splits = np.where(graph.train_mask, "train", "test")
-    step = max(1, _CHUNK_FIELDS // len(header))
-    chunks = ((s, graph.features[s:s + step], graph.labels[s:s + step], splits[s:s + step])
-              for s in range(0, graph.n_nodes, step))
+    chunks = _feature_chunks(graph.features, graph.labels, graph.train_mask)
     lines = map_chunks(_feature_lines, chunks)
     return _write_text(path, itertools.chain([",".join(header) + "\r\n"], lines))
 
@@ -356,13 +370,66 @@ def _read_sidecar(features_path, edges_path):
                 return None
             arrays = [np.lib.format.read_array(fh, allow_pickle=False)
                       for _ in range(_SIDECAR_ARRAYS)]
-    except (OSError, ValueError, EOFError):
+    except (OSError, ValueError, EOFError, TokenError):
         return None
     if _sha256_of_arrays(arrays) != head[3]:
         return None
     features, labels, train, lo, hi, w = arrays
     edges = _Edges(lo, hi, w, features.shape[0])
     return (edges, features, labels, train) if edges.canonical() else None
+
+
+def _format_workers(n_nodes: int, n_features: int, max_edges: int, threads) -> int:
+    """Worker processes to format the files of a graph with at most
+    ``max_edges`` edges in: ``threads`` (None: ``workers.worker_count``'s
+    default) once the files may hold ``POOL_MIN_FIELDS`` fields, else 1."""
+    fields = n_nodes * (n_features + 3) + 3 * max_edges
+    if fields < POOL_MIN_FIELDS:
+        return 1
+    # A chunk holds at most _CHUNK_FIELDS fields: no more workers than chunks.
+    return min(worker_count(threads), math.ceil(fields / _CHUNK_FIELDS))
+
+
+@contextlib.contextmanager
+def _graph_writer(features, labels, train_mask, max_edges: int, threads):
+    """Start formatting the features CSV of ``features``, ``labels`` and
+    ``train_mask`` now, in ``_format_workers`` processes where there are
+    more than one, and yield ``write(graph, features_path, edges_path)``,
+    which writes a graph on those arrays with at most ``max_edges`` edges as
+    :func:`save_graph` does. ``write`` may be called once, inside the block.
+
+    Every features chunk goes to the workers at once, so they format while
+    the block builds the graph; the edge chunks follow, at most two per
+    worker in flight. The workers stop when the block exits; if it raises,
+    chunks not yet started are dropped.
+    """
+    n, d = features.shape
+    with worker_map(_format_workers(n, d, max_edges, threads)) as map_chunks:
+        rows = map_chunks(_feature_lines, _feature_chunks(features, labels, train_mask), ahead=None)
+        yield functools.partial(_write_graph, rows, map_chunks)
+
+
+def _write_graph(rows, map_chunks, graph, features_path, edges_path) -> None:
+    """``save_graph``'s writes, with the features CSV's chunks formatted as
+    ``rows`` and the edge list's by ``map_chunks``."""
+    targets = (features_path, edges_path, _sidecar_path(edges_path))
+    temps = []
+    try:
+        for path in targets:
+            temps.append(_new_file_beside(path))
+        # The features chunks were handed to map_chunks when the writer started.
+        features_digest = write_features_csv(temps[0], graph, lambda fn, chunks: rows)
+        edges_digest = write_edge_list(temps[1], *graph.edges, map_chunks)
+        # The arrays the parser returns for the two files just written.
+        arrays = (graph.features, graph.labels, graph.train_mask, *graph.edges)
+        _write_sidecar(temps[2], (features_digest, edges_digest), arrays)
+        for temp, path in zip(temps, targets):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
 
 
 def save_graph(graph: PopulationGraph, features_path, edges_path, threads=None) -> None:
@@ -378,29 +445,9 @@ def save_graph(graph: PopulationGraph, features_path, edges_path, threads=None) 
     fails before that, the temporary files are removed and files already at
     the targets stay as they were.
     """
-    fields = graph.n_nodes * (graph.n_features + 3) + 3 * graph.n_edges
-    workers = 1
-    if fields >= POOL_MIN_FIELDS:
-        # A chunk holds at most _CHUNK_FIELDS fields: no more workers than chunks.
-        workers = min(worker_count(threads), math.ceil(fields / _CHUNK_FIELDS))
-    targets = (features_path, edges_path, _sidecar_path(edges_path))
-    temps = []
-    try:
-        for path in targets:
-            temps.append(_new_file_beside(path))
-        with worker_map(workers) as map_chunks:
-            features_digest = write_features_csv(temps[0], graph, map_chunks)
-            edges_digest = write_edge_list(temps[1], *graph.edges, map_chunks)
-        # The arrays the parser returns for the two files just written.
-        arrays = (graph.features, graph.labels, graph.train_mask, *graph.edges)
-        _write_sidecar(temps[2], (features_digest, edges_digest), arrays)
-        for temp, path in zip(temps, targets):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
-        raise
+    with _graph_writer(graph.features, graph.labels, graph.train_mask, graph.n_edges,
+                       threads) as write:
+        write(graph, features_path, edges_path)
 
 
 def load_graph(features_path, edges_path) -> PopulationGraph:

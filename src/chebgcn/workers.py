@@ -7,15 +7,17 @@ Every worker pins its own BLAS when it starts; the calling process keeps
 its BLAS as it was. Workers start by the platform's default method, fork on
 Linux up to Python 3.13; under spawn or forkserver each one re-imports
 NumPy first, and SciPy only when a task or its initializer's arguments hold
-a CSR array.
+a CSR array. ``concurrent.futures``' process pool and ``multiprocessing``
+(about 20 ms to import) load with the first pool, so a process that starts
+none never imports them.
 """
 
 import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,13 @@ import numpy as np
 # Tasks each worker may hold submitted and not yet handed back in order:
 # one running and one queued keep it busy while the caller consumes.
 _AHEAD_PER_WORKER = 2
+
+
+def ProcessPoolExecutor(**kwargs):
+    """``concurrent.futures.ProcessPoolExecutor(**kwargs)``, imported here on first use."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(**kwargs)
 
 
 @functools.cache
@@ -58,36 +67,51 @@ def _init_worker(initializer, *initargs) -> None:
         initializer(*initargs)
 
 
-def _ordered(pool, ahead: int, fn, tasks):
-    """Yield ``fn(task)`` for each task, in order, from ``pool``, with at
-    most ``ahead`` tasks submitted and not yet yielded."""
-    pending = collections.deque()
+def _ordered(pool, fn, tasks, ahead):
+    """Submit ``fn(task)`` for the first ``ahead`` tasks (None: all of them)
+    to ``pool`` now; returns an iterator over the results in task order that
+    submits one more task for each result it reads."""
+    tasks = iter(tasks)
+    pending = collections.deque(pool.submit(fn, task) for task in itertools.islice(tasks, ahead))
+    return _results(pool, fn, tasks, pending)
+
+
+def _results(pool, fn, tasks, pending):
     try:
-        for task in tasks:
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, task))
         while pending:
-            yield pending.popleft().result()
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, task) for task in itertools.islice(tasks, 1))
+            yield result
     finally:
         for future in pending:
             future.cancel()
 
 
+def _here(fn, tasks, ahead=None):
+    """The builtin ``map``: tasks run here as their results are read."""
+    return map(fn, tasks)
+
+
 @contextlib.contextmanager
 def worker_map(workers: int, initializer=None, initargs=()):
-    """A ``map(fn, tasks)`` that runs in ``workers`` processes when that is
-    above 1, else the builtin ``map``, which runs here.
+    """A ``map(fn, tasks, ahead=2 * workers)`` that runs in ``workers``
+    processes when that is above 1, else here, as the builtin ``map``.
 
-    The pooled map yields results lazily and in task order, holding at most
-    two tasks per worker in flight, and re-raises a worker's exception where
-    its result is read. Processes start with the first task; ``fn``, each
-    task and each result are pickled, and so are ``initializer`` and
-    ``initargs`` unless the workers are forked.
+    The pooled map submits the first ``ahead`` tasks (None: every task) at
+    once, then one more for each result read, and yields the results in
+    task order. It re-raises a worker's exception where its result is read.
+    Processes start with the first task; ``fn``, each task and each result
+    are pickled, and so are ``initializer`` and ``initargs`` unless the
+    workers are forked. If the block raises, tasks not yet started are
+    cancelled; either way it exits only once the workers have.
     """
     if workers <= 1:
-        yield map
+        yield _here
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(initializer, *initargs)) as pool:
-        yield functools.partial(_ordered, pool, _AHEAD_PER_WORKER * workers)
+        try:
+            yield functools.partial(_ordered, pool, ahead=_AHEAD_PER_WORKER * workers)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -5,6 +5,7 @@ dense matrix recurrences, and eigendecompositions, so that agreement with
 the package is evidence rather than tautology.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -27,6 +28,39 @@ def no_pool(monkeypatch):
     def refuse(**kwargs):
         raise AssertionError("no worker pool may start here")
     monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor", refuse)
+
+
+class CountingPool:
+    """Stands in for ProcessPoolExecutor: runs each task in this process when
+    its result is read, and records, per task function, the most tasks
+    submitted and not yet read."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.outstanding = collections.Counter()
+        self.peak = collections.Counter()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        name = fn.__name__
+        self.outstanding[name] += 1
+        self.peak[name] = max(self.peak[name], self.outstanding[name])
+        pool = self
+
+        class Pending:
+            def result(self):
+                pool.outstanding[name] -= 1
+                return fn(task)
+
+            def cancel(self):
+                return True
+
+        return Pending()
 
 
 def random_adjacency(rng, n, p=0.3, weighted=False):

@@ -120,8 +120,10 @@ class TestSimilarityWeights:
         got = similarity_weights(x, SimilarityKernel(distance="euclidean"))
         npt.assert_allclose(got, expected, atol=1e-15)
 
-    def test_euclidean_row_blocks_match_one_broadcast(self):
-        x = np.random.default_rng(15).standard_normal((300, 200))
+    # below 8 values NumPy sums a row in order, from 8 on pairwise
+    @pytest.mark.parametrize("d", [2, 8, 200])
+    def test_euclidean_row_blocks_match_one_broadcast(self, d):
+        x = np.random.default_rng(15).standard_normal((300, d))
         diff = x[:, None, :] - x[None, :, :]
         want = np.sqrt((diff * diff).sum(axis=-1))
         np.fill_diagonal(want, 0.0)
@@ -133,7 +135,7 @@ class TestSimilarityWeights:
         finally:
             tracemalloc.stop()
         npt.assert_array_equal(got, want)
-        # one broadcast over all rows peaks at 275 MB here
+        # one broadcast over all rows peaks at 275 MB at d = 200
         assert peak < 32 * 2**20
 
     def test_constant_row_rejected_for_correlation(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from chebgcn.experiments import COMPARE_MODELS
 from chebgcn.graph import PopulationGraph
 from chebgcn.io import load_graph, read_edge_list, read_features_csv, write_features_csv
 from chebgcn.simdata import SimConfig, generate
+
+from conftest import CountingPool
 
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
@@ -486,6 +489,28 @@ def test_the_graph_sidecar_changes_no_result(tmp_path, monkeypatch, command, spa
     assert results[0] == results[1]
 
 
+def test_an_untokenizable_sidecar_header_falls_back_to_the_text(tmp_path):
+    # NumPy's header parser raises tokenize.TokenError on this sidecar: the
+    # train run parses the text instead and writes what a run without one writes
+    data = tmp_path / "data"
+    assert main(["simdata", "--config", write_cfg(tmp_path, quick_sections(data), "sim.yaml")]) == 0
+    sidecar = data / "edges.txt.cache"
+    broken = sidecar.read_bytes().replace(b"}", b"(", 1)
+    results = []
+    for name in ("no-sidecar", "untokenizable"):
+        if name == "no-sidecar":
+            sidecar.unlink()
+        else:
+            sidecar.write_bytes(broken)
+        out = tmp_path / name
+        train = quick_sections(out, dataset={"source": "files",
+                                             "features": str(data / "features.csv"),
+                                             "edges": str(data / "edges.txt")})
+        assert main(["train", "--config", write_cfg(tmp_path, train, f"{name}.yaml")]) == 0
+        results.append({p: (out / p).read_bytes() for p in ("cv.csv", "summary.json")})
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("config, threads, min_fields", [
     ("overlap-compare.cfg", None, None),  # 600 nodes: below the size rule
     ("quick", "1", 0),
@@ -830,3 +855,190 @@ def test_train_on_a_dense_graph_leaves_numpy_ma_unloaded(tmp_path):
                            "--threads", "1"], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-2:] == ["0", "False"]
+
+
+# Each command runs in a fresh interpreter: it prints whether concurrent.futures'
+# process pool was loaded at start, after importing the package, and after the
+# run, with the run's exit code before the last.
+POOL_PROBE = """\
+import sys
+name = "concurrent.futures.process"
+loaded = [name in sys.modules]
+import chebgcn.cli
+loaded.append(name in sys.modules)
+code = chebgcn.cli.main(sys.argv[1:])
+print(*loaded, code, name in sys.modules)
+"""
+
+
+def test_concurrent_futures_loads_only_with_a_pool(tmp_path):
+    # The process pool and multiprocessing take about 20 ms to import, so
+    # the package import and runs that start no pool leave them out.
+    src = Path(chebgcn.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
+    meta_fixture(tmp_path)
+    sections = quick_sections(tmp_path / "res", affinity={
+        "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv")})
+    cfg = write_cfg(tmp_path, sections)
+    for argv, pooled in [
+        (["simdata"], False),  # 30 nodes: below the size rule
+        (["build-graph"], False),
+        (["train", "--threads", "2"], True),  # 3 folds in 2 workers
+    ]:
+        done = subprocess.run([sys.executable, "-c", POOL_PROBE, *argv, "--config", cfg],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-4:] == ["False", "False", "0", str(pooled)]
+
+
+def cohort_inputs(directory, n=300, d=8, seed=26):
+    """Write a seeded build-graph input shaped like the benchmark's cohort:
+    two classes that differ in the mean of the first two of ``d`` features,
+    and meta-data with an age that is ``na`` for about 5% of the subjects,
+    a sex and one of 6 sites."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % 2)
+    features = rng.standard_normal((n, d))
+    features[:, :2] += np.where(labels == 1, 0.5, -0.5)[:, None]
+    train = rng.random(n) < 0.9
+    age = np.round(rng.uniform(20.0, 80.0, n), 1)
+    age_missing = rng.random(n) < 0.05
+    sex = rng.integers(0, 2, n)
+    site = rng.integers(0, 6, n)
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = [",".join(["node", *(f"f{j}" for j in range(d)), "label", "split"])]
+    rows += [",".join([str(i), *map(repr, features[i].tolist()), str(labels[i]),
+                       "train" if train[i] else "test"]) for i in range(n)]
+    (directory / "features.csv").write_text("\n".join(rows) + "\n")
+    rows = ["node,age,sex,site"]
+    rows += [f"{i},{'na' if age_missing[i] else age[i]!r},{'FM'[sex[i]]},site{site[i]}"
+             for i in range(n)]
+    (directory / "meta.csv").write_text("\n".join(rows) + "\n")
+
+
+class TestBuildGraphBytes:
+    # sha256 of what build-graph writes for cohort_inputs()
+    DIGESTS = {
+        "features.csv": "0b1ab60e701eb4f04ee5b458b1bd0558651a41826c71aa1110acdac6e89c027f",
+        "edges.txt": "405068b76998ea4c4f895d2cbc6d6062f1ca1e2da47580f7a80362aedb38e42c",
+        "edges.txt.cache": "086df018d5e409c6f98b31b10e3a81f21b52076d8655761e301813734f27525a",
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_build_graph_keeps_its_bytes(self, tmp_path, monkeypatch, threads):
+        # every size starts a pool at 2 threads, and the files take many chunks
+        monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+        monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 3 * 1024)
+        started = []
+        pool_class = chebgcn.workers.ProcessPoolExecutor
+        monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                            lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
+        inputs, out = tmp_path / "cohort", tmp_path / "graph"
+        cohort_inputs(inputs)
+        # sigma is so wide that every similarity weight is exp(-tiny) = 1.0,
+        # so each edge weight is the share of the three gates it passes, and
+        # the digests do not depend on the platform's exp or BLAS
+        cfg = write_cfg(tmp_path, quick_sections(out, affinity={
+            "meta": str(inputs / "meta.csv"), "features": str(inputs / "features.csv"),
+            "betas": {"age": 2.0, "sex": 0.0, "site": 0.0}, "mode": "mixed", "sigma": 1.0e10}))
+        assert main(["build-graph", "--config", cfg, "--threads", threads]) == 0
+        assert started == ([2] if threads == "2" else [])
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self.DIGESTS}
+        assert got == self.DIGESTS
+
+
+@pytest.mark.parametrize("n, d, threads, pooled", [
+    # 3 * 590 * 589 / 2 = 521,265 fields for the edges, and 590 * (d + 3) for
+    # the features: 524,215 at d = 2, below POOL_MIN_FIELDS = 524,288
+    (590, 2, "2", False),
+    (590, 3, "2", True),  # 524,805
+    (590, 3, "1", False),
+])
+def test_build_graph_sizes_its_pool_by_every_pair_being_an_edge(tmp_path, monkeypatch,
+                                                                n, d, threads, pooled):
+    # The pool starts before the graph exists, so it counts N(N - 1) / 2
+    # edges: with one site per node there are none, yet 590 nodes at d = 3
+    # start a pool.
+    pools = []
+    monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                        lambda **kw: pools.append(CountingPool(**kw)) or pools[-1])
+    rng = np.random.default_rng(0)
+    write_features_csv(tmp_path / "features.csv", PopulationGraph(
+        adjacency=np.zeros((n, n)), features=rng.standard_normal((n, d)),
+        labels=np.arange(n) % 2, train_mask=np.ones(n, dtype=bool)))
+    (tmp_path / "meta.csv").write_text("node,site\n" + "".join(f"{i},s{i}\n" for i in range(n)))
+    out = tmp_path / "res"
+    sections = quick_sections(out, affinity={
+        "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv")})
+    assert main(["build-graph", "--config", write_cfg(tmp_path, sections),
+                 "--threads", threads]) == 0
+    assert [p.max_workers for p in pools] == ([2] if pooled else [])
+    assert (out / "edges.txt").read_text() == ""
+
+
+def failing_feature_lines(chunk):
+    raise RuntimeError("formatting failed in a worker")
+
+
+def out_state(out):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("fault", ["affinity", "config", "worker"])
+@pytest.mark.parametrize("earlier", [False, True], ids=["empty-out", "earlier-graph"])
+def test_a_build_that_fails_once_its_pool_started_leaves_out_as_it_was(tmp_path, capsys,
+                                                                       monkeypatch, fault,
+                                                                       earlier):
+    meta_fixture(tmp_path)
+    # node 5's features are constant, which only the correlation distance rejects
+    features = tmp_path / "features.csv"
+    lines = features.read_bytes().split(b"\r\n")
+    fields = lines[6].split(b",")
+    lines[6] = b",".join([fields[0], b"1.5", b"1.5", b"1.5", b"1.5", *fields[5:]])
+    features.write_bytes(b"\r\n".join(lines))
+    out = tmp_path / "res"
+    out.mkdir()
+
+    def config(name, **affinity):
+        sections = quick_sections(out, affinity={
+            "meta": str(tmp_path / "meta.csv"), "features": str(features), **affinity})
+        return write_cfg(tmp_path, sections, name)
+
+    if earlier:
+        assert main(["build-graph", "--config", config("earlier.yaml", mode="mixed_nosim"),
+                     "--threads", "1"]) == 0
+    before = out_state(out)
+    capsys.readouterr()
+    # a pool starts for any size, before the graph is built
+    monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+    monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 12)
+    started = []
+    pool_class = chebgcn.workers.ProcessPoolExecutor
+    monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                        lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
+    argv = ["build-graph", "--threads", "2", "--config"]
+    if fault == "affinity":
+        assert main(argv + [config("bad.yaml", mode="mixed")]) == 2
+        message = "node 5 has constant features; correlation distance is undefined"
+    elif fault == "config":
+        cfg = config("bad.yaml", mode="mixed_nosim", elements=["age", "weight"])
+        assert main(argv + [cfg]) == 2
+        message = f"affinity.elements: no column 'weight' in {tmp_path / 'meta.csv'}"
+    else:
+        monkeypatch.setattr("chebgcn.io._feature_lines", failing_feature_lines)
+        with pytest.raises(RuntimeError, match="formatting failed in a worker"):
+            main(argv + [config("bad.yaml", mode="mixed_nosim")])
+        message = None
+    assert started == [2]
+    if message is not None:
+        assert capsys.readouterr().err == f"error: {message}\n"
+    after = out_state(out)
+    if fault == "worker":
+        # the output directory is prepared, with its echoed config, before
+        # the files are written
+        before.pop("effective-config.yaml", None)
+        assert after.pop("effective-config.yaml")
+    assert after == before
+    assert multiprocessing.active_children() == []

@@ -711,6 +711,11 @@ class TestRunCv:
             assert list(pool_map(blas_threads, range(4))) == [1, 1, 1, 1]
         assert blas_threads() == caller
 
+    def test_the_no_pool_fixture_refuses_a_pool(self, no_pool):
+        with pytest.raises(AssertionError, match="no worker pool may start here"):
+            with worker_map(2) as pool_map:
+                list(pool_map(abs, [-1, 2]))
+
     def test_to_dict_round_trips_through_json(self, toy_graph):
         res = run_cv(toy_graph, single_layer(1, 4), quick_cfg(epochs=5))
         payload = json.loads(json.dumps(res.to_dict()))

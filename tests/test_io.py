@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from chebgcn.io import (
     write_features_csv,
 )
 
-from conftest import random_adjacency
+from conftest import CountingPool, random_adjacency
 
 
 def tiny_graph(n=6, seed=0, p=0.5):
@@ -332,36 +333,6 @@ def features_by_csv_module(g) -> bytes:
     return buf.getvalue().encode()
 
 
-class CountingPool:
-    """Stands in for ProcessPoolExecutor: runs each task in this process when
-    its result is read, and records the most tasks submitted and not yet read."""
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        self.outstanding = self.peak = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, task):
-        self.outstanding += 1
-        self.peak = max(self.peak, self.outstanding)
-        pool = self
-
-        class Pending:
-            def result(self):
-                pool.outstanding -= 1
-                return fn(task)
-
-            def cancel(self):
-                return True
-
-        return Pending()
-
-
 def failing_edge_lines(chunk):
     if chunk[0][0] > 0:
         raise RuntimeError("formatting failed in a worker")
@@ -396,7 +367,8 @@ class TestSaveGraphWorkers:
         assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_pooled_write_holds_two_chunks_per_worker(self, tmp_path, monkeypatch, big, threads):
+    def test_pooled_write_holds_two_edge_chunks_per_worker(self, tmp_path, monkeypatch, big,
+                                                           threads):
         pools = []
         monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
         monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 3 * 500)
@@ -404,7 +376,9 @@ class TestSaveGraphWorkers:
                             lambda **kw: pools.append(CountingPool(**kw)) or pools[-1])
         save_graph(big, tmp_path / "nodes.csv", tmp_path / "edges.txt", threads=threads)
         assert [p.max_workers for p in pools] == [threads]
-        assert pools[0].peak == 2 * threads
+        # every features chunk goes to the pool at once, the edge chunks two per worker
+        feature_chunks = math.ceil(big.n_nodes / (3 * 500 // (big.n_features + 3)))
+        assert pools[0].peak == {"_feature_lines": feature_chunks, "_edge_lines": 2 * threads}
         assert (tmp_path / "nodes.csv").read_bytes() == features_by_csv_module(big)
         assert (tmp_path / "edges.txt").read_text() == edge_lines_one_by_one(big.adjacency)
 
@@ -614,7 +588,7 @@ class TestSidecar:
 
     @pytest.mark.parametrize("corrupt", [
         "features-byte", "edges-byte", "other-graph", "missing", "truncated", "header-only",
-        "garbage", "pickle", "flipped-array-byte",
+        "garbage", "pickle", "flipped-array-byte", "untokenizable-header",
     ])
     def test_a_bad_sidecar_means_parse(self, tmp_path, spy, corrupt):
         saved = tiny_graph(n=12, seed=3, p=0.4)
@@ -639,6 +613,10 @@ class TestSidecar:
         elif corrupt == "pickle":
             with open(sidecar, "wb") as fh:
                 np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        elif corrupt == "untokenizable-header":
+            # the first header's closing brace opens a bracket: NumPy's header
+            # parser raises tokenize.TokenError, not ValueError
+            sidecar.write_bytes(whole.replace(b"}", b"(", 1))
         else:
             # one byte of the last array (the edge weights) changed: the text digests still match
             sidecar.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))

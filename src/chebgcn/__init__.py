@@ -13,7 +13,6 @@ from .affinity import (
     SimilarityKernel,
     build_affinity,
     binarize_edges,
-    pairwise_distance,
     similarity_weights,
 )
 from .experiments import (

@@ -92,17 +92,6 @@ class SimilarityKernel:
             raise AffinityError(f"sigma must be positive, got {self.sigma}")
 
 
-def pairwise_distance(features: np.ndarray, metric: str = "correlation") -> np.ndarray:
-    """Exactly symmetric (N, N) distance matrix with a zero diagonal.
-
-    "euclidean" is the usual L2 distance between feature rows. "correlation"
-    is 1 - Pearson correlation, in [0, 2]; rows with zero variance have no
-    defined correlation and raise, naming the first offending node.
-    """
-    rows, blocks = _distance_rows(features, metric)
-    return _symmetric(rows, blocks, mirror=metric == "correlation")
-
-
 def _row_blocks(n: int, d: int | None = None) -> list:
     """(start, stop) ranges of rows covering n rows, in order: each block
     within _ROW_BLOCK_BYTES as an (rows, n) float64 array and, given a
@@ -126,14 +115,15 @@ def _zero_diagonal(block: np.ndarray, start: int) -> np.ndarray:
 
 
 def _distance_rows(features, metric):
-    """Check features for ``metric``; returns (rows, blocks). rows(s, e) is
-    rows s:e of the distance matrix with a zero diagonal, for (s, e) in
-    blocks. A correlation block is one GEMM, which can round a pair's last
-    bit differently from the pair's transpose in another block, so a dense
-    correlation result takes each pair from the row of its lower index."""
+    """The (N, N) distance matrix of 2-D features under "euclidean" (the L2
+    distance between rows) or "correlation" (1 - Pearson correlation, in
+    [0, 2]) as (rows, blocks): rows(s, e) is rows s:e of it with a zero
+    diagonal, for (s, e) in blocks. Rows with zero variance have no defined
+    correlation and raise, naming the first offending node. A correlation
+    block is one GEMM, which can round a pair's last bit differently from the
+    pair's transpose in another block, so a dense correlation result takes
+    each pair from the row of its lower index."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise AffinityError(f"features must be 2-D, got shape {x.shape}")
     if metric == "euclidean":
         blocks = _row_blocks(x.shape[0], x.shape[1])
         # One (rows, N, d) buffer for every block's differences and their
@@ -146,8 +136,6 @@ def _distance_rows(features, metric):
             return _zero_diagonal(np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1)), s)
 
         return rows, blocks
-    if metric != "correlation":
-        raise AffinityError(f"unknown distance {metric!r}")
     if x.shape[1] < 2:
         raise AffinityError("correlation distance needs at least 2 features per node")
     centered = x - x.mean(axis=1, keepdims=True)
@@ -213,10 +201,9 @@ def _bandwidth(rows, blocks) -> float:
     return sigma
 
 
-def _gaussian(rho: np.ndarray, sigma: float, start: int = 0) -> np.ndarray:
-    """exp(-rho^2 / (2 sigma^2)) of the rows start: of a distance matrix,
-    zero on the diagonal."""
-    return _zero_diagonal(np.exp(-(rho * rho) / (2.0 * sigma * sigma)), start)
+def _gaussian(rho: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-rho^2 / (2 sigma^2)), elementwise."""
+    return np.exp(-(rho * rho) / (2.0 * sigma * sigma))
 
 
 def _similarity_rows(features, kernel: SimilarityKernel):
@@ -226,7 +213,7 @@ def _similarity_rows(features, kernel: SimilarityKernel):
         raise AffinityError("similarity needs a 2-D feature matrix with at least 2 nodes")
     dist, blocks = _distance_rows(x, kernel.distance)
     sigma = _bandwidth(dist, blocks) if kernel.sigma is None else kernel.sigma
-    return (lambda s, e: _gaussian(dist(s, e), sigma, s)), blocks
+    return (lambda s, e: _zero_diagonal(_gaussian(dist(s, e), sigma), s)), blocks
 
 
 def _gate_rows(meta: MetaElement, s: int, e: int, strict: bool) -> np.ndarray:
@@ -342,6 +329,12 @@ def _block_edges(rows, blocks, n: int) -> _Edges:
         flat = np.flatnonzero(np.triu(out != 0.0, s + 1))
         keys.append(flat + s * n)
         vals.append(out.ravel()[flat])
+    return _key_edges(keys, vals, n)
+
+
+def _key_edges(keys, vals, n: int) -> _Edges:
+    """Edge columns from lists of row-major upper-triangle keys lo * n + hi,
+    in increasing order, and their weights."""
     # Rebinding frees each list once joined, so the columns peak at their size.
     keys = np.concatenate(keys)
     vals = np.concatenate(vals)
@@ -354,15 +347,32 @@ def _epsilon_edges(points, beta: float, weighted: bool) -> _Edges:
     """The ε-graph of ``points`` as canonical edge columns: an edge wherever
     the Euclidean distance is strictly below ``beta``, of weight 1.0 or, if
     ``weighted``, the Gaussian similarity at the mean pairwise distance (an
-    underflowed weight is no edge). Built a row block at a time."""
+    underflowed weight is no edge). Built a row block at a time, in one
+    distance pass: each block keeps its upper-triangle pairs within beta and
+    their distances, and the weighted graph weights them once the bandwidth's
+    stream of the same blocks is done."""
     dist, blocks = _distance_rows(points, "euclidean")
-    sigma = _bandwidth(dist, blocks) if weighted else None
+    n = len(points)
+    keys, near = [np.empty(0, dtype=np.int64)], [np.empty(0)]
 
     def rows(s, e):
         rho = dist(s, e)
-        return (rho < beta) * (_gaussian(rho, sigma, s) if weighted else 1.0)
+        flat = np.flatnonzero(np.triu(rho < beta, s + 1))
+        keys.append(flat + s * n)
+        near.append(rho.ravel()[flat])
+        return rho
 
-    return _block_edges(rows, blocks, len(points))
+    if weighted:
+        sigma = _bandwidth(rows, blocks)
+    else:
+        for s, e in blocks:
+            rows(s, e)
+    edges = _key_edges(keys, near, n)
+    if not weighted:
+        return edges._replace(w=np.ones(edges.w.size))
+    w = _gaussian(edges.w, sigma)
+    keep = w != 0.0
+    return _Edges(edges.lo[keep], edges.hi[keep], w[keep], n)
 
 
 def affinity_graph(

@@ -306,6 +306,12 @@ def main(argv=None) -> int:
     except (ConfigError, FileFormatError, AffinityError, GraphInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # NumPy's message names the size it asked for; a fold worker's
+        # MemoryError comes back through the pool's result.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

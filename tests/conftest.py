@@ -143,6 +143,15 @@ def bfs_hop_distances(a):
     return dist
 
 
+def euclidean_distance(x):
+    """The (N, N) Euclidean distance matrix of feature rows by one broadcast,
+    zero on the diagonal."""
+    diff = x[:, None, :] - x[None, :, :]
+    out = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def pearson_distance_scalar(x, y):
     """1 - Pearson correlation of two vectors, from scratch."""
     mx = sum(x) / len(x)

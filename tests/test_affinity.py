@@ -13,11 +13,11 @@ from chebgcn.affinity import (
     affinity_graph,
     binarize_edges,
     build_affinity,
-    pairwise_distance,
     similarity_weights,
 )
+from chebgcn.simdata import SimConfig, generate
 
-from conftest import pearson_distance_scalar
+from conftest import euclidean_distance, pearson_distance_scalar
 
 
 class TestBinarizeEdges:
@@ -113,7 +113,7 @@ class TestSimilarityWeights:
     def test_default_sigma_is_mean_offdiagonal_distance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 4))
-        rho = pairwise_distance(x, "euclidean")
+        rho = euclidean_distance(x)
         sigma = rho[~np.eye(6, dtype=bool)].mean()
         expected = np.exp(-(rho * rho) / (2.0 * sigma * sigma))
         np.fill_diagonal(expected, 0.0)
@@ -124,13 +124,10 @@ class TestSimilarityWeights:
     @pytest.mark.parametrize("d", [2, 8, 200])
     def test_euclidean_row_blocks_match_one_broadcast(self, d):
         x = np.random.default_rng(15).standard_normal((300, d))
-        diff = x[:, None, :] - x[None, :, :]
-        want = np.sqrt((diff * diff).sum(axis=-1))
-        np.fill_diagonal(want, 0.0)
-        del diff
+        want = euclidean_distance(x)
         tracemalloc.start()
         try:
-            got = pairwise_distance(x, "euclidean")
+            got = affinity._symmetric(*affinity._distance_rows(x, "euclidean"), mirror=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,9 +317,11 @@ class TestBuildAffinity:
     (lambda: MetaElement("age", np.zeros((2, 2)), beta=0.0), "'age' must be a 1-D array"),
     (lambda: MetaElement("age", np.zeros(3), beta=0.0, missing=np.zeros(2, dtype=bool)),
      "missing mask shape differs for 'age'"),
-    (lambda: pairwise_distance(np.zeros(3)), "features must be 2-D, got shape (3,)"),
-    (lambda: pairwise_distance(np.ones((3, 1))), "needs at least 2 features per node"),
-    (lambda: pairwise_distance(np.ones((3, 2)), "cosine"), "unknown distance 'cosine'"),
+    (lambda: similarity_weights(np.zeros(3), SimilarityKernel()),
+     "similarity needs a 2-D feature matrix"),
+    (lambda: similarity_weights(np.ones((3, 1)), SimilarityKernel()),
+     "needs at least 2 features per node"),
+    (lambda: SimilarityKernel(distance="cosine"), "unknown distance 'cosine'"),
     (lambda: similarity_weights(np.ones((1, 2)), SimilarityKernel()),
      "2-D feature matrix with at least 2 nodes"),
     (lambda: build_affinity([MetaElement("age", np.zeros(3), beta=0.0)], np.eye(3),
@@ -445,10 +444,70 @@ class TestRowBlockBuilder:
     @pytest.mark.parametrize("blocks", [1, 2, 7, 300])
     def test_bandwidth_is_the_mean_of_one_off_diagonal_array(self, blocks):
         # 89,700 off-diagonal values: several pairwise-sum leaves and row blocks
-        rho = pairwise_distance(np.random.default_rng(23).standard_normal((300, 5)), "euclidean")
+        rho = euclidean_distance(np.random.default_rng(23).standard_normal((300, 5)))
         bounds = list(range(0, 300, 300 // blocks)) + [300]
         got = affinity._bandwidth(lambda s, e: rho[s:e], list(zip(bounds, bounds[1:])))
         assert got == rho[~np.eye(300, dtype=bool)].mean()
+
+
+def two_pass_epsilon_edges(points, beta):
+    """The similarity-weighted ε-graph as two distance passes build it: the
+    bandwidth's, then one that weights each block and keeps its nonzeros."""
+    dist, blocks = affinity._distance_rows(points, "euclidean")
+    sigma = affinity._bandwidth(dist, blocks)
+
+    def rows(s, e):
+        rho = dist(s, e)
+        return (rho < beta) * affinity._zero_diagonal(affinity._gaussian(rho, sigma), s)
+
+    return affinity._block_edges(rows, blocks, len(points))
+
+
+class TestEpsilonEdges:
+    def points(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, 2))
+        pts[n // 3] = pts[0]  # a pair at distance 0 is an edge of weight 1
+        return pts
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("beta", [0.5, 3.0])
+    def test_one_pass_weights_are_the_two_pass_weights(self, seed, beta):
+        pts = self.points(seed, 300 + 77 * seed)
+        got = affinity._epsilon_edges(pts, beta, weighted=True)
+        want = two_pass_epsilon_edges(pts, beta)
+        assert got.canonical() and got.n == want.n
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_an_underflowed_weight_is_no_edge(self):
+        # a tight cluster and two far points: sigma is about 0.015, so the far
+        # pairs' exp(-rho^2 / (2 sigma^2)) underflows to 0
+        pts = np.concatenate([np.random.default_rng(5).normal(0.0, 1e-3, (300, 2)),
+                              [[1.0, 0.0], [1.001, 0.0]]])
+        assert affinity._epsilon_edges(pts, 2.0, weighted=False).w.size == 301 * 302 // 2
+        got = affinity._epsilon_edges(pts, 2.0, weighted=True)
+        want = two_pass_epsilon_edges(pts, 2.0)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        far = got.hi >= 300
+        assert list(zip(got.lo[far], got.hi[far])) == [(300, 301)]
+
+    @pytest.mark.parametrize("weights", ["binary", "similarity"])
+    def test_each_distance_block_is_computed_once(self, monkeypatch, weights):
+        computed = []
+        distance_rows = affinity._distance_rows
+
+        def counting(features, metric):
+            rows, blocks = distance_rows(features, metric)
+            computed.append(blocks)
+            return (lambda s, e: computed.append((s, e)) or rows(s, e)), blocks
+
+        monkeypatch.setattr(affinity, "_distance_rows", counting)
+        generate(SimConfig(variances=(1.0, 1.0), edge_weights=weights))
+        blocks, evaluated = computed[0], computed[1:]
+        assert len(blocks) > 1
+        assert evaluated == blocks
 
 
 def edges_dense(edges):

@@ -589,6 +589,30 @@ def test_all_diverged_sweep_names_every_cell(tmp_path, capsys, mode, cells):
         f"error: {cell}: all 3 folds diverged" for cell in cells]
 
 
+def allocate_an_exbibyte(*args):
+    # more than any address space holds, so NumPy raises at once
+    return np.empty(1 << 57)
+
+
+@pytest.mark.parametrize("patched, threads", [
+    ("chebgcn.cli.generate", "1"),
+    ("chebgcn.experiments._run_folds", "1"),
+    ("chebgcn.experiments._run_folds", "2"),
+], ids=["loader", "folds-in-process", "folds-in-workers"])
+def test_out_of_memory_exits_2_naming_the_size(tmp_path, capsys, monkeypatch, patched, threads):
+    started = []
+    pool_class = chebgcn.workers.ProcessPoolExecutor
+    monkeypatch.setattr("chebgcn.workers.ProcessPoolExecutor",
+                        lambda **kw: started.append(kw["max_workers"]) or pool_class(**kw))
+    monkeypatch.setattr(patched, allocate_an_exbibyte)
+    cfg = write_cfg(tmp_path, quick_sections(tmp_path / "res"))
+    assert main(["train", "--config", cfg, "--threads", threads]) == 2
+    assert capsys.readouterr().err == (
+        "error: train: out of memory: Unable to allocate 1.00 EiB for an array with shape "
+        "(144115188075855872,) and data type float64\n")
+    assert started == ([2] if threads == "2" else [])
+
+
 def test_classifier_free_net_must_cover_the_classes(tmp_path, capsys):
     out = tmp_path / "res"
     sections = quick_sections(out, architecture={

@@ -622,17 +622,35 @@ class TestCohortLosses:
 class TestSimLosses:
     """The companion of TestCohortLosses on a CSR Laplacian, at the benchmark's
     cv-deep shapes: 3-fold stacks on the 600-node overlap-compare graph with
-    d = 2, two order-(1, 10) nets, 30 epochs, through the training path's
-    Laplacian and first-module basis."""
+    d = 2, order-(1, 10) nets, 30 epochs, through the training path's
+    Laplacian and first-module basis. Besides the benchmark's sequential and
+    concat nets: a maxpool module, a later module of two branches (their
+    input-gradient coefficients add up), and a classifier-free net whose
+    later maxpool module gives the scores."""
 
     # Per-fold final training losses, to 1e-10 relative as TestCohortLosses'.
     PINNED = {
         "sequential": [0.15782292403474368, 0.2097378460440752, 0.22299966193337387],
         "inception": [0.15509996973288362, 0.2115874811584684, 0.2131660874902404],
+        "maxpool": [0.15873491449589136, 0.2168719050680594, 0.21172166832316094],
+        "two-branch-later": [0.1572123225092275, 0.2089378497810616, 0.21583601169479408],
+        "classifier-free": [0.15491818391856133, 0.20665683612814725, 0.22919450084893722],
+    }
+    ARCHS = {
+        "sequential": sequential((1, 10), 16),
+        "inception": inception((1, 10), 16),
+        "maxpool": inception((1, 10), 16, "maxpool"),
+        "two-branch-later": ArchSpec(modules=(
+            ModuleSpec(branches=(BranchSpec(1, 16),)),
+            ModuleSpec(branches=(BranchSpec(1, 8), BranchSpec(10, 8))),
+        )),
+        "classifier-free": ArchSpec(modules=(
+            ModuleSpec(branches=(BranchSpec(1, 16),)),
+            ModuleSpec(branches=(BranchSpec(1, 2), BranchSpec(10, 2)), aggregator="maxpool"),
+        ), classifier=False),
     }
 
-    @pytest.mark.parametrize("name, arch", [("sequential", sequential((1, 10), 16)),
-                                            ("inception", inception((1, 10), 16))])
+    @pytest.mark.parametrize("name, arch", list(ARCHS.items()))
     def test_final_training_losses_are_pinned(self, name, arch):
         g = generate(SimConfig(variances=(1.0, 1.0), seed=0))
         lap = _chebyshev_laplacian(g)

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from chebgcn.affinity import pairwise_distance
 from chebgcn.graph import (
     SPARSE_DENSITY_CUTOFF,
     GraphInvariantError,
@@ -26,6 +25,7 @@ from chebgcn.simdata import SimConfig, generate
 from conftest import (
     bfs_hop_distances,
     dense_cheb_matrices,
+    euclidean_distance,
     loop_normalized_laplacian,
     path_adjacency,
     random_adjacency,
@@ -473,7 +473,7 @@ class TestEdgeColumns:
     @pytest.mark.parametrize("beta", [0.5, 3.0], ids=["csr", "dense"])
     def test_generate_stores_the_thresholded_matrix(self, weights, beta):
         g = generate(SimConfig(n_per_class=40, beta=beta, edge_weights=weights))
-        dist = pairwise_distance(g.features, "euclidean")
+        dist = euclidean_distance(g.features)
         close = dist < beta
         np.fill_diagonal(close, False)
         dense = close.astype(np.float64)

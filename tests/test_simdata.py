@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from chebgcn.affinity import SimilarityKernel, pairwise_distance, similarity_weights
+from chebgcn.affinity import SimilarityKernel, similarity_weights
 from chebgcn.simdata import SimConfig, generate, stratified_folds
+
+from conftest import euclidean_distance
 
 
 def dense_adj(graph):
@@ -98,7 +100,7 @@ class TestGenerate:
         cfg = SimConfig(n_per_class=20, seed=8)
         g = generate(cfg)
         pos = g.features  # discriminative mode: features are the positions
-        dist = pairwise_distance(pos, "euclidean")
+        dist = euclidean_distance(pos)
         expected = (dist < cfg.beta).astype(float)
         np.fill_diagonal(expected, 0.0)
         npt.assert_array_equal(dense_adj(g), expected)
@@ -120,7 +122,7 @@ class TestGenerate:
         g = generate(cfg)
         pos = g.features
         sim = similarity_weights(pos, SimilarityKernel(distance="euclidean"))
-        gate = pairwise_distance(pos, "euclidean") < cfg.beta
+        gate = euclidean_distance(pos) < cfg.beta
         np.fill_diagonal(gate, False)
         npt.assert_array_equal(dense_adj(g), sim * gate)
         on_edges = dense_adj(g)[gate]

@@ -14,9 +14,11 @@ override the config file. train, sweep and compare run their folds in
 BLAS pinned to one thread; simdata and build-graph format large graph files
 in as many, and write a binary sidecar beside edges.txt that later loads of
 the graph use instead of parsing the text while it matches (see
-chebgcn.io); they write edge columns and never build adjacency storage or
-import scipy.sparse, and build-graph makes its columns a block of rows at a
-time, without an (N, N) matrix. build-graph starts its formatting workers
+chebgcn.io); they write edge columns and never build adjacency storage,
+and build-graph makes its columns a block of rows at a time, without an
+(N, N) matrix. No subcommand imports scipy.sparse: train, sweep and compare
+multiply by a CSR Laplacian through SciPy's compiled kernel, loaded by file
+path (see chebgcn.graph). build-graph starts its formatting workers
 as soon as it has parsed the features CSV, sized by the io pool-size rule
 as if every pair of nodes were an edge, and they format features.csv while
 it reads the meta-data and builds the affinity; if that fails, the workers

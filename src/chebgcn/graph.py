@@ -7,13 +7,20 @@ first read: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense ndarray at or above
 it. A Laplacian keeps the storage of its adjacency and is built from the
 edge columns by one per-edge formula in both storages, without the adjacency.
 
-A storage is an ndarray or a canonical ``scipy.sparse.csr_array``, so
-``isinstance(m, np.ndarray)`` tells them apart. ``scipy.sparse``, slower to
-import than NumPy, is imported only where a CSR array is built or read.
+A storage is an ndarray or canonical CSR, so ``isinstance(m, np.ndarray)``
+tells them apart. The public functions give CSR as a
+``scipy.sparse.csr_array``. The Laplacian that training multiplies by holds
+it as bare NumPy arrays, a :class:`_CsrMatrix`, whose products run SciPy's
+compiled kernel, loaded by file path. ``scipy.sparse``, slower to import
+than NumPy, is imported only where a ``csr_array`` is built or read, so
+never in training.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -68,24 +75,114 @@ def _canonical_csr(matrix):
     return out
 
 
-def _edge_csr(lo, hi, w, n: int, diagonal: float | None = None):
-    """The symmetric (n, n) CSR array of edge columns with canonical
-    ``lo``/``hi`` (see :class:`_Edges`), with ``diagonal`` at every (i, i)
-    if given. Stored zeros are dropped."""
-    import scipy.sparse as sp
+@functools.cache
+def _sparsetools():
+    """SciPy's compiled sparse kernels, the module ``scipy.sparse`` multiplies
+    with. It is opened by its file path, as ``chebgcn._sparsetools`` (an
+    extension's init function is named after the last part of its module
+    name), so that training on a CSR graph skips importing ``scipy.sparse``:
+    0.1-0.2 s and about 14 MB in every process. Where SciPy lays its files
+    out otherwise, it is imported through ``scipy.sparse``."""
+    spec = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if spec else ():
+        path = Path(spec.submodule_search_locations[0], "sparse", "_sparsetools" + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(f"{__package__}._sparsetools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.sparse import _sparsetools
 
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    lo, hi = lo.astype(index), hi.astype(index)
-    nodes, diag = np.empty(0, dtype=index), np.empty(0)
-    if diagonal is not None:
-        nodes, diag = np.arange(n, dtype=index), np.full(n, diagonal)
-    # The pairs are sorted, so listing the (hi, lo) entries, the diagonal,
-    # then the (lo, hi) entries leaves each CSR row sorted and spares a sort.
-    out = sp.csr_array((np.concatenate([w, diag, w]),
-                        (np.concatenate([hi, nodes, lo]), np.concatenate([lo, nodes, hi]))),
-                       shape=(n, n))
-    out.eliminate_zeros()
-    return out
+    return _sparsetools
+
+
+class _CsrMatrix(NamedTuple):
+    """A canonical float64 CSR matrix (sorted rows, no duplicates, no stored
+    zeros) held as bare NumPy arrays, the training Laplacian's storage on a
+    sparse graph. ``m @ x``, for x of ``shape[1]`` rows, runs SciPy's compiled
+    ``csr_matvecs``, as ``scipy.sparse.csr_array(m) @ x`` does, so the two
+    products have the same bits; neither needs ``scipy.sparse`` imported."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, other):
+        other = np.ascontiguousarray(other, dtype=np.float64)
+        if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {other.shape}")
+        out = np.zeros(self.shape[:1] + other.shape[1:])
+        cols = other.shape[1] if other.ndim == 2 else 1
+        _sparsetools().csr_matvecs(*self.shape, cols, self.indptr, self.indices, self.data,
+                                   other.ravel(), out.ravel())
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return out
+
+    def csr_array(self):
+        """The ``scipy.sparse.csr_array`` around the same arrays, uncopied."""
+        import scipy.sparse as sp
+
+        return sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
+
+
+class _EdgePattern(NamedTuple):
+    """Where the symmetric (n, n) matrix of canonical edge columns (see
+    :class:`_Edges`) stores its entries in CSR, worked out once for every
+    matrix on the same edges. Of the 2 |E| entries ``[w, w]``, the (hi, lo)
+    ones then the (lo, hi) ones, stored entry k is entry ``order[k]``. The
+    pairs are sorted, so a stable sort by row leaves each row's columns
+    sorted, with its ``below`` (hi, lo) entries left of the diagonal."""
+
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    below: np.ndarray
+
+    @classmethod
+    def of(cls, lo, hi, n: int) -> "_EdgePattern":
+        rows = np.concatenate([hi, lo])
+        order = np.argsort(rows, kind="stable")
+        below = np.bincount(hi, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(below + np.bincount(lo, minlength=n), out=indptr[1:])
+        return cls(order, np.concatenate([lo, hi])[order], indptr, below)
+
+    def row_sums(self, w) -> np.ndarray:
+        """The row sums of the matrix of weights ``w``, added as
+        ``csr_array.sum(axis=1)`` adds them: ``np.add.reduceat`` over the
+        non-empty rows. (``np.bincount`` adds each row from left to right,
+        another order once a row holds three entries.)"""
+        rows = np.flatnonzero(np.diff(self.indptr))
+        out = np.zeros(self.indptr.size - 1)
+        out[rows] = np.add.reduceat(np.concatenate([w, w])[self.order], self.indptr[rows])
+        return out
+
+    def csr(self, w, diagonal: float = 0.0) -> _CsrMatrix:
+        """The matrix of weights ``w`` with ``diagonal`` at every (i, i),
+        stored zeros dropped: the arrays SciPy's COO to CSR conversion gives,
+        indices int32 unless the size or the entry count is out of its range."""
+        data, indices, indptr = np.concatenate([w, w])[self.order], self.indices, self.indptr
+        n = indptr.size - 1
+        if diagonal:
+            at = indptr[:-1] + self.below
+            data, indices = np.insert(data, at, diagonal), np.insert(indices, at, np.arange(n))
+            indptr = indptr + np.arange(n + 1)
+        keep = data != 0.0
+        if not keep.all():
+            data, indices = data[keep], indices[keep]
+            indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+        index = np.int32 if max(n, data.size) <= np.iinfo(np.int32).max else np.int64
+        return _CsrMatrix(data, indices.astype(index), indptr.astype(index), (n, n))
+
+
+def _edge_csr(lo, hi, w, n: int):
+    """The symmetric (n, n) ``scipy.sparse.csr_array`` of canonical edge columns."""
+    return _EdgePattern.of(lo, hi, n).csr(w).csr_array()
 
 
 def _edge_dense(lo, hi, w, n: int) -> np.ndarray:
@@ -255,8 +352,9 @@ class NormalizedLaplacian:
     """A symmetric graph Laplacian, read-only.
 
     ``matrix`` is I - D^{-1/2} A D^{-1/2}, with spectrum inside [0, 2], or its
-    Chebyshev-domain rescaling L - I, with spectrum inside [-1, 1]; CSR or
-    dense.
+    Chebyshev-domain rescaling L - I, with spectrum inside [-1, 1]: an
+    ndarray, a ``scipy.sparse.csr_array`` from the public builders, or a
+    :class:`_CsrMatrix` from the training path (``_chebyshev_laplacian``).
     """
 
     matrix: object
@@ -290,25 +388,32 @@ def build_laplacian(graph) -> NormalizedLaplacian:
         edges = _Edges(*graph.edges, graph.n_nodes)  # checked at construction
     else:
         edges = _matrix_edges(graph)
-    return NormalizedLaplacian(matrix=_edge_laplacian(edges, 1.0))
+    lap = _edge_laplacian(edges, 1.0)
+    return NormalizedLaplacian(matrix=lap if isinstance(lap, np.ndarray) else lap.csr_array())
 
 
 def _edge_laplacian(edges: _Edges, diagonal: float):
     """The normalized Laplacian of canonical edge columns in the storage the
     density rule picks, with ``diagonal`` on its diagonal: 1.0 gives
-    I - D^{-1/2} A D^{-1/2}, 0.0 the Chebyshev rescaling L - I (a CSR one
-    stores no zeros). The degrees are the adjacency's row sums in that
-    storage, and each edge's (L + L^T) / 2 entry is
+    I - D^{-1/2} A D^{-1/2}, 0.0 the Chebyshev rescaling L - I (a CSR one,
+    a :class:`_CsrMatrix`, stores no zeros). The degrees are the adjacency's
+    row sums as its storage adds them, and each edge's (L + L^T) / 2 entry is
     ((0 - (w d_lo) d_hi) + (0 - (w d_hi) d_lo)) * 0.5 with d = D^{-1/2}: bit
-    for bit the whole-matrix formula. A dense L reuses the adjacency buffer."""
+    for bit the whole-matrix formula. A dense L reuses the adjacency buffer,
+    a CSR one the adjacency's pattern."""
     lo, hi, w, n = edges
-    adj = _edge_storage(lo, hi, w, n)
-    deg = adj.sum(axis=1)
+    sparse = _stored_sparse(2 * w.size, n, n)
+    if sparse:
+        pattern = _EdgePattern.of(lo, hi, n)
+        deg = pattern.row_sums(w)
+    else:
+        adj = _edge_dense(lo, hi, w, n)
+        deg = adj.sum(axis=1)
     d = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
     vals = (0.0 - (w * d[lo]) * d[hi]) + (0.0 - (w * d[hi]) * d[lo])
     vals *= 0.5
-    if not isinstance(adj, np.ndarray):
-        return _edge_csr(lo, hi, vals, n, diagonal)
+    if sparse:
+        return pattern.csr(vals, diagonal)
     adj[lo, hi] = vals
     adj[hi, lo] = vals
     adj.flat[::n + 1] = diagonal

@@ -17,8 +17,9 @@ however large the file. The slices are written in file order by one
 formatter per file, so the bytes do not depend on the worker count. Under
 spawn or forkserver each worker re-imports NumPy first, about 0.15 s on a
 2-vCPU VM. Graphs are written and loaded as edge columns
-(``PopulationGraph.edges``), without ``scipy.sparse`` (another 0.2 s); here
-only :func:`read_edge_list`, which returns CSR, imports it.
+(``PopulationGraph.edges``), without ``scipy.sparse`` (another 0.2 s), and
+training on a loaded graph does not import it either; here only
+:func:`read_edge_list`, which returns a ``csr_array``, imports it.
 
 Readers parse whole columns with ``np.loadtxt`` and check them with array
 tests. Only when a file is rejected are its lines walked again, to name the

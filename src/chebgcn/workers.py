@@ -6,8 +6,9 @@ per usable CPU where a worker can pin NumPy's BLAS to one thread, else 1.
 Every worker pins its own BLAS when it starts; the calling process keeps
 its BLAS as it was. Workers start by the platform's default method, fork on
 Linux up to Python 3.13; under spawn or forkserver each one re-imports
-NumPy first, and SciPy only when a task or its initializer's arguments hold
-a CSR array. ``concurrent.futures``' process pool and ``multiprocessing``
+NumPy first, and opens SciPy's compiled sparse kernels (never
+``scipy.sparse``) only when a task or its initializer's arguments hold a
+CSR Laplacian. ``concurrent.futures``' process pool and ``multiprocessing``
 (about 20 ms to import) load with the first pool, so a process that starts
 none never imports them.
 """

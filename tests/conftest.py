@@ -7,9 +7,13 @@ the package is evidence rather than tautology.
 
 import collections
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import chebgcn
 
 # Acceptance checks that retrain hundreds of networks and take minutes; a
 # quick local loop is ``pytest -m "not slow"``.
@@ -20,6 +24,14 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if item.path.name == "test_acceptance.py" and item.name.startswith(SLOW_TESTS):
             item.add_marker(pytest.mark.slow)
+
+
+def package_env() -> dict:
+    """This process's environment with the package's source directory first
+    on PYTHONPATH, for a check that runs the package in a fresh interpreter."""
+    src = Path(chebgcn.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture

@@ -2,10 +2,8 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -23,7 +21,7 @@ from chebgcn.graph import PopulationGraph
 from chebgcn.io import load_graph, read_edge_list, read_features_csv, write_features_csv
 from chebgcn.simdata import SimConfig, generate
 
-from conftest import CountingPool
+from conftest import CountingPool, package_env
 
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
@@ -806,30 +804,31 @@ def test_a_utf8_byte_order_mark_is_skipped(tmp_path, kind):
 
 
 # Each command runs in a fresh interpreter: it prints whether importing the
-# package loaded scipy.sparse, the exit code, and whether the run loaded it.
+# package loaded scipy.sparse, the exit code, whether the run loaded it, and
+# whether the run multiplied by a CSR Laplacian (loaded SciPy's kernels).
 SCIPY_PROBE = """\
 import sys
 import chebgcn.cli
+from chebgcn.graph import _sparsetools
 imported = "scipy.sparse" in sys.modules
 code = chebgcn.cli.main(sys.argv[1:])
-print(imported, code, "scipy.sparse" in sys.modules)
+print(imported, code, "scipy.sparse" in sys.modules, _sparsetools.cache_info().currsize == 1)
 """
 
 
-def test_scipy_sparse_loads_only_for_csr_graphs(tmp_path):
+def test_no_command_loads_scipy_sparse(tmp_path):
     # Importing scipy.sparse takes longer than NumPy, so the package import,
-    # building and writing a graph of any density, and a run on a dense
-    # graph leave it out: only a CSR Laplacian loads it.
-    src = Path(chebgcn.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(src), os.environ.get("PYTHONPATH")]))}
+    # building and writing a graph of any density, and training on one leave
+    # it out: a CSR Laplacian multiplies with SciPy's kernel module, opened by
+    # its file path.
+    env = package_env()
 
     def run(command, sections):
         cfg = write_cfg(tmp_path, sections, f"{command}.yaml")
         done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, command, "--config", cfg,
                                "--threads", "1"], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        return done.stdout.split()[-3:]
+        return done.stdout.split()[-4:]
 
     meta_fixture(tmp_path)
     # 40 nodes on 8 sites: a site-only gate joins each node to 4 others, 10% of the pairs
@@ -847,11 +846,48 @@ def test_scipy_sparse_loads_only_for_csr_graphs(tmp_path):
     ]:
         graph = quick_sections(data, sim={"beta": 0.4}, affinity={
             "meta": str(inputs / "meta.csv"), "features": str(inputs / "features.csv")})
-        assert run(graph_command, graph) == ["False", "0", "False"]
-        train = quick_sections(tmp_path / "res", experiment={"folds": 2}, dataset={
-            "source": "files", "features": str(data / "features.csv"),
-            "edges": str(data / "edges.txt")})
-        assert run("train", train) == ["False", "0", sparse]
+        assert run(graph_command, graph) == ["False", "0", "False", "False"]
+        dataset = {"source": "files", "features": str(data / "features.csv"),
+                   "edges": str(data / "edges.txt")}
+        train = quick_sections(tmp_path / "res", experiment={"folds": 2}, dataset=dataset)
+        assert run("train", train) == ["False", "0", "False", sparse]
+    compare = quick_sections(tmp_path / "res", training={"epochs": 3}, dataset={
+        "source": "files", "features": str(tmp_path / "csr" / "features.csv"),
+        "edges": str(tmp_path / "csr" / "edges.txt")},
+        experiment={"folds": 2, "k1": 1, "k2": 3, "width": 4})
+    assert run("compare", compare) == ["False", "0", "False", "True"]
+
+
+SPAWN_PROBE = """\
+import multiprocessing
+import sys
+import chebgcn.cli
+multiprocessing.set_start_method("spawn", force=True)
+sys.exit(chebgcn.cli.main(sys.argv[1:]))
+"""
+
+
+def test_spawned_workers_train_on_a_csr_graph(tmp_path):
+    # Under spawn each worker unpickles the CSR Laplacian and loads SciPy's
+    # kernels itself; the results are the one-process run's, byte for byte.
+    env = package_env()
+    data = tmp_path / "data"
+    assert main(["simdata", "--config", write_cfg(tmp_path, quick_sections(
+        data, sim={"beta": 0.4})), "--threads", "1"]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"res-{threads}"
+        cfg = write_cfg(tmp_path, quick_sections(
+            out, training={"epochs": 3},
+            experiment={"folds": 2, "k1": 1, "k2": 3, "width": 4},
+            dataset={"source": "files", "features": str(data / "features.csv"),
+                     "edges": str(data / "edges.txt")}), f"compare-{threads}.yaml")
+        done = subprocess.run([sys.executable, "-c", SPAWN_PROBE, "compare", "--config", cfg,
+                               "--threads", threads], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "effective-config.yaml"})
+    assert set(outputs[0]) == {"compare.csv", "summary.json"} and outputs[0] == outputs[1]
 
 
 MA_PROBE = """\
@@ -865,9 +901,7 @@ print(code, "numpy.ma" in sys.modules)
 def test_train_on_a_dense_graph_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique imports numpy.ma (about 10 ms and 1.6 MB) on its first call;
     # counting classes with np.bincount keeps a run on a dense graph off it.
-    src = Path(chebgcn.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(src), os.environ.get("PYTHONPATH")]))}
+    env = package_env()
     data = tmp_path / "data"
     cfg = write_cfg(tmp_path, quick_sections(
         tmp_path / "res", sim={"beta": 3.0}, dataset={
@@ -898,9 +932,7 @@ print(*loaded, code, name in sys.modules)
 def test_concurrent_futures_loads_only_with_a_pool(tmp_path):
     # The process pool and multiprocessing take about 20 ms to import, so
     # the package import and runs that start no pool leave them out.
-    src = Path(chebgcn.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(src), os.environ.get("PYTHONPATH")]))}
+    env = package_env()
     meta_fixture(tmp_path)
     sections = quick_sections(tmp_path / "res", affinity={
         "meta": str(tmp_path / "meta.csv"), "features": str(tmp_path / "features.csv")})

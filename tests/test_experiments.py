@@ -650,18 +650,57 @@ class TestSimLosses:
         ), classifier=False),
     }
 
-    @pytest.mark.parametrize("name, arch", list(ARCHS.items()))
-    def test_final_training_losses_are_pinned(self, name, arch):
+    # Inception nets under the other training options: Adam with weight decay
+    # and dropout, and early stopping on a validation carve. The stopped folds'
+    # best epochs (10 and 18) beat the runner-up by 8.8e-5 and 1.3e-5 relative,
+    # far from a tie that roundoff could flip.
+    PINNED_ADAM = [0.1445678707912743, 0.22618108869950554, 0.21227166872617068]
+    PINNED_EARLY_STOP = ([30, 14, 22],
+                         [0.16301968991434734, 0.22577223408549005, 0.22177039614190697])
+
+    @staticmethod
+    def setup_folds():
         g = generate(SimConfig(variances=(1.0, 1.0), seed=0))
         lap = _chebyshev_laplacian(g)
         assert not isinstance(lap.matrix, np.ndarray)
         train = np.array([t for t, _ in stratified_folds(g.labels, 3, seed=0)])
+        return g, lap, train
+
+    @staticmethod
+    def final_losses(stack, g, lap, train):
+        return masked_cross_entropy(network_forward(stack, lap, g.features)[0], g.labels, train)[0]
+
+    @pytest.mark.parametrize("name, arch", list(ARCHS.items()))
+    def test_final_training_losses_are_pinned(self, name, arch):
+        g, lap, train = self.setup_folds()
         stack = build_network(arch, 2, 2, [np.random.default_rng(f) for f in range(3)])
         cfg = TrainConfig(epochs=30, lr=0.2)
         assert train_network(stack, lap, g.features, g.labels, train, cfg) == [30] * 3
-        losses, _ = masked_cross_entropy(network_forward(stack, lap, g.features)[0],
-                                         g.labels, train)
-        npt.assert_allclose(losses, self.PINNED[name], rtol=1e-10)
+        npt.assert_allclose(self.final_losses(stack, g, lap, train), self.PINNED[name],
+                            rtol=1e-10)
+
+    def test_adam_with_weight_decay_and_dropout_is_pinned(self):
+        g, lap, train = self.setup_folds()
+        stack = build_network(inception((1, 10), 16), 2, 2,
+                              [np.random.default_rng(f) for f in range(3)])
+        cfg = TrainConfig(epochs=30, lr=0.01, optimizer="adam", weight_decay=1e-3, dropout=0.3)
+        drop = [np.random.default_rng(10 + f) for f in range(3)]
+        assert train_network(stack, lap, g.features, g.labels, train, cfg,
+                             dropout_rng=drop) == [30] * 3
+        npt.assert_allclose(self.final_losses(stack, g, lap, train), self.PINNED_ADAM,
+                            rtol=1e-10)
+
+    def test_early_stopping_on_val_is_pinned(self):
+        g, lap, train = self.setup_folds()
+        val = np.array([_carve_validation(t, g.labels, 0.1, f) for f, t in enumerate(train)])
+        train &= ~val
+        stack = build_network(inception((1, 10), 16), 2, 2,
+                              [np.random.default_rng(f) for f in range(3)])
+        cfg = TrainConfig(epochs=30, lr=0.2, early_stop_window=4, stop_metric="val")
+        epochs, losses = self.PINNED_EARLY_STOP
+        assert train_network(stack, lap, g.features, g.labels, train, cfg,
+                             val_mask=val) == epochs
+        npt.assert_allclose(self.final_losses(stack, g, lap, train), losses, rtol=1e-10)
 
 
 class TestRunCv:

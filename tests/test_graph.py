@@ -1,3 +1,6 @@
+import importlib.machinery
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,9 @@ from chebgcn.graph import (
     rescale_laplacian,
     _chebyshev_basis,
     _chebyshev_laplacian,
+    _CsrMatrix,
     _Edges,
+    _sparsetools,
 )
 
 from chebgcn.io import write_edge_list
@@ -27,6 +32,7 @@ from conftest import (
     dense_cheb_matrices,
     euclidean_distance,
     loop_normalized_laplacian,
+    package_env,
     path_adjacency,
     random_adjacency,
     spectral_cheb_apply,
@@ -583,21 +589,27 @@ class TestEdgeLaplacian:
             assert isinstance(got.matrix, np.ndarray) and got.matrix.tobytes() == want.tobytes()
         assert "adjacency" not in vars(g)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_csr_laplacians_keep_their_code(self, seed):
-        g, a = isolated_graph(np.random.default_rng(seed), 40, p=0.08)
+    # Weighted rows of about 3 entries at 40 nodes and 16 at 200, past the
+    # eight partial sums np.add.reduceat keeps: a degree added in any order
+    # but csr_array.sum's (np.bincount's, say) changes the bits.
+    @pytest.mark.parametrize("seed, n", [(seed, 40) for seed in range(4)] + [(4, 200)])
+    def test_csr_laplacians_keep_their_code(self, seed, n):
+        g, a = isolated_graph(np.random.default_rng(seed), n, p=0.08)
         assert a[2:].any() and not a[:2].any() and not np.all(a == np.round(a))
+        train = _chebyshev_laplacian(g)
         cases = [(build_laplacian(g), False), (build_laplacian(sp.csr_array(a)), False),
-                 (rescale_laplacian(build_laplacian(g)), True), (_chebyshev_laplacian(g), True)]
+                 (rescale_laplacian(build_laplacian(g)), True), (train, True)]
         assert "adjacency" not in vars(g)
+        # the training Laplacian is bare NumPy arrays, the public ones SciPy's
+        assert isinstance(train.matrix, _CsrMatrix)
         for lap, rescaled in cases:
             got, want = lap.matrix, csr_formula_laplacian(sp.csr_array(a), rescaled)
-            assert sp.issparse(got) and got.has_canonical_format
+            assert lap is train or (sp.issparse(got) and got.has_canonical_format)
             for field in ("data", "indices", "indptr"):
                 x, y = getattr(got, field), getattr(want, field)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
         formula = formula_laplacian(a)
-        formula.flat[::41] -= 1.0
+        formula.flat[::n + 1] -= 1.0
         npt.assert_allclose(got.toarray(), formula, rtol=0.0, atol=1e-15)
 
     def test_training_laplacian_holds_one_dense_matrix(self):
@@ -619,6 +631,43 @@ class TestEdgeLaplacian:
         # one (N, N) float64 array plus 32 bytes per edge; the adjacency, L,
         # the temporary of L + L^T and the rescaled copy are four
         assert peak < 8 * n * n + 32 * g.n_edges
+
+
+KERNEL_PROBE = """\
+import sys
+from chebgcn.graph import _sparsetools
+print(_sparsetools().__name__, "scipy.sparse" in sys.modules)
+"""
+
+
+class TestCsrKernel:
+    """The training Laplacian's products on a sparse graph: SciPy's kernels."""
+
+    def test_kernels_load_by_file_path_without_scipy_sparse(self):
+        # Were the file to move in a SciPy release, the loader would import
+        # scipy.sparse instead; this fails then, rather than letting every
+        # CSR run pay that import unseen.
+        done = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=package_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["chebgcn._sparsetools", "False"]
+
+    def test_products_are_scipys_bit_for_bit_either_way_loaded(self, monkeypatch):
+        g, _ = isolated_graph(np.random.default_rng(9), 200, p=0.08)
+        m = _chebyshev_laplacian(g).matrix
+        x = np.random.default_rng(1).standard_normal((200, 16))
+        signals = (x, np.asfortranarray(x[:, :5]), x[:, :1], x[:, 0])
+        want = [(m.csr_array() @ s).tobytes() for s in signals]
+        assert [(m @ s).tobytes() for s in signals] == want
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        _sparsetools.cache_clear()
+        try:
+            assert _sparsetools() is sp._sparsetools
+            assert [(m @ s).tobytes() for s in signals] == want
+        finally:
+            _sparsetools.cache_clear()
+        with pytest.raises(ValueError, match="cannot multiply"):
+            m @ x[:199]
 
 
 class TestChebyshevBasis:

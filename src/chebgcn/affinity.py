@@ -7,13 +7,15 @@ similarity then weights the surviving edges with a Gaussian kernel on a
 pairwise distance. Several meta-data elements can be mixed by averaging
 their per-element graphs.
 
-Every pairwise matrix here is computed a block of rows at a time: a block's
-distances to all nodes, its similarity weights, its gates and their sum. Both
-graph builders, this affinity graph and the simulated data's Euclidean
-threshold graph (``_epsilon_edges``), keep only each block's upper-triangle
-edges (``_block_edges``), so neither holds an (N, N) array. The public
-helpers assemble their dense (N, N) results from the same blocks, exactly
-symmetric, as the graph substrate requires.
+Every pairwise matrix here is computed a block of rows at a time. Both graph
+builders, this affinity graph and the simulated data's Euclidean threshold
+graph (``_epsilon_edges``), make one pass over the distance blocks
+(``_pass_edges``): each block keeps its upper-triangle pairs with a reason to
+be an edge (a gate passed, or a distance within the threshold), and the pairs
+are weighted once the pass, which also streams the mean distance, is done. So
+neither builder holds an (N, N) array or computes a distance block twice.
+``similarity_weights`` and ``build_affinity`` densify the affinity builder's
+edges.
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,7 @@ import numpy as np
 from .graph import PopulationGraph, _edge_dense, _Edges
 
 # Bytes of one row block: of the Euclidean distance's (rows, N, d)
-# difference array, and of a (rows, N) float64 block of distances, weights
-# or their sum.
+# difference array, and of a (rows, N) float64 block of distances.
 _DISTANCE_BLOCK_BYTES = 8 * 2**20
 _ROW_BLOCK_BYTES = 2**19
 # Most distances the bandwidth's mean hands to one NumPy sum.
@@ -153,20 +154,6 @@ def _distance_rows(features, metric):
     return rows, _row_blocks(x.shape[0])
 
 
-def _symmetric(rows, blocks, mirror: bool) -> np.ndarray:
-    """The dense matrix of row blocks with a zero diagonal. With ``mirror``
-    its lower triangle is copied from the upper one; without, the blocks
-    must be exactly symmetric already, as Euclidean ones are."""
-    n = blocks[-1][1] if blocks else 0
-    out = np.empty((n, n))
-    for s, e in blocks:
-        out[s:e] = rows(s, e)
-    if not mirror:
-        return out
-    upper = np.triu(out, 1)
-    return upper + upper.T
-
-
 def _bandwidth(rows, blocks) -> float:
     """The mean off-diagonal distance, ``rho[~np.eye(N, dtype=bool)].mean()``
     for the matrix rho whose row blocks ``rows`` gives, bit for bit, without
@@ -194,6 +181,9 @@ def _bandwidth(rows, blocks) -> float:
 
     count = n * (n - 1)
     sigma = float(total(count) / count)
+    # total refers to itself: dropping it frees the stream and the rows it
+    # holds now, not at the next garbage collection
+    del total
     if sigma <= 0.0:
         raise AffinityError(
             "mean pairwise distance is zero (identical rows); pass an explicit sigma"
@@ -202,18 +192,12 @@ def _bandwidth(rows, blocks) -> float:
 
 
 def _gaussian(rho: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-rho^2 / (2 sigma^2)), elementwise."""
-    return np.exp(-(rho * rho) / (2.0 * sigma * sigma))
-
-
-def _similarity_rows(features, kernel: SimilarityKernel):
-    """(rows, blocks): rows(s, e) is rows s:e of similarity_weights."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise AffinityError("similarity needs a 2-D feature matrix with at least 2 nodes")
-    dist, blocks = _distance_rows(x, kernel.distance)
-    sigma = _bandwidth(dist, blocks) if kernel.sigma is None else kernel.sigma
-    return (lambda s, e: _zero_diagonal(_gaussian(dist(s, e), sigma), s)), blocks
+    """exp(-rho^2 / (2 sigma^2)), elementwise, in place of rho: the same
+    ufuncs in the same order as ``np.exp(-(rho * rho) / (2.0 * sigma * sigma))``."""
+    np.multiply(rho, rho, out=rho)
+    np.negative(rho, out=rho)
+    np.divide(rho, 2.0 * sigma * sigma, out=rho)
+    return np.exp(rho, out=rho)
 
 
 def _gate_rows(meta: MetaElement, s: int, e: int, strict: bool) -> np.ndarray:
@@ -244,9 +228,11 @@ def similarity_weights(features: np.ndarray, kernel: SimilarityKernel) -> np.nda
     Off-diagonal values lie in (0, 1]. When the kernel has no fixed sigma,
     the bandwidth is the mean off-diagonal pairwise distance; if that mean
     is zero (all rows identical) there is no usable scale and this raises.
+    It is the single-mode affinity of a gate every pair passes.
     """
-    return _symmetric(*_similarity_rows(features, kernel),
-                      mirror=kernel.distance == "correlation")
+    x = np.asarray(features, dtype=np.float64)
+    everyone = MetaElement("all", np.zeros(x.shape[0] if x.ndim else 0), 0.0)
+    return _edge_dense(*_build_affinity([everyone], x, kernel, "single", None, False)[0])
 
 
 def build_affinity(
@@ -273,11 +259,8 @@ def build_affinity(
 
 def _build_affinity(elements, features, kernel, mode, element, strict):
     """build_affinity's graph as canonical edge columns (``graph._Edges``)
-    and, for each gate summed into it, the (element, edge count) pair.
-
-    Each block of rows holds its similarity weights, each element's gate and
-    their sum, in build_affinity's order of operations.
-    """
+    and, for each gate summed into it, the (element, edge count) pair. A
+    pair's reasons to be an edge are the gates it passes."""
     elements = list(elements)
     if not elements:
         raise AffinityError("need at least one meta-data element")
@@ -295,84 +278,87 @@ def _build_affinity(elements, features, kernel, mode, element, strict):
     elif element is not None:
         raise AffinityError(f"element {element!r} applies only in single mode, not {mode!r}")
 
-    weights, blocks = None, _row_blocks(n)
+    dist, blocks, sigma = None, _row_blocks(n), None
     if mode != "mixed_nosim":
         x = np.asarray(features)
         if x.ndim == 2 and x.shape[0] != n:
             raise AffinityError(f"features cover {x.shape[0]} nodes but meta-data {n}")
-        weights, blocks = _similarity_rows(x, SimilarityKernel() if kernel is None else kernel)
-    counts = [0] * len(elements)
+        if x.ndim != 2 or n < 2:
+            raise AffinityError("similarity needs a 2-D feature matrix with at least 2 nodes")
+        kernel = SimilarityKernel() if kernel is None else kernel
+        dist, blocks = _distance_rows(x, kernel.distance)
+        sigma = kernel.sigma
+    gated = [0] * len(elements)
+    count_type = np.min_scalar_type(len(elements))
 
-    def summed(s, e):
-        w = None if weights is None else weights(s, e)
-        # Every term is non-negative, so starting the sum from zeros is exact.
-        out = np.zeros((e - s, n))
+    def gates(rho, s, e):
+        count = np.zeros((e - s, n), dtype=count_type)
         for k, m in enumerate(elements):
             gate = _gate_rows(m, s, e, strict)
-            counts[k] += np.count_nonzero(gate)
-            out += gate if w is None else w * gate
-        out /= len(elements)
-        return out
+            gated[k] += np.count_nonzero(gate)
+            count += gate
+        return count
 
-    edges = _block_edges(summed, blocks, n)
-    return edges, [(m, count // 2) for m, count in zip(elements, counts)]
-
-
-def _block_edges(rows, blocks, n: int) -> _Edges:
-    """The canonical edge columns (``graph._Edges``) of the symmetric
-    float64 (n, n) matrix whose rows s:e ``rows(s, e)`` gives, for (s, e)
-    in ``blocks``: each block's upper-triangle nonzeros, so no (n, n) array
-    is held."""
-    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for s, e in blocks:
-        out = rows(s, e)
-        flat = np.flatnonzero(np.triu(out != 0.0, s + 1))
-        keys.append(flat + s * n)
-        vals.append(out.ravel()[flat])
-    return _key_edges(keys, vals, n)
-
-
-def _key_edges(keys, vals, n: int) -> _Edges:
-    """Edge columns from lists of row-major upper-triangle keys lo * n + hi,
-    in increasing order, and their weights."""
-    # Rebinding frees each list once joined, so the columns peak at their size.
-    keys = np.concatenate(keys)
-    vals = np.concatenate(vals)
-    hi = keys % n
-    keys //= n
-    return _Edges(keys, hi, vals, n)
+    edges = _pass_edges(n, blocks, dist, gates, len(elements), dist is not None, sigma)
+    return edges, [(m, count // 2) for m, count in zip(elements, gated)]
 
 
 def _epsilon_edges(points, beta: float, weighted: bool) -> _Edges:
     """The ε-graph of ``points`` as canonical edge columns: an edge wherever
     the Euclidean distance is strictly below ``beta``, of weight 1.0 or, if
     ``weighted``, the Gaussian similarity at the mean pairwise distance (an
-    underflowed weight is no edge). Built a row block at a time, in one
-    distance pass: each block keeps its upper-triangle pairs within beta and
-    their distances, and the weighted graph weights them once the bandwidth's
-    stream of the same blocks is done."""
+    underflowed weight is no edge)."""
     dist, blocks = _distance_rows(points, "euclidean")
-    n = len(points)
+    return _pass_edges(len(points), blocks, dist, lambda rho, s, e: rho < beta, 1, weighted)
+
+
+def _pass_edges(n, blocks, dist, reasons, parts, weighted, sigma=None) -> _Edges:
+    """Canonical edge columns (``graph._Edges``) of an n-node graph, from
+    one pass over the row blocks ``blocks``: rows s:e of the distances are
+    ``rho = dist(s, e)`` (None without ``dist``), and ``reasons(rho, s, e)``
+    counts, per pair of those rows, the reasons the pair is an edge. Each
+    block keeps its upper-triangle pairs with a nonzero count, their count
+    and, if ``weighted``, their distance.
+
+    A pair's weight w is 1.0 or, if ``weighted``, the Gaussian of its
+    distance at ``sigma``; a None sigma is the mean distance, streamed from
+    the same pass. Its value is w added to itself once per reason, then
+    divided by ``parts``: bit for bit the sum over ``parts`` 0-or-1 reasons
+    of w times each, divided by ``parts``, since adding +0.0 to a
+    non-negative sum is exact. A value that underflows to 0 is no edge."""
     keys, near = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    counts = [np.empty(0, dtype=np.uint8)]
 
     def rows(s, e):
-        rho = dist(s, e)
-        flat = np.flatnonzero(np.triu(rho < beta, s + 1))
+        rho = None if dist is None else dist(s, e)
+        count = reasons(rho, s, e)
+        flat = np.flatnonzero(np.triu(count, s + 1))
         keys.append(flat + s * n)
-        near.append(rho.ravel()[flat])
+        counts.append(count.ravel()[flat])
+        if weighted:
+            near.append(rho.ravel()[flat])
         return rho
 
-    if weighted:
+    if weighted and sigma is None:
         sigma = _bandwidth(rows, blocks)
     else:
         for s, e in blocks:
             rows(s, e)
-    edges = _key_edges(keys, near, n)
-    if not weighted:
-        return edges._replace(w=np.ones(edges.w.size))
-    w = _gaussian(edges.w, sigma)
-    keep = w != 0.0
-    return _Edges(edges.lo[keep], edges.hi[keep], w[keep], n)
+    # Rebinding frees each list once joined, so the columns peak at their size.
+    counts, near = np.concatenate(counts), np.concatenate(near)
+    w = _gaussian(near, sigma) if weighted else np.ones(counts.size)
+    value = np.zeros(counts.size)
+    for k in range(1, parts + 1):
+        np.add(value, w, out=value, where=counts >= k)
+    del w, near, counts
+    value /= parts
+    keys = np.concatenate(keys)
+    if not value.all():
+        keep = value != 0.0
+        keys, value = keys[keep], value[keep]
+    hi = keys % n
+    keys //= n
+    return _Edges(keys, hi, value, n)
 
 
 def affinity_graph(

@@ -15,6 +15,7 @@ from chebgcn.affinity import (
     build_affinity,
     similarity_weights,
 )
+from chebgcn.graph import _Edges
 from chebgcn.simdata import SimConfig, generate
 
 from conftest import euclidean_distance, pearson_distance_scalar
@@ -127,7 +128,8 @@ class TestSimilarityWeights:
         want = euclidean_distance(x)
         tracemalloc.start()
         try:
-            got = affinity._symmetric(*affinity._distance_rows(x, "euclidean"), mirror=False)
+            rows, blocks = affinity._distance_rows(x, "euclidean")
+            got = np.concatenate([rows(s, e) for s, e in blocks])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,6 +390,80 @@ def cohort_elements(rng, n, sites=4):
     ]
 
 
+def block_edges(rows, blocks, n):
+    """The canonical edge columns of the symmetric (n, n) matrix whose rows
+    s:e ``rows(s, e)`` gives: each block's upper-triangle nonzeros."""
+    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for s, e in blocks:
+        out = rows(s, e)
+        flat = np.flatnonzero(np.triu(out != 0.0, s + 1))
+        keys.append(flat + s * n)
+        vals.append(out.ravel()[flat])
+    keys = np.concatenate(keys)
+    return _Edges(keys // n, keys % n, np.concatenate(vals), n)
+
+
+def gaussian(rho, sigma):
+    return np.exp(-(rho * rho) / (2.0 * sigma * sigma))
+
+
+def two_pass_affinity(elements, x, kernel, mode, strict):
+    """The affinity graph's columns and gate counts as two distance passes
+    build them: the bandwidth's, then one in which each row block sums its
+    gated similarity weights in element order and keeps its nonzeros."""
+    n = elements[0].n_nodes
+    weights, blocks = None, affinity._row_blocks(n)
+    if mode != "mixed_nosim":
+        dist, blocks = affinity._distance_rows(x, kernel.distance)
+        sigma = affinity._bandwidth(dist, blocks) if kernel.sigma is None else kernel.sigma
+
+        def weights(s, e):
+            return affinity._zero_diagonal(gaussian(dist(s, e), sigma), s)
+
+    counts = [0] * len(elements)
+
+    def summed(s, e):
+        w = None if weights is None else weights(s, e)
+        out = np.zeros((e - s, n))
+        for k, m in enumerate(elements):
+            gate = affinity._gate_rows(m, s, e, strict)
+            counts[k] += np.count_nonzero(gate)
+            out += gate if w is None else w * gate
+        out /= len(elements)
+        return out
+
+    return block_edges(summed, blocks, n), [count // 2 for count in counts]
+
+
+def two_pass_epsilon_edges(points, beta):
+    """The similarity-weighted ε-graph as two distance passes build it: the
+    bandwidth's, then one that weights each block and keeps its nonzeros."""
+    dist, blocks = affinity._distance_rows(points, "euclidean")
+    sigma = affinity._bandwidth(dist, blocks)
+
+    def rows(s, e):
+        rho = dist(s, e)
+        return (rho < beta) * affinity._zero_diagonal(gaussian(rho, sigma), s)
+
+    return block_edges(rows, blocks, len(points))
+
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """A list that gets the row blocks of each _distance_rows call, then the
+    (start, stop) of every block evaluated."""
+    computed = []
+    distance_rows = affinity._distance_rows
+
+    def counting(features, metric):
+        rows, blocks = distance_rows(features, metric)
+        computed.append(blocks)
+        return (lambda s, e: computed.append((s, e)) or rows(s, e)), blocks
+
+    monkeypatch.setattr(affinity, "_distance_rows", counting)
+    return computed
+
+
 class TestRowBlockBuilder:
     """The builder's edge columns against the dense formulas, over several
     row blocks, the last of them merged rather than one row tall."""
@@ -441,6 +517,43 @@ class TestRowBlockBuilder:
             npt.assert_array_equal(w, build_affinity([full], x, kernel))
             npt.assert_array_equal(w, w.T)
 
+    @pytest.mark.parametrize("mode", ["single", "mixed", "mixed_nosim"])
+    @pytest.mark.parametrize("distance", ["euclidean", "correlation"])
+    # 0.03 leaves most far pairs' weights to underflow
+    @pytest.mark.parametrize("sigma", [None, 0.7, 0.03])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_one_pass_is_the_two_pass_affinity(self, mode, distance, sigma, strict, missing):
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((50, 6))
+        elements = cohort_elements(rng, 50)
+        if not missing:
+            elements = [MetaElement(m.name, m.values, m.beta) for m in elements]
+        kernel = SimilarityKernel(distance=distance, sigma=sigma)
+        edges, counts = affinity._build_affinity(elements, x, kernel, mode, None, strict)
+        chosen = elements[:1] if mode == "single" else elements
+        want, want_counts = two_pass_affinity(chosen, x, kernel, mode, strict)
+        assert [m.name for m, _ in counts] == [m.name for m in chosen]
+        assert [c for _, c in counts] == want_counts
+        assert edges.canonical() and edges.n == want.n
+        for a, b in zip(edges[:3], want[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mode", ["single", "mixed", "mixed_nosim"])
+    @pytest.mark.parametrize("distance, sigma", [
+        ("euclidean", None), ("euclidean", 0.7), ("correlation", None), ("correlation", 0.4)])
+    def test_each_distance_block_is_computed_once(self, distance_calls, mode, distance, sigma):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((50, 6))
+        affinity._build_affinity(cohort_elements(rng, 50), x,
+                                 SimilarityKernel(distance=distance, sigma=sigma), mode, None, False)
+        if mode == "mixed_nosim":
+            assert distance_calls == []
+            return
+        blocks, evaluated = distance_calls[0], distance_calls[1:]
+        assert len(blocks) > 1
+        assert evaluated == blocks
+
     @pytest.mark.parametrize("blocks", [1, 2, 7, 300])
     def test_bandwidth_is_the_mean_of_one_off_diagonal_array(self, blocks):
         # 89,700 off-diagonal values: several pairwise-sum leaves and row blocks
@@ -448,19 +561,6 @@ class TestRowBlockBuilder:
         bounds = list(range(0, 300, 300 // blocks)) + [300]
         got = affinity._bandwidth(lambda s, e: rho[s:e], list(zip(bounds, bounds[1:])))
         assert got == rho[~np.eye(300, dtype=bool)].mean()
-
-
-def two_pass_epsilon_edges(points, beta):
-    """The similarity-weighted ε-graph as two distance passes build it: the
-    bandwidth's, then one that weights each block and keeps its nonzeros."""
-    dist, blocks = affinity._distance_rows(points, "euclidean")
-    sigma = affinity._bandwidth(dist, blocks)
-
-    def rows(s, e):
-        rho = dist(s, e)
-        return (rho < beta) * affinity._zero_diagonal(affinity._gaussian(rho, sigma), s)
-
-    return affinity._block_edges(rows, blocks, len(points))
 
 
 class TestEpsilonEdges:
@@ -494,18 +594,9 @@ class TestEpsilonEdges:
         assert list(zip(got.lo[far], got.hi[far])) == [(300, 301)]
 
     @pytest.mark.parametrize("weights", ["binary", "similarity"])
-    def test_each_distance_block_is_computed_once(self, monkeypatch, weights):
-        computed = []
-        distance_rows = affinity._distance_rows
-
-        def counting(features, metric):
-            rows, blocks = distance_rows(features, metric)
-            computed.append(blocks)
-            return (lambda s, e: computed.append((s, e)) or rows(s, e)), blocks
-
-        monkeypatch.setattr(affinity, "_distance_rows", counting)
+    def test_each_distance_block_is_computed_once(self, distance_calls, weights):
         generate(SimConfig(variances=(1.0, 1.0), edge_weights=weights))
-        blocks, evaluated = computed[0], computed[1:]
+        blocks, evaluated = distance_calls[0], distance_calls[1:]
         assert len(blocks) > 1
         assert evaluated == blocks
 
@@ -529,7 +620,9 @@ def test_builder_holds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert edges.w.size > 0.25 * n * n
-    # one (N, N) float64 array plus 32 bytes per edge; dense gates, weights
-    # and their sum, then a scan of the sum for its edges, hold about four
-    # (N, N) arrays
+    # one (N, N) float64 array plus 32 bytes per edge. The one-pass builder
+    # keeps a key, a distance and a one-byte count per gated pair, then
+    # weights them and joins the keys (8.4 MiB here, within the bound without
+    # the N² term); dense gates, weights and their sum hold about four (N, N)
+    # arrays
     assert peak < 8 * n * n + 32 * edges.w.size

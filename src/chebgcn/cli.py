@@ -40,11 +40,12 @@ from .affinity import AffinityError, MetaElement, SimilarityKernel, _build_affin
 from .config import ConfigError
 from .experiments import (
     SweepSpec,
-    compare_models,
+    _compare_models,
+    _FoldContext,
+    _heatmap_sweep,
+    _run_cv,
+    _single_k_sweep,
     config_fingerprint,
-    heatmap_sweep,
-    run_cv,
-    single_k_sweep,
     write_boxplot_csv,
     write_compare_csv,
     write_cv_csv,
@@ -62,6 +63,7 @@ from .io import (
     save_graph,
 )
 from .simdata import generate
+from .workers import WorkerDied
 
 
 def _warn(message: str) -> None:
@@ -75,8 +77,11 @@ def _require_file(path, field):
         raise ConfigError(f"{field}: no such file: {path}")
 
 
-def _dataset_graph(cfg: dict) -> PopulationGraph:
-    """The dataset to cross-validate, once it is known to fill every fold."""
+def _dataset(cfg: dict) -> _FoldContext:
+    """What the folds read of the dataset to cross-validate, once it is known
+    to fill every fold. The graph goes when this returns, and with it its
+    edge columns, before the first-module basis is built and the workers
+    start: no fold reads them once L̃ exists."""
     ds = cfg["dataset"]
     if ds["source"] == "sim":
         graph = generate(cfgmod.to_sim_config(cfg))
@@ -92,7 +97,7 @@ def _dataset_graph(cfg: dict) -> PopulationGraph:
         raise ConfigError(f"experiment.folds is {folds}, but the largest class of the "
                           f"{graph.n_nodes} nodes has {largest}, so at most {largest} folds fit")
     _check_graph(graph)
-    return graph
+    return _FoldContext.of(graph)
 
 
 def _prepare_out(cfg: dict) -> Path:
@@ -167,8 +172,9 @@ def cmd_build_graph(cfg: dict) -> int:
         graph = PopulationGraph(adjacency=edges, features=features, labels=labels,
                                 train_mask=train)
         wrote = _save_graph(cfg, graph, write)
-    ends = np.concatenate(graph.edges[:2])
-    isolated = np.count_nonzero(np.bincount(ends, minlength=graph.n_nodes) == 0)
+    lo, hi, _ = graph.edges
+    isolated = np.count_nonzero((np.bincount(lo, minlength=n) == 0)
+                                & (np.bincount(hi, minlength=n) == 0))
     # An edgeless graph has had its warning from _save_graph.
     if isolated and graph.n_edges:
         _warn(f"{isolated} nodes are isolated under the current thresholds")
@@ -199,14 +205,14 @@ def _finish(command: str, cfg: dict, out: Path, lines, runs: dict, /, **fields) 
 
 
 def cmd_train(cfg: dict) -> int:
-    graph = _dataset_graph(cfg)
+    data = _dataset(cfg)
     arch = cfgmod.to_arch_spec(cfg)
     width = arch.modules[-1].width
-    if not arch.classifier and width < graph.n_classes:
+    if not arch.classifier and width < data.n_classes:
         raise ConfigError(f"architecture.classifier is false, so the last module's output "
-                          f"width {width} must cover the {graph.n_classes} classes")
+                          f"width {width} must cover the {data.n_classes} classes")
     train_cfg = cfgmod.to_train_config(cfg)
-    result = run_cv(graph, arch, train_cfg, threads=cfg["experiment"]["threads"])
+    result = _run_cv(data, arch, train_cfg, threads=cfg["experiment"]["threads"])
     out = _prepare_out(cfg)
     write_cv_csv(out / "cv.csv", result)
     n_ok = len(result.accuracies)
@@ -217,14 +223,14 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    graph = _dataset_graph(cfg)
+    data = _dataset(cfg)
     exp = cfg["experiment"]
     train_cfg = cfgmod.to_train_config(cfg)
     out = _prepare_out(cfg)
     lo, hi = exp["k_range"]
     if exp["sweep_mode"] == "pairs":
         spec = SweepSpec(k_min=lo, k_max=hi, width=exp["width"], train=train_cfg)
-        sweep = heatmap_sweep(graph, spec, threads=exp["threads"])
+        sweep = _heatmap_sweep(data, spec, threads=exp["threads"])
         write_sweep_csv(out / "sweep.csv", sweep)
         best = sweep.grid[sweep.best]
         line = (f"swept {len(sweep.grid)} cells; best (k1, k2) = {sweep.best} "
@@ -234,7 +240,7 @@ def cmd_sweep(cfg: dict) -> int:
                        best=list(sweep.best),
                        cells={f"{k1},{k2}": r.to_dict() for (k1, k2), r in grid.items()})
     else:
-        results = single_k_sweep(graph, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
+        results = _single_k_sweep(data, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
         write_boxplot_csv(out / "boxplot.csv", results)
         results = dict(sorted(results.items()))
         lines = [f"k = {k:2d}: {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:.2f}"
@@ -244,10 +250,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
-    graph = _dataset_graph(cfg)
+    data = _dataset(cfg)
     exp = cfg["experiment"]
     train_cfg = cfgmod.to_train_config(cfg)
-    comparison = compare_models(graph, exp["k1"], exp["k2"], train_cfg, width=exp["width"],
+    comparison = _compare_models(data, exp["k1"], exp["k2"], train_cfg, width=exp["width"],
                                 threads=exp["threads"])
     out = _prepare_out(cfg)
     write_compare_csv(out / "compare.csv", comparison)
@@ -307,6 +313,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except (ConfigError, FileFormatError, AffinityError, GraphInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except WorkerDied as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # NumPy's message names the size it asked for; a fold worker's

@@ -384,14 +384,25 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class _FoldContext:
-    """Read-only inputs shared by every fold task of one map."""
+    """Read-only inputs shared by every fold task of one map: what the folds
+    read of a graph (see :meth:`of`), and the first-module basis."""
 
     lap: NormalizedLaplacian
     x: np.ndarray
     labels: np.ndarray
     n_classes: int
-    # _chebyshev_basis(lap, x, k) for the highest first-module order k of any task
-    basis: np.ndarray
+    # _chebyshev_basis(lap, x, k) for the highest first-module order k of any
+    # task; _cross_validate builds it once the cells are known.
+    basis: np.ndarray = None
+
+    @classmethod
+    def of(cls, graph) -> "_FoldContext":
+        """The Chebyshev Laplacian L̃, features and labels of ``graph``. No
+        fold reads the graph's edge columns, so a caller that drops the graph
+        once this exists frees them before the basis is built and the
+        workers start."""
+        return cls(lap=_chebyshev_laplacian(graph), x=graph.features, labels=graph.labels,
+                   n_classes=graph.n_classes)
 
 
 def _run_folds(ctx: _FoldContext, task):
@@ -470,33 +481,31 @@ def _stack_size(arch: ArchSpec, n_nodes: int, n_classes: int, n_folds: int, work
     return size
 
 
-def _cross_validate(graph, cells, threads) -> list:
-    """One ExperimentResult per (arch, cfg, folds) cell.
+def _cross_validate(ctx: _FoldContext, cells, threads) -> list:
+    """One ExperimentResult per (arch, cfg, folds) cell, on the graph of
+    ``ctx`` (a :meth:`_FoldContext.of`).
 
     Each cell's folds are cut into chunks of ``_stack_size`` folds, at most
     ceil(folds / threads), and every chunk of every cell is one task of a
     single map that trains it as one fold stack; a pool so balances slow
-    cells against fast ones and is never nested. The Laplacian and the
-    first-module basis are built once, here. ``threads`` None is
-    ``workers.worker_count``'s default; the tasks run in min(threads, tasks)
-    worker processes when that is above 1, else here.
+    cells against fast ones and is never nested. The first-module basis is
+    built once, here. ``threads`` None is ``workers.worker_count``'s
+    default; the tasks run in min(threads, tasks) worker processes when that
+    is above 1, else here.
     """
     for arch, _, _ in cells:
         width = arch.modules[-1].width
-        if not arch.classifier and width < graph.n_classes:
+        if not arch.classifier and width < ctx.n_classes:
             raise ValueError(f"without a classifier, the last module's output width {width} "
-                             f"must cover the {graph.n_classes} classes")
+                             f"must cover the {ctx.n_classes} classes")
     threads = worker_count(threads)
     tasks = []
     for arch, cfg, folds in cells:
         indexed = [(fi, train, test) for fi, (train, test) in enumerate(folds)]
-        size = _stack_size(arch, graph.n_nodes, graph.n_classes, len(indexed), threads)
+        size = _stack_size(arch, ctx.lap.n_nodes, ctx.n_classes, len(indexed), threads)
         tasks += [(arch, cfg, tuple(indexed[i:i + size])) for i in range(0, len(indexed), size)]
-    lap = _chebyshev_laplacian(graph)
     order = max(b.order for arch, _, _ in cells for b in arch.modules[0].branches)
-    ctx = _FoldContext(lap=lap, x=graph.features, labels=graph.labels,
-                       n_classes=graph.n_classes,
-                       basis=_chebyshev_basis(lap, graph.features, order))
+    ctx = replace(ctx, basis=_chebyshev_basis(ctx.lap, ctx.x, order))
     workers = min(threads, len(tasks))
     if workers > 1:
         with worker_map(workers, _set_worker_context, (ctx,)) as pool_map:
@@ -536,8 +545,14 @@ def _cv_result(arch, cfg, folds, outcomes) -> ExperimentResult:
     )
 
 
-def _default_folds(graph, cfg: TrainConfig):
-    return stratified_folds(graph.labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
+def _default_folds(labels, cfg: TrainConfig):
+    return stratified_folds(labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
+
+
+# Each protocol below runs as a private function of a _FoldContext; the
+# public one takes a graph and builds its context. The CLI builds the
+# context itself and drops its graph, so the edge columns are freed before
+# the basis is built and the workers start.
 
 
 def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads=None) -> ExperimentResult:
@@ -548,8 +563,12 @@ def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads=None) ->
     (graph, arch, cfg), whatever ``threads`` is. Pass ``folds`` to pin the
     split across several runs.
     """
-    folds = list(_default_folds(graph, cfg) if folds is None else folds)
-    return _cross_validate(graph, [(arch, cfg, folds)], threads)[0]
+    return _run_cv(_FoldContext.of(graph), arch, cfg, folds, threads)
+
+
+def _run_cv(ctx: _FoldContext, arch, cfg, folds=None, threads=None) -> ExperimentResult:
+    folds = list(_default_folds(ctx.labels, cfg) if folds is None else folds)
+    return _cross_validate(ctx, [(arch, cfg, folds)], threads)[0]
 
 
 @dataclass(frozen=True)
@@ -581,12 +600,17 @@ def heatmap_sweep(graph, spec: SweepSpec, threads=None) -> SweepResult:
     never from scheduling, so any ``threads`` value produces exactly the
     same result as a serial run.
     """
+    return _heatmap_sweep(_FoldContext.of(graph), spec, threads)
+
+
+def _heatmap_sweep(ctx: _FoldContext, spec: SweepSpec, threads=None) -> SweepResult:
     cells = {}
     for k1 in range(spec.k_min, spec.k_max + 1):
         for k2 in range(spec.k_min, spec.k_max + 1):
             cfg = replace(spec.train, seed=derive_seed(spec.train.seed, "cell", k1, k2))
-            cells[(k1, k2)] = (sequential((k1, k2), spec.width), cfg, _default_folds(graph, cfg))
-    grid = dict(zip(cells, _cross_validate(graph, list(cells.values()), threads)))
+            cells[(k1, k2)] = (sequential((k1, k2), spec.width), cfg,
+                               _default_folds(ctx.labels, cfg))
+    grid = dict(zip(cells, _cross_validate(ctx, list(cells.values()), threads)))
 
     def rank(cell):
         mean = grid[cell].mean_accuracy
@@ -601,13 +625,17 @@ def heatmap_sweep(graph, spec: SweepSpec, threads=None) -> SweepResult:
 def single_k_sweep(graph, k_min: int, k_max: int, width: int, cfg: TrainConfig,
                    threads=None) -> dict:
     """One single-filter model per order k; returns {k: ExperimentResult}."""
+    return _single_k_sweep(_FoldContext.of(graph), k_min, k_max, width, cfg, threads)
+
+
+def _single_k_sweep(ctx: _FoldContext, k_min, k_max, width, cfg, threads=None) -> dict:
     if k_min < 0 or k_max < k_min:
         raise ValueError(f"bad order range [{k_min}, {k_max}]")
     cells = []
     for k in range(k_min, k_max + 1):
         cell_cfg = replace(cfg, seed=derive_seed(cfg.seed, "k", k))
-        cells.append((single_layer(k, width), cell_cfg, _default_folds(graph, cell_cfg)))
-    return dict(zip(range(k_min, k_max + 1), _cross_validate(graph, cells, threads)))
+        cells.append((single_layer(k, width), cell_cfg, _default_folds(ctx.labels, cell_cfg)))
+    return dict(zip(range(k_min, k_max + 1), _cross_validate(ctx, cells, threads)))
 
 
 COMPARE_MODELS = (
@@ -636,7 +664,11 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
     aggregator are the candidates. All five see identical folds and the
     same per-fold init streams, so equal architectures give equal numbers.
     """
-    folds = _default_folds(graph, cfg)
+    return _compare_models(_FoldContext.of(graph), k1, k2, cfg, width, threads)
+
+
+def _compare_models(ctx: _FoldContext, k1, k2, cfg, width=16, threads=None) -> ComparisonResult:
+    folds = _default_folds(ctx.labels, cfg)
     archs = {
         "sequential-k1k2": sequential((k1, k2), width),
         "sequential-k1k1": sequential((k1, k1), width),
@@ -645,7 +677,7 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
         "inception-maxpool": inception((k1, k2), width, "maxpool"),
     }
     cells = [(arch, cfg, folds) for arch in archs.values()]
-    results = dict(zip(archs, _cross_validate(graph, cells, threads)))
+    results = dict(zip(archs, _cross_validate(ctx, cells, threads)))
 
     ratios = {}
     base = results["sequential-k1k2"]

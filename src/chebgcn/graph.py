@@ -130,59 +130,101 @@ class _CsrMatrix(NamedTuple):
         return sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
 
 
-class _EdgePattern(NamedTuple):
-    """Where the symmetric (n, n) matrix of canonical edge columns (see
-    :class:`_Edges`) stores its entries in CSR, worked out once for every
-    matrix on the same edges. Of the 2 |E| entries ``[w, w]``, the (hi, lo)
-    ones then the (lo, hi) ones, stored entry k is entry ``order[k]``. The
-    pairs are sorted, so a stable sort by row leaves each row's columns
-    sorted, with its ``below`` (hi, lo) entries left of the diagonal."""
+# Edges per step of the loops that fill a Laplacian in from edge columns:
+# 8,192 float64s (64 KiB) stay under glibc's initial 128 KiB mmap
+# threshold, so the heap reuses one step's temporaries for the next, and
+# no temporary grows with the edge count.
+_EDGE_CHUNK = 8192
 
+
+class _EdgePattern(NamedTuple):
+    """Where the symmetric (n, n) CSR matrix of canonical edge columns (see
+    :class:`_Edges`) stores its entries, with or without a stored diagonal,
+    worked out once for every matrix on the same edges. Row r holds, in
+    column order, its ``below[r]`` (r, lo) entries, from the edges with
+    hi == r in edge order (``order`` lists the edges by hi, stably), then
+    (r, r) if the diagonal is stored, then its ``above[r]`` (r, hi) entries,
+    from the edges with lo == r, which the edge order keeps together."""
+
+    lo: np.ndarray
+    hi: np.ndarray
     order: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
     below: np.ndarray
+    above: np.ndarray
 
     @classmethod
     def of(cls, lo, hi, n: int) -> "_EdgePattern":
-        rows = np.concatenate([hi, lo])
-        order = np.argsort(rows, kind="stable")
-        below = np.bincount(hi, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(below + np.bincount(lo, minlength=n), out=indptr[1:])
-        return cls(order, np.concatenate([lo, hi])[order], indptr, below)
+        return cls(lo, hi, np.argsort(hi, kind="stable"), np.bincount(hi, minlength=n),
+                   np.bincount(lo, minlength=n))
+
+    def indptr(self, diagonal: bool) -> np.ndarray:
+        out = np.zeros(self.below.size + 1, dtype=np.int64)
+        np.cumsum(self.below + self.above + diagonal, out=out[1:])
+        return out
+
+    def fill(self, data, value, diagonal: bool = False, indices=None) -> None:
+        """Write ``value(k)``, the entries of the edges ``k`` (a slice or an
+        index array), at both places of each edge in ``data``, and their
+        columns in ``indices`` unless it is None, a chunk of edges at a time."""
+        lo, hi, order = self.lo, self.hi, self.order
+        start = self.indptr(diagonal)[:-1]
+        # Edge k's (lo, hi) entry goes to k + upper[lo[k]], and the (hi, lo)
+        # entry of the j-th edge by hi to j + lower[hi[order[j]]].
+        upper = start + self.below + diagonal - (np.cumsum(self.above) - self.above)
+        lower = start - (np.cumsum(self.below) - self.below)
+        for s in range(0, lo.size, _EDGE_CHUNK):
+            at = np.arange(s, min(s + _EDGE_CHUNK, lo.size))
+            for k, rows, cols, offset in ((slice(s, s + at.size), lo, hi, upper),
+                                          (order[s:s + at.size], hi, lo, lower)):
+                pos = at + offset[rows[k]]
+                data[pos] = value(k)
+                if indices is not None:
+                    indices[pos] = cols[k]
 
     def row_sums(self, w) -> np.ndarray:
         """The row sums of the matrix of weights ``w``, added as
         ``csr_array.sum(axis=1)`` adds them: ``np.add.reduceat`` over the
         non-empty rows. (``np.bincount`` adds each row from left to right,
         another order once a row holds three entries.)"""
-        rows = np.flatnonzero(np.diff(self.indptr))
-        out = np.zeros(self.indptr.size - 1)
-        out[rows] = np.add.reduceat(np.concatenate([w, w])[self.order], self.indptr[rows])
+        data = np.empty(2 * w.size)
+        self.fill(data, lambda k: w[k])
+        indptr = self.indptr(False)
+        rows = np.flatnonzero(np.diff(indptr))
+        out = np.zeros(indptr.size - 1)
+        out[rows] = np.add.reduceat(data, indptr[rows])
         return out
 
-    def csr(self, w, diagonal: float = 0.0) -> _CsrMatrix:
-        """The matrix of weights ``w`` with ``diagonal`` at every (i, i),
-        stored zeros dropped: the arrays SciPy's COO to CSR conversion gives,
-        indices int32 unless the size or the entry count is out of its range."""
-        data, indices, indptr = np.concatenate([w, w])[self.order], self.indices, self.indptr
-        n = indptr.size - 1
+    def csr(self, value, diagonal: float = 0.0) -> _CsrMatrix:
+        """The matrix of the edge entries ``value(k)`` (see :meth:`fill`) with
+        ``diagonal`` at every (i, i), stored zeros dropped: the arrays SciPy's
+        COO to CSR conversion gives, indices int32 unless the size or the
+        entry count is out of its range. Nothing but the result grows with
+        the edge count."""
+        n = self.below.size
+        indptr = self.indptr(bool(diagonal))
+        data = np.empty(indptr[-1])
+        indices = np.empty(data.size, dtype=_csr_index(n, data.size))
+        self.fill(data, value, bool(diagonal), indices)
         if diagonal:
             at = indptr[:-1] + self.below
-            data, indices = np.insert(data, at, diagonal), np.insert(indices, at, np.arange(n))
-            indptr = indptr + np.arange(n + 1)
-        keep = data != 0.0
-        if not keep.all():
+            data[at] = diagonal
+            indices[at] = np.arange(n)
+        if np.count_nonzero(data) < data.size:
+            keep = data != 0.0
             data, indices = data[keep], indices[keep]
             indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
-        index = np.int32 if max(n, data.size) <= np.iinfo(np.int32).max else np.int64
-        return _CsrMatrix(data, indices.astype(index), indptr.astype(index), (n, n))
+        index = _csr_index(n, data.size)
+        return _CsrMatrix(data, indices.astype(index, copy=False), indptr.astype(index), (n, n))
+
+
+def _csr_index(n: int, nnz: int):
+    """The index dtype of SciPy's CSR arrays for an (n, n) matrix of ``nnz`` entries."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
 def _edge_csr(lo, hi, w, n: int):
     """The symmetric (n, n) ``scipy.sparse.csr_array`` of canonical edge columns."""
-    return _EdgePattern.of(lo, hi, n).csr(w).csr_array()
+    return _EdgePattern.of(lo, hi, n).csr(lambda k: w[k]).csr_array()
 
 
 def _edge_dense(lo, hi, w, n: int) -> np.ndarray:
@@ -398,9 +440,9 @@ def _edge_laplacian(edges: _Edges, diagonal: float):
     I - D^{-1/2} A D^{-1/2}, 0.0 the Chebyshev rescaling L - I (a CSR one,
     a :class:`_CsrMatrix`, stores no zeros). The degrees are the adjacency's
     row sums as its storage adds them, and each edge's (L + L^T) / 2 entry is
-    ((0 - (w d_lo) d_hi) + (0 - (w d_hi) d_lo)) * 0.5 with d = D^{-1/2}: bit
-    for bit the whole-matrix formula. A dense L reuses the adjacency buffer,
-    a CSR one the adjacency's pattern."""
+    :func:`_edge_values`: bit for bit the whole-matrix formula. A dense L
+    reuses the adjacency buffer, a CSR one the adjacency's pattern; the
+    entries are filled in a chunk of edges at a time."""
     lo, hi, w, n = edges
     sparse = _stored_sparse(2 * w.size, n, n)
     if sparse:
@@ -410,14 +452,29 @@ def _edge_laplacian(edges: _Edges, diagonal: float):
         adj = _edge_dense(lo, hi, w, n)
         deg = adj.sum(axis=1)
     d = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-    vals = (0.0 - (w * d[lo]) * d[hi]) + (0.0 - (w * d[hi]) * d[lo])
-    vals *= 0.5
     if sparse:
-        return pattern.csr(vals, diagonal)
-    adj[lo, hi] = vals
-    adj[hi, lo] = vals
+        return pattern.csr(lambda k: _edge_values(lo[k], hi[k], w[k], d), diagonal)
+    for s in range(0, w.size, _EDGE_CHUNK):
+        k = slice(s, s + _EDGE_CHUNK)
+        adj[lo[k], hi[k]] = adj[hi[k], lo[k]] = _edge_values(lo[k], hi[k], w[k], d)
     adj.flat[::n + 1] = diagonal
     return adj
+
+
+def _edge_values(lo, hi, w, d) -> np.ndarray:
+    """The (L + L^T) / 2 entry of each edge, ((0 - (w d_lo) d_hi) + (0 -
+    (w d_hi) d_lo)) * 0.5 with d = D^{-1/2}, in three temporaries of the
+    edges' size."""
+    d_lo, d_hi = d[lo], d[hi]
+    out = w * d_lo
+    out *= d_hi
+    np.subtract(0.0, out, out=out)
+    d_hi *= w
+    d_hi *= d_lo
+    np.subtract(0.0, d_hi, out=d_hi)
+    out += d_hi
+    out *= 0.5
+    return out
 
 
 def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:

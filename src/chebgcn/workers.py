@@ -10,7 +10,8 @@ NumPy first, and opens SciPy's compiled sparse kernels (never
 ``scipy.sparse``) only when a task or its initializer's arguments hold a
 CSR Laplacian. ``concurrent.futures``' process pool and ``multiprocessing``
 (about 20 ms to import) load with the first pool, so a process that starts
-none never imports them.
+none never imports them. A worker that dies without handing back its result,
+as one the kernel kills for lack of memory does, is a :class:`WorkerDied`.
 """
 
 import collections
@@ -26,6 +27,13 @@ import numpy as np
 # Tasks each worker may hold submitted and not yet handed back in order:
 # one running and one queued keep it busy while the caller consumes.
 _AHEAD_PER_WORKER = 2
+
+
+class WorkerDied(MemoryError):
+    """A worker process ended without handing back a result, as one killed
+    by a signal does; on a machine short of memory, the signal is most likely
+    the kernel's out-of-memory killer's. Its cause is the pool's
+    ``BrokenProcessPool``."""
 
 
 def ProcessPoolExecutor(**kwargs):
@@ -100,8 +108,9 @@ def worker_map(workers: int, initializer=None, initargs=()):
 
     The pooled map submits the first ``ahead`` tasks (None: every task) at
     once, then one more for each result read, and yields the results in
-    task order. It re-raises a worker's exception where its result is read.
-    Processes start with the first task; ``fn``, each task and each result
+    task order. It re-raises a worker's exception where its result is read,
+    and raises :class:`WorkerDied` there if a worker died. Processes start
+    with the first task; ``fn``, each task and each result
     are pickled, and so are ``initializer`` and ``initargs`` unless the
     workers are forked. If the block raises, tasks not yet started are
     cancelled; either way it exits only once the workers have.
@@ -111,8 +120,13 @@ def worker_map(workers: int, initializer=None, initargs=()):
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(initializer, *initargs)) as pool:
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             yield functools.partial(_ordered, pool, ahead=_AHEAD_PER_WORKER * workers)
-        except BaseException:
+        except BaseException as exc:
             pool.shutdown(cancel_futures=True)
+            if isinstance(exc, BrokenProcessPool):
+                raise WorkerDied("a worker process was killed, most likely for lack of "
+                                 "memory") from exc
             raise

@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
+import signal
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +15,7 @@ import scipy.sparse as sp
 import yaml
 
 import chebgcn
+import chebgcn.experiments
 import chebgcn.io
 import chebgcn.workers
 from chebgcn.affinity import MetaElement, affinity_graph
@@ -609,6 +613,65 @@ def test_out_of_memory_exits_2_naming_the_size(tmp_path, capsys, monkeypatch, pa
         "error: train: out of memory: Unable to allocate 1.00 EiB for an array with shape "
         "(144115188075855872,) and data type float64\n")
     assert started == ([2] if threads == "2" else [])
+
+
+# The test process; a task run anywhere else runs in a forked worker.
+TEST_PROCESS = os.getpid()
+
+
+def kill_own_worker(*args):
+    """A task that ends its worker process as the kernel's out-of-memory
+    killer would, with SIGKILL."""
+    assert os.getpid() != TEST_PROCESS, "the task ran in the calling process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("train", "chebgcn.experiments._run_folds"),
+    ("simdata", "chebgcn.io._edge_lines"),
+], ids=["fold-worker", "formatting-worker"])
+def test_a_killed_worker_exits_2_naming_a_likely_memory_kill(tmp_path, capsys, monkeypatch,
+                                                             command, patched):
+    # Graph files of any size are formatted by the workers, in many chunks.
+    monkeypatch.setattr("chebgcn.io.POOL_MIN_FIELDS", 0)
+    monkeypatch.setattr("chebgcn.io._CHUNK_FIELDS", 12)
+    monkeypatch.setattr(patched, kill_own_worker)
+    out = tmp_path / "res"
+    cfg = write_cfg(tmp_path, quick_sections(out))
+    assert main([command, "--config", cfg, "--threads", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}: a worker process was killed, most likely for lack of memory\n")
+    assert not out.exists() or [p.name for p in out.iterdir()] == ["effective-config.yaml"]
+
+
+def test_train_frees_the_edge_columns_before_the_basis(tmp_path, monkeypatch):
+    # No fold reads the loaded graph's edge columns once L̃ exists, so they
+    # are freed before the first-module basis and the folds take memory.
+    data = tmp_path / "data"
+    assert main(["simdata", "--config", write_cfg(tmp_path, quick_sections(data))]) == 0
+    columns, freed = [], []
+
+    def load(*paths):
+        graph = load_graph(*paths)
+        columns.extend(weakref.ref(column) for column in graph.edges)
+        return graph
+
+    def probe(name, real):
+        def call(*args, **kwargs):
+            freed.append((name, [column() is None for column in columns]))
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("chebgcn.cli.load_graph", load)
+    for name in ("_chebyshev_basis", "_run_folds"):
+        monkeypatch.setattr(f"chebgcn.experiments.{name}",
+                            probe(name, getattr(chebgcn.experiments, name)))
+    sections = quick_sections(tmp_path / "res", dataset={
+        "source": "files", "features": str(data / "features.csv"),
+        "edges": str(data / "edges.txt")})
+    assert main(["train", "--config", write_cfg(tmp_path, sections), "--threads", "1"]) == 0
+    assert len(columns) == 3
+    assert freed[:2] == [("_chebyshev_basis", [True] * 3), ("_run_folds", [True] * 3)]
 
 
 def test_classifier_free_net_must_cover_the_classes(tmp_path, capsys):

@@ -666,6 +666,13 @@ class TestSimLosses:
     PINNED_EARLY_STOP = ([30, 14, 22],
                          [0.16301968991434734, 0.22577223408549005, 0.22177039614190697])
 
+    # Early stopping on the training loss itself, at a step size where that
+    # loss stops improving: fold 0 runs out of budget at its best epoch, 40,
+    # and folds 1 and 2 stop at 7 and 16, at their best epochs 4 and 13. Each
+    # best epoch beats the runner-up by 1.5e-3, 3.1e-1 and 1.1e-2 relative.
+    PINNED_TRAIN_STOP = ([40, 7, 16],
+                         [0.13632225373192444, 0.24004219509809713, 0.20276576265056234])
+
     @staticmethod
     def setup_folds():
         g = generate(SimConfig(variances=(1.0, 1.0), seed=0))
@@ -708,6 +715,15 @@ class TestSimLosses:
         epochs, losses = self.PINNED_EARLY_STOP
         assert train_network(stack, lap, g.features, g.labels, train, cfg,
                              val_mask=val) == epochs
+        npt.assert_allclose(self.final_losses(stack, g, lap, train), losses, rtol=1e-10)
+
+    def test_early_stopping_on_train_is_pinned(self):
+        g, lap, train = self.setup_folds()
+        stack = build_network(inception((1, 10), 16), 2, 2,
+                              [np.random.default_rng(f) for f in range(3)])
+        cfg = TrainConfig(epochs=40, lr=1.6, early_stop_window=3, stop_metric="train")
+        epochs, losses = self.PINNED_TRAIN_STOP
+        assert train_network(stack, lap, g.features, g.labels, train, cfg) == epochs
         npt.assert_allclose(self.final_losses(stack, g, lap, train), losses, rtol=1e-10)
 
 

@@ -628,9 +628,50 @@ class TestEdgeLaplacian:
             tracemalloc.stop()
         assert isinstance(lap.matrix, np.ndarray) and lap.matrix[3].tolist() == [0.0] * n
         assert "adjacency" not in vars(g)
-        # one (N, N) float64 array plus 32 bytes per edge; the adjacency, L,
-        # the temporary of L + L^T and the rescaled copy are four
-        assert peak < 8 * n * n + 32 * g.n_edges
+        # One (N, N) float64 array, the adjacency turned into L̃ in place,
+        # plus 2 B per edge. The entries are computed a chunk of edges at a
+        # time, in temporaries that do not grow with the edges (0.2 MB, 0.8 B
+        # per edge here); over whole edge columns they took 24 B per edge.
+        assert peak < 8 * n * n + 2 * g.n_edges
+
+    def test_training_laplacian_holds_its_csr_arrays_and_one_order(self):
+        rng = np.random.default_rng(6)
+        n = 3000
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < 0.03
+        keep[(lo == 3) | (hi == 3)] = False  # an isolated node
+        g = make_graph(_Edges(lo[keep], hi[keep], rng.uniform(0.1, 1.0, keep.sum()), n))
+        del lo, hi, keep
+        tracemalloc.start()
+        try:
+            lap = _chebyshev_laplacian(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = lap.matrix
+        assert isinstance(m, _CsrMatrix) and m.indices.dtype == np.int32
+        assert m.data.size == 2 * g.n_edges and m.indptr[4] == m.indptr[3]
+        kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        # The arrays kept, 12 B per entry, plus 16 B per edge: the pattern's
+        # stable order of the edges by hi (8 B), and the chunked fill's
+        # temporaries, which do not grow with the edges (5 B per edge here).
+        # Sorting, gathering and inserting whole columns took 49 B per edge.
+        assert peak < kept + 16 * g.n_edges
+
+    def test_csr_entries_that_round_to_zero_are_not_stored(self):
+        # Subnormal weights beside unit ones give entries that underflow to
+        # zero; L̃ drops them, as SciPy's whole-matrix formula does.
+        rng = np.random.default_rng(7)
+        a = random_adjacency(rng, 60, p=0.08)
+        tiny = np.triu(rng.random(a.shape) < 0.3, 1)
+        a[(a != 0.0) & (tiny | tiny.T)] = 5e-324
+        g = make_graph(a)
+        got = _chebyshev_laplacian(g).matrix
+        want = csr_formula_laplacian(sp.csr_array(a), rescaled=True)
+        assert isinstance(got, _CsrMatrix) and got.data.size < 2 * g.n_edges
+        for field in ("data", "indices", "indptr"):
+            x, y = getattr(got, field), getattr(want, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
 
 KERNEL_PROBE = """\

@@ -40,12 +40,12 @@ from .affinity import AffinityError, MetaElement, SimilarityKernel, _build_affin
 from .config import ConfigError
 from .experiments import (
     SweepSpec,
-    _compare_models,
     _FoldContext,
-    _heatmap_sweep,
-    _run_cv,
-    _single_k_sweep,
+    compare_models,
     config_fingerprint,
+    heatmap_sweep,
+    run_cv,
+    single_k_sweep,
     write_boxplot_csv,
     write_compare_csv,
     write_cv_csv,
@@ -212,7 +212,7 @@ def cmd_train(cfg: dict) -> int:
         raise ConfigError(f"architecture.classifier is false, so the last module's output "
                           f"width {width} must cover the {data.n_classes} classes")
     train_cfg = cfgmod.to_train_config(cfg)
-    result = _run_cv(data, arch, train_cfg, threads=cfg["experiment"]["threads"])
+    result = run_cv(data, arch, train_cfg, threads=cfg["experiment"]["threads"])
     out = _prepare_out(cfg)
     write_cv_csv(out / "cv.csv", result)
     n_ok = len(result.accuracies)
@@ -230,7 +230,7 @@ def cmd_sweep(cfg: dict) -> int:
     lo, hi = exp["k_range"]
     if exp["sweep_mode"] == "pairs":
         spec = SweepSpec(k_min=lo, k_max=hi, width=exp["width"], train=train_cfg)
-        sweep = _heatmap_sweep(data, spec, threads=exp["threads"])
+        sweep = heatmap_sweep(data, spec, threads=exp["threads"])
         write_sweep_csv(out / "sweep.csv", sweep)
         best = sweep.grid[sweep.best]
         line = (f"swept {len(sweep.grid)} cells; best (k1, k2) = {sweep.best} "
@@ -240,7 +240,7 @@ def cmd_sweep(cfg: dict) -> int:
                        best=list(sweep.best),
                        cells={f"{k1},{k2}": r.to_dict() for (k1, k2), r in grid.items()})
     else:
-        results = _single_k_sweep(data, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
+        results = single_k_sweep(data, lo, hi, exp["width"], train_cfg, threads=exp["threads"])
         write_boxplot_csv(out / "boxplot.csv", results)
         results = dict(sorted(results.items()))
         lines = [f"k = {k:2d}: {r.mean_accuracy:6.2f} +/- {r.sd_accuracy:.2f}"
@@ -253,8 +253,8 @@ def cmd_compare(cfg: dict) -> int:
     data = _dataset(cfg)
     exp = cfg["experiment"]
     train_cfg = cfgmod.to_train_config(cfg)
-    comparison = _compare_models(data, exp["k1"], exp["k2"], train_cfg, width=exp["width"],
-                                threads=exp["threads"])
+    comparison = compare_models(data, exp["k1"], exp["k2"], train_cfg, width=exp["width"],
+                               threads=exp["threads"])
     out = _prepare_out(cfg)
     write_compare_csv(out / "compare.csv", comparison)
     lines = []

@@ -397,10 +397,12 @@ class _FoldContext:
 
     @classmethod
     def of(cls, graph) -> "_FoldContext":
-        """The Chebyshev Laplacian L̃, features and labels of ``graph``. No
-        fold reads the graph's edge columns, so a caller that drops the graph
-        once this exists frees them before the basis is built and the
-        workers start."""
+        """The Chebyshev Laplacian L̃, features and labels of ``graph``, or
+        ``graph`` itself if it is a context already. No fold reads the
+        graph's edge columns, so a caller that drops the graph once this
+        exists frees them before the basis is built and the workers start."""
+        if isinstance(graph, cls):
+            return graph
         return cls(lap=_chebyshev_laplacian(graph), x=graph.features, labels=graph.labels,
                    n_classes=graph.n_classes)
 
@@ -549,10 +551,10 @@ def _default_folds(labels, cfg: TrainConfig):
     return stratified_folds(labels, cfg.n_folds, derive_seed(cfg.seed, "folds"))
 
 
-# Each protocol below runs as a private function of a _FoldContext; the
-# public one takes a graph and builds its context. The CLI builds the
+# Each protocol below takes a graph or its _FoldContext. The CLI builds the
 # context itself and drops its graph, so the edge columns are freed before
-# the basis is built and the workers start.
+# the basis is built and the workers start; a caller that keeps its graph
+# keeps them.
 
 
 def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads=None) -> ExperimentResult:
@@ -563,10 +565,7 @@ def run_cv(graph, arch: ArchSpec, cfg: TrainConfig, folds=None, threads=None) ->
     (graph, arch, cfg), whatever ``threads`` is. Pass ``folds`` to pin the
     split across several runs.
     """
-    return _run_cv(_FoldContext.of(graph), arch, cfg, folds, threads)
-
-
-def _run_cv(ctx: _FoldContext, arch, cfg, folds=None, threads=None) -> ExperimentResult:
+    ctx = _FoldContext.of(graph)
     folds = list(_default_folds(ctx.labels, cfg) if folds is None else folds)
     return _cross_validate(ctx, [(arch, cfg, folds)], threads)[0]
 
@@ -600,10 +599,7 @@ def heatmap_sweep(graph, spec: SweepSpec, threads=None) -> SweepResult:
     never from scheduling, so any ``threads`` value produces exactly the
     same result as a serial run.
     """
-    return _heatmap_sweep(_FoldContext.of(graph), spec, threads)
-
-
-def _heatmap_sweep(ctx: _FoldContext, spec: SweepSpec, threads=None) -> SweepResult:
+    ctx = _FoldContext.of(graph)
     cells = {}
     for k1 in range(spec.k_min, spec.k_max + 1):
         for k2 in range(spec.k_min, spec.k_max + 1):
@@ -625,12 +621,9 @@ def _heatmap_sweep(ctx: _FoldContext, spec: SweepSpec, threads=None) -> SweepRes
 def single_k_sweep(graph, k_min: int, k_max: int, width: int, cfg: TrainConfig,
                    threads=None) -> dict:
     """One single-filter model per order k; returns {k: ExperimentResult}."""
-    return _single_k_sweep(_FoldContext.of(graph), k_min, k_max, width, cfg, threads)
-
-
-def _single_k_sweep(ctx: _FoldContext, k_min, k_max, width, cfg, threads=None) -> dict:
     if k_min < 0 or k_max < k_min:
         raise ValueError(f"bad order range [{k_min}, {k_max}]")
+    ctx = _FoldContext.of(graph)
     cells = []
     for k in range(k_min, k_max + 1):
         cell_cfg = replace(cfg, seed=derive_seed(cfg.seed, "k", k))
@@ -664,10 +657,7 @@ def compare_models(graph, k1: int, k2: int, cfg: TrainConfig, width: int = 16,
     aggregator are the candidates. All five see identical folds and the
     same per-fold init streams, so equal architectures give equal numbers.
     """
-    return _compare_models(_FoldContext.of(graph), k1, k2, cfg, width, threads)
-
-
-def _compare_models(ctx: _FoldContext, k1, k2, cfg, width=16, threads=None) -> ComparisonResult:
+    ctx = _FoldContext.of(graph)
     folds = _default_folds(ctx.labels, cfg)
     archs = {
         "sequential-k1k2": sequential((k1, k2), width),

@@ -7,13 +7,14 @@ first read: CSR below ``SPARSE_DENSITY_CUTOFF``, a dense ndarray at or above
 it. A Laplacian keeps the storage of its adjacency and is built from the
 edge columns by one per-edge formula in both storages, without the adjacency.
 
-A storage is an ndarray or canonical CSR, so ``isinstance(m, np.ndarray)``
-tells them apart. The public functions give CSR as a
-``scipy.sparse.csr_array``. The Laplacian that training multiplies by holds
-it as bare NumPy arrays, a :class:`_CsrMatrix`, whose products run SciPy's
-compiled kernel, loaded by file path. ``scipy.sparse``, slower to import
-than NumPy, is imported only where a ``csr_array`` is built or read, so
-never in training.
+A storage is an ndarray or a :class:`CsrMatrix`, the named tuple ``(data,
+indices, indptr, shape)`` of canonical CSR arrays, so
+``isinstance(m, np.ndarray)`` tells them apart. A CSR adjacency or
+Laplacian is always a :class:`CsrMatrix`; its products run SciPy's compiled
+kernel, loaded by file path, and ``scipy.sparse.csr_array((m.data,
+m.indices, m.indptr), shape=m.shape)`` wraps it without a copy.
+``scipy.sparse``, slower to import than NumPy, is imported only to read a
+scipy sparse matrix given as an adjacency.
 """
 
 import functools
@@ -63,18 +64,6 @@ def _stored_sparse(nnz: int, n: int, m: int) -> bool:
     return nnz < SPARSE_DENSITY_CUTOFF * n * m
 
 
-def _canonical_csr(matrix):
-    """A float64 CSR copy of ``matrix`` with sorted indices, no duplicates
-    and no stored zeros."""
-    import scipy.sparse as sp
-
-    out = sp.csr_array(matrix, dtype=np.float64, copy=True)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
 @functools.cache
 def _sparsetools():
     """SciPy's compiled sparse kernels, the module ``scipy.sparse`` multiplies
@@ -96,10 +85,10 @@ def _sparsetools():
     return _sparsetools
 
 
-class _CsrMatrix(NamedTuple):
+class CsrMatrix(NamedTuple):
     """A canonical float64 CSR matrix (sorted rows, no duplicates, no stored
-    zeros) held as bare NumPy arrays, the training Laplacian's storage on a
-    sparse graph. ``m @ x``, for x of ``shape[1]`` rows, runs SciPy's compiled
+    zeros) held as bare NumPy arrays, with int32 indices unless out of range.
+    ``m @ x``, for x of ``shape[1]`` rows, runs SciPy's compiled
     ``csr_matvecs``, as ``scipy.sparse.csr_array(m) @ x`` does, so the two
     products have the same bits; neither needs ``scipy.sparse`` imported."""
 
@@ -107,6 +96,10 @@ class _CsrMatrix(NamedTuple):
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
 
     def __matmul__(self, other):
         other = np.ascontiguousarray(other, dtype=np.float64)
@@ -122,12 +115,6 @@ class _CsrMatrix(NamedTuple):
         out = np.zeros(self.shape)
         out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
-
-    def csr_array(self):
-        """The ``scipy.sparse.csr_array`` around the same arrays, uncopied."""
-        import scipy.sparse as sp
-
-        return sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
 
 
 # Edges per step of the loops that fill a Laplacian in from edge columns:
@@ -194,7 +181,7 @@ class _EdgePattern(NamedTuple):
         out[rows] = np.add.reduceat(data, indptr[rows])
         return out
 
-    def csr(self, value, diagonal: float = 0.0) -> _CsrMatrix:
+    def csr(self, value, diagonal: float = 0.0) -> CsrMatrix:
         """The matrix of the edge entries ``value(k)`` (see :meth:`fill`) with
         ``diagonal`` at every (i, i), stored zeros dropped: the arrays SciPy's
         COO to CSR conversion gives, indices int32 unless the size or the
@@ -214,17 +201,12 @@ class _EdgePattern(NamedTuple):
             data, indices = data[keep], indices[keep]
             indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
         index = _csr_index(n, data.size)
-        return _CsrMatrix(data, indices.astype(index, copy=False), indptr.astype(index), (n, n))
+        return CsrMatrix(data, indices.astype(index, copy=False), indptr.astype(index), (n, n))
 
 
 def _csr_index(n: int, nnz: int):
     """The index dtype of SciPy's CSR arrays for an (n, n) matrix of ``nnz`` entries."""
     return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
-def _edge_csr(lo, hi, w, n: int):
-    """The symmetric (n, n) ``scipy.sparse.csr_array`` of canonical edge columns."""
-    return _EdgePattern.of(lo, hi, n).csr(lambda k: w[k]).csr_array()
 
 
 def _edge_dense(lo, hi, w, n: int) -> np.ndarray:
@@ -233,13 +215,6 @@ def _edge_dense(lo, hi, w, n: int) -> np.ndarray:
     out[lo, hi] = w
     out[hi, lo] = w
     return out
-
-
-def _edge_storage(lo, hi, w, n: int):
-    """The adjacency of canonical edge columns (see :class:`_Edges`) in the
-    storage the density rule picks. The edge count decides before anything
-    is built, so a dense graph is filled in directly, without a CSR step."""
-    return (_edge_csr if _stored_sparse(2 * w.size, n, n) else _edge_dense)(lo, hi, w, n)
 
 
 def _freeze(matrix):
@@ -254,40 +229,51 @@ def _freeze(matrix):
 
 def _matrix_edges(matrix) -> _Edges:
     """The edge columns of an adjacency matrix (an ndarray, anything
-    ``np.array`` takes, or a scipy sparse matrix), once it is known to be
-    square, finite, symmetric and nonnegative with a zero diagonal. Zeros,
-    stored ones of a sparse matrix included, are not edges."""
-    dense = isinstance(matrix, np.ndarray)
-    if not dense:
-        import scipy.sparse as sp
+    ``np.array`` takes, a :class:`CsrMatrix` or a scipy sparse matrix), once
+    it is known to be square, finite, symmetric and nonnegative with a zero
+    diagonal. Zeros, stored ones of a sparse matrix included, are not edges."""
+    if not isinstance(matrix, (np.ndarray, CsrMatrix)) and hasattr(matrix, "tocoo"):
+        import scipy.sparse as sp  # the package's only import of it
 
-        dense = not sp.issparse(matrix)
-    adj = np.asarray(matrix, dtype=np.float64) if dense else _canonical_csr(matrix)
-    if adj.shape[0] != adj.shape[1]:
+        adj = sp.csr_array(matrix, dtype=np.float64, copy=True)
+        adj.sum_duplicates()  # sorts each row too
+        matrix = CsrMatrix(adj.data, adj.indices, adj.indptr, adj.shape)
+    dense = not isinstance(matrix, CsrMatrix)
+    adj = np.asarray(matrix, dtype=np.float64) if dense else matrix
+    n = adj.shape[0]
+    if adj.shape[1] != n:
         raise GraphInvariantError(f"adjacency must be square, got {adj.shape}")
     if dense:
         # Row-major order, as CSR stores its entries. A flat scan of a
         # boolean mask is several times faster than np.nonzero on 2-D floats.
         flat = np.flatnonzero(adj != 0.0)
-        rows, cols = np.divmod(flat, adj.shape[1])
+        rows, cols = np.divmod(flat, n)
         vals = adj.ravel()[flat]
     else:
-        rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
-        cols, vals = adj.indices.astype(np.int64), adj.data
+        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+        cols, vals = adj.indices.astype(np.int64), np.asarray(adj.data, dtype=np.float64)
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         k = bad[0]
         raise GraphInvariantError(
             f"edge weights must be finite: edge ({rows[k]}, {cols[k]}) is {vals[k]}")
-    if not (np.array_equal(adj, adj.T) if dense else (adj != adj.T).nnz == 0):
+    # Listed by column, the entries of a symmetric matrix are its entries
+    # listed by row, with rows and columns swapped.
+    by_col = np.lexsort((rows, cols))
+    if not (np.array_equal(cols[by_col], rows) and np.array_equal(rows[by_col], cols)
+            and np.array_equal(vals[by_col], vals)):
         raise GraphInvariantError("adjacency must be exactly symmetric")
     if vals.size and float(np.min(vals)) < 0.0:
         raise GraphInvariantError("edge weights must be nonnegative")
     if np.any(rows == cols):
         raise GraphInvariantError("adjacency diagonal must be zero (no self-loops)")
     upper = rows < cols
-    return _Edges(rows[upper].astype(np.int64, copy=False), cols[upper], vals[upper],
-                  adj.shape[0])
+    edges = _Edges(rows[upper].astype(np.int64, copy=False), cols[upper], vals[upper], n)
+    if not edges.canonical():  # a CsrMatrix with unsorted rows or duplicates
+        raise GraphInvariantError("a CsrMatrix adjacency must have sorted rows without duplicates")
+    return edges
 
 
 @dataclass(frozen=True, init=False)
@@ -298,9 +284,9 @@ class PopulationGraph:
     ------
     edges : tuple of ndarray (lo, hi, w)
         The edge columns of the (N, N) ``adjacency`` argument, which must be
-        symmetric, nonnegative and finite with a zero diagonal, dense or
-        scipy sparse: one entry per nonzero weight ``w`` at ``(lo, hi)``,
-        ``lo < hi``, sorted by ``(lo, hi)``.
+        symmetric, nonnegative and finite with a zero diagonal, dense, a
+        :class:`CsrMatrix` or scipy sparse: one entry per nonzero weight
+        ``w`` at ``(lo, hi)``, ``lo < hi``, sorted by ``(lo, hi)``.
     features : ndarray, (N, d)
         One row of finite measurements per node.
     labels : ndarray of int, (N,)
@@ -369,7 +355,11 @@ class PopulationGraph:
     def adjacency(self):
         """(N, N) edge weights, CSR or ndarray as the density rule picks;
         built from ``edges`` on first read, then kept."""
-        return _freeze(_edge_storage(*self.edges, self.n_nodes))
+        lo, hi, w = self.edges
+        n = self.n_nodes
+        if _stored_sparse(2 * w.size, n, n):
+            return _freeze(_EdgePattern.of(lo, hi, n).csr(lambda k: w[k]))
+        return _freeze(_edge_dense(lo, hi, w, n))
 
     @property
     def n_nodes(self) -> int:
@@ -395,13 +385,15 @@ class NormalizedLaplacian:
 
     ``matrix`` is I - D^{-1/2} A D^{-1/2}, with spectrum inside [0, 2], or its
     Chebyshev-domain rescaling L - I, with spectrum inside [-1, 1]: an
-    ndarray, a ``scipy.sparse.csr_array`` from the public builders, or a
-    :class:`_CsrMatrix` from the training path (``_chebyshev_laplacian``).
+    ndarray or a :class:`CsrMatrix`.
     """
 
     matrix: object
 
     def __post_init__(self):
+        if not isinstance(self.matrix, (np.ndarray, CsrMatrix)):
+            raise TypeError("a Laplacian matrix must be an ndarray or a CsrMatrix, "
+                            f"got {type(self.matrix).__name__}")
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise GraphInvariantError(f"Laplacian must be square, got {self.matrix.shape}")
         _freeze(self.matrix)
@@ -430,15 +422,14 @@ def build_laplacian(graph) -> NormalizedLaplacian:
         edges = _Edges(*graph.edges, graph.n_nodes)  # checked at construction
     else:
         edges = _matrix_edges(graph)
-    lap = _edge_laplacian(edges, 1.0)
-    return NormalizedLaplacian(matrix=lap if isinstance(lap, np.ndarray) else lap.csr_array())
+    return NormalizedLaplacian(matrix=_edge_laplacian(edges, 1.0))
 
 
 def _edge_laplacian(edges: _Edges, diagonal: float):
     """The normalized Laplacian of canonical edge columns in the storage the
     density rule picks, with ``diagonal`` on its diagonal: 1.0 gives
     I - D^{-1/2} A D^{-1/2}, 0.0 the Chebyshev rescaling L - I (a CSR one,
-    a :class:`_CsrMatrix`, stores no zeros). The degrees are the adjacency's
+    a :class:`CsrMatrix`, stores no zeros). The degrees are the adjacency's
     row sums as its storage adds them, and each edge's (L + L^T) / 2 entry is
     :func:`_edge_values`: bit for bit the whole-matrix formula. A dense L
     reuses the adjacency buffer, a CSR one the adjacency's pattern; the
@@ -481,17 +472,28 @@ def rescale_laplacian(lap: NormalizedLaplacian) -> NormalizedLaplacian:
     """Map a normalized Laplacian to the Chebyshev domain: 2 L / 2 - I = L - I.
 
     The largest eigenvalue of L is at most 2, so the result's spectrum lies
-    inside [-1, 1].
+    inside [-1, 1]. A CSR L must store every row's diagonal entry, as
+    :func:`build_laplacian`'s does; the result stores no zeros.
     """
-    n = lap.n_nodes
-    if isinstance(lap.matrix, np.ndarray):
-        scaled = lap.matrix.copy()
+    n, m = lap.n_nodes, lap.matrix
+    if isinstance(m, np.ndarray):
+        scaled = m.copy()
         scaled.flat[::n + 1] -= 1.0
-    else:
-        import scipy.sparse as sp
-
-        scaled = _canonical_csr(lap.matrix - sp.eye_array(n, format="csr"))
-    return NormalizedLaplacian(matrix=scaled)
+        return NormalizedLaplacian(matrix=scaled)
+    # Subtract 1 at each row's stored diagonal entry, then drop the entries
+    # that become 0, as _EdgePattern.csr drops them.
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    diagonal = np.flatnonzero(m.indices == rows)
+    if diagonal.size < n:
+        row = np.flatnonzero(np.bincount(rows[diagonal], minlength=n) == 0)[0]
+        raise GraphInvariantError(f"row {row} of the CSR Laplacian stores no diagonal entry")
+    data = m.data.copy()
+    data[diagonal] -= 1.0
+    keep = data != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[m.indptr]
+    index = _csr_index(n, np.count_nonzero(keep))
+    return NormalizedLaplacian(matrix=CsrMatrix(
+        data[keep], m.indices[keep].astype(index, copy=False), indptr.astype(index), m.shape))
 
 
 def _chebyshev_laplacian(graph: PopulationGraph) -> NormalizedLaplacian:

@@ -17,9 +17,9 @@ however large the file. The slices are written in file order by one
 formatter per file, so the bytes do not depend on the worker count. Under
 spawn or forkserver each worker re-imports NumPy first, about 0.15 s on a
 2-vCPU VM. Graphs are written and loaded as edge columns
-(``PopulationGraph.edges``), without ``scipy.sparse`` (another 0.2 s), and
-training on a loaded graph does not import it either; here only
-:func:`read_edge_list`, which returns a ``csr_array``, imports it.
+(``PopulationGraph.edges``). Nothing here imports ``scipy.sparse`` (another
+0.2 s): :func:`read_edge_list` returns the package's own CSR matrix,
+:class:`chebgcn.graph.CsrMatrix`.
 
 Readers parse whole columns with ``np.loadtxt`` and check them with array
 tests. Only when a file is rejected are its lines walked again, to name the
@@ -37,8 +37,9 @@ Edge lists (``read_edge_list``) hold one ``i j w`` line per edge:
   undirected edge.
 - When an edge is listed more than once, its last line wins, and a weight of
   0 removes it.
-- The result, canonical edge columns (``graph._Edges``) or the canonical
-  CSR array they give, grows with the number of edges, not ``n_nodes ** 2``.
+- The result, canonical edge columns (``graph._Edges``) or the
+  :class:`~chebgcn.graph.CsrMatrix` they give, grows with the number of
+  edges, not ``n_nodes ** 2``.
 
 The graph writer also writes a binary sidecar beside the edge list,
 ``<edges>.cache``, so that ``load_graph`` can skip the text parse. It is a
@@ -68,7 +69,7 @@ from tokenize import TokenError
 
 import numpy as np
 
-from .graph import PopulationGraph, _edge_csr, _Edges
+from .graph import CsrMatrix, PopulationGraph, _EdgePattern, _Edges
 from .workers import worker_count, worker_map
 
 MISSING_TOKENS = {"", "na", "nan", "none"}
@@ -210,13 +211,14 @@ def _read_edge_columns(path, n_nodes: int) -> _Edges:
     return _Edges(lo[last], hi[last], w[last], n_nodes)
 
 
-def read_edge_list(path, n_nodes: int):
-    """Read ``i j w`` lines into a symmetric (n_nodes, n_nodes) CSR array.
+def read_edge_list(path, n_nodes: int) -> CsrMatrix:
+    """Read ``i j w`` lines into a symmetric (n_nodes, n_nodes) CSR matrix.
 
     See the module docstring for the rules; a file that breaks one raises
     :class:`FileFormatError` naming its first bad line.
     """
-    return _edge_csr(*_read_edge_columns(path, n_nodes))
+    lo, hi, w, n = _read_edge_columns(path, n_nodes)
+    return _EdgePattern.of(lo, hi, n).csr(lambda k: w[k])
 
 
 def _feature_lines(chunk) -> str:

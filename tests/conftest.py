@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import chebgcn
+from chebgcn.graph import CsrMatrix
 
 # Acceptance checks that retrain hundreds of networks and take minutes; a
 # quick local loop is ``pytest -m "not slow"``.
@@ -73,6 +75,23 @@ class CountingPool:
                 return True
 
         return Pending()
+
+
+def scipy_of(m: CsrMatrix):
+    """The ``scipy.sparse.csr_array`` around a CsrMatrix's arrays."""
+    return sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def csr_of(matrix) -> CsrMatrix:
+    """``matrix``, a CsrMatrix or anything ``scipy.sparse.csr_array`` takes,
+    as canonical float64 CSR (sorted rows, no duplicates, no stored zeros)
+    in the package's own type, built by SciPy."""
+    if isinstance(matrix, CsrMatrix):
+        matrix = scipy_of(matrix)
+    csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return CsrMatrix(csr.data, csr.indices, csr.indptr, csr.shape)
 
 
 def random_adjacency(rng, n, p=0.3, weighted=False):

@@ -6,7 +6,6 @@ from dataclasses import asdict
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.sparse as sp
 
 from chebgcn.experiments import (
     COMPARE_MODELS,
@@ -60,6 +59,8 @@ from chebgcn.nn import (
 )
 from chebgcn.simdata import SimConfig, generate, stratified_folds
 from chebgcn.workers import _openblas, _usable_cpus, worker_map
+
+from conftest import csr_of
 
 
 def blas_threads(_=None):
@@ -487,7 +488,7 @@ class TestFoldStacks:
     # far more; the two storages differ by about 1e-15.
     THREE_EXITS_LOSSES = [0.23731705268770004, 0.06804006781638663]
 
-    @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+    @pytest.mark.parametrize("storage", [csr_of, np.asarray])
     @pytest.mark.parametrize("kw, arch, diverged", [
         (dict(epochs=25), ARCH, ()),
         (dict(epochs=20, lr=0.01, optimizer="adam", weight_decay=1e-3), ARCH, ()),
@@ -532,7 +533,7 @@ class TestFoldStacks:
             assert (evaluate_accuracy(one, lap, x, labels, ~train[[f]])
                     == [accuracy_alone(alone, lap, x, labels, ~train[f])])
 
-    @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+    @pytest.mark.parametrize("storage", [csr_of, np.asarray])
     def test_one_stack_takes_every_exit(self, toy_graph, storage, monkeypatch):
         losses = []
 
@@ -558,7 +559,7 @@ class TestFoldStacks:
                                         toy_graph.labels, train[[0, 2]])
         npt.assert_allclose(final, self.THREE_EXITS_LOSSES, rtol=1e-10)
 
-    @pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+    @pytest.mark.parametrize("storage", [csr_of, np.asarray])
     @pytest.mark.parametrize("d", [2, 32, 200])
     @pytest.mark.parametrize("arch", [single_layer(3, 8), inception((1, 4), 8)])
     def test_weights_do_not_depend_on_how_far_the_basis_is_cached(self, toy_graph, storage,

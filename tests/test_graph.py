@@ -19,7 +19,7 @@ from chebgcn.graph import (
     rescale_laplacian,
     _chebyshev_basis,
     _chebyshev_laplacian,
-    _CsrMatrix,
+    CsrMatrix,
     _Edges,
     _sparsetools,
 )
@@ -29,12 +29,14 @@ from chebgcn.simdata import SimConfig, generate
 
 from conftest import (
     bfs_hop_distances,
+    csr_of,
     dense_cheb_matrices,
     euclidean_distance,
     loop_normalized_laplacian,
     package_env,
     path_adjacency,
     random_adjacency,
+    scipy_of,
     spectral_cheb_apply,
 )
 
@@ -76,17 +78,14 @@ class TestBuildLaplacian:
             a = random_adjacency(rng, n, p=p, weighted=True)
             lap = build_laplacian(a)
             npt.assert_allclose(lap.toarray(), loop_normalized_laplacian(a), atol=1e-12)
-        assert sp.issparse(lap.matrix)
+        assert isinstance(lap.matrix, CsrMatrix)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
             a = random_adjacency(np.random.default_rng(seed), 12, p=0.3, weighted=True)
-            m = build_laplacian(a).matrix
-            if sp.issparse(m):
-                assert (m != m.T).nnz == 0
-            else:
-                assert np.array_equal(m, m.T)
+            m = build_laplacian(a).toarray()
+            assert np.array_equal(m, m.T)
         del rng
 
     def test_spectrum_bound_random_graphs(self):
@@ -106,14 +105,12 @@ class TestBuildLaplacian:
     def test_sparse_and_dense_storage_agree(self):
         a = random_adjacency(np.random.default_rng(11), 14, p=0.3, weighted=True)
         dense = build_laplacian(a).toarray()
-        lap_s = NormalizedLaplacian(matrix=sp.csr_array(dense))
+        lap_s = NormalizedLaplacian(matrix=csr_of(dense))
         lap_d = NormalizedLaplacian(matrix=dense)
-        assert sp.issparse(lap_s.matrix)
-        assert not sp.issparse(lap_d.matrix)
         npt.assert_allclose(lap_s.toarray(), lap_d.toarray(), atol=1e-12)
         lt_s, lt_d = rescale_laplacian(lap_s), rescale_laplacian(lap_d)
-        assert sp.issparse(lt_s.matrix)
-        assert not sp.issparse(lt_d.matrix)
+        assert isinstance(lt_s.matrix, CsrMatrix)
+        assert isinstance(lt_d.matrix, np.ndarray)
         npt.assert_allclose(lt_s.toarray(), lt_d.toarray(), atol=1e-12)
 
     def test_laplacian_keeps_csr_storage_of_its_adjacency(self):
@@ -121,12 +118,11 @@ class TestBuildLaplacian:
         a = path_adjacency(10)
         a[0, 5] = a[5, 0] = a[2, 7] = a[7, 2] = a[4, 9] = a[9, 4] = 1.0
         g = make_graph(a)
-        assert sp.issparse(g.adjacency)
+        assert isinstance(g.adjacency, CsrMatrix)
         assert g.adjacency.nnz == 24
         lap = build_laplacian(g)
-        assert sp.issparse(lap.matrix)
-        assert lap.matrix.has_canonical_format
-        assert sp.issparse(rescale_laplacian(lap).matrix)
+        assert_bitwise(lap.matrix, csr_of(lap.toarray()))
+        assert isinstance(rescale_laplacian(lap).matrix, CsrMatrix)
         npt.assert_allclose(lap.toarray(), loop_normalized_laplacian(a), atol=1e-12)
 
     def test_rejects_asymmetric_input(self):
@@ -142,7 +138,7 @@ class TestBuildLaplacian:
         ([[0.0, np.nan], [np.nan, 0.0]], "edge weights must be finite: edge (0, 1) is nan"),
     ])
     def test_rejects_a_bare_adjacency_no_graph_would_hold(self, a, fragment):
-        for storage in (np.array, sp.csr_array):
+        for storage in (np.array, sp.csr_array, csr_of):
             with pytest.raises(GraphInvariantError) as info:
                 build_laplacian(storage(a))
             assert fragment in str(info.value)
@@ -226,12 +222,12 @@ class TestChebyshevApply:
         a = random_adjacency(rng, 12, p=0.3, weighted=True)
         x = rng.standard_normal((12, 4))
         dense = rescale_laplacian(build_laplacian(a)).toarray()
-        lt_s = NormalizedLaplacian(matrix=sp.csr_array(dense))
+        lt_s = NormalizedLaplacian(matrix=csr_of(dense))
         lt_d = NormalizedLaplacian(matrix=dense)
         for s, d in zip(chebyshev_apply(lt_s, x, 5), chebyshev_apply(lt_d, x, 5)):
             npt.assert_allclose(s, d, atol=1e-12)
 
-    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+    @pytest.mark.parametrize("storage", [np.asarray, csr_of])
     def test_in_place_recurrence_is_bitwise_the_out_of_place_one(self, storage):
         rng = np.random.default_rng(9)
         dense = rescale_laplacian(build_laplacian(random_adjacency(rng, 15, p=0.3))).toarray()
@@ -294,8 +290,8 @@ class TestPopulationGraph:
     def test_storage_policy_density_cutoff(self):
         sparse_a = path_adjacency(10)  # density well under 25%
         dense_a = random_adjacency(np.random.default_rng(0), 10, p=0.9)
-        assert sp.issparse(make_graph(sparse_a).adjacency)
-        assert not sp.issparse(make_graph(dense_a).adjacency)
+        assert isinstance(make_graph(sparse_a).adjacency, CsrMatrix)
+        assert isinstance(make_graph(dense_a).adjacency, np.ndarray)
 
     def test_rejects_negative_weights(self):
         a = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -323,7 +319,7 @@ class TestPopulationGraph:
     def test_rejects_non_finite_weights_naming_the_pair(self, storage, weight):
         # a 4-node path is 37.5% dense, a 10-node path 18%
         a = path_adjacency(4 if storage == "dense" else 10)
-        assert sp.issparse(make_graph(a).adjacency) == (storage == "sparse")
+        assert isinstance(make_graph(a).adjacency, CsrMatrix) == (storage == "sparse")
         a[1, 2] = a[2, 1] = weight
         with pytest.raises(GraphInvariantError, match=rf"finite: edge \(1, 2\) is {weight}"):
             make_graph(a)
@@ -377,7 +373,7 @@ class TestPopulationGraph:
     def test_a_read_only_sparse_adjacency_is_taken_again(self):
         # canonicalizing works on a copy, never in the frozen buffers
         g = make_graph(path_adjacency(10))
-        assert sp.issparse(g.adjacency)
+        assert isinstance(g.adjacency, CsrMatrix)
         assert make_graph(g.adjacency).n_edges == 9
         npt.assert_array_equal(build_laplacian(g.adjacency).toarray(),
                                build_laplacian(g).toarray())
@@ -391,34 +387,31 @@ class TestPopulationGraph:
         stored = sp.csr_array((data, (rows, cols)), shape=(10, 10))
         assert stored.nnz == 28
         adj = make_graph(stored).adjacency
-        assert sp.issparse(adj) and adj.nnz == 18
+        assert isinstance(adj, CsrMatrix) and adj.nnz == 18
         npt.assert_array_equal(adj.toarray(), path_adjacency(10))
 
 
 def canonical_csr(matrix):
     """A float64 CSR copy of ``matrix``: sorted indices, no duplicates and no
     stored zeros."""
-    csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    csr.sort_indices()
-    return csr
+    return scipy_of(csr_of(matrix))
 
 
 def stored_matrix(matrix):
     """The adjacency a graph stored when it kept its input matrix itself:
     canonical float64 CSR when fewer than SPARSE_DENSITY_CUTOFF of the
     entries are nonzero (stored zeros not counted), else a float64 array."""
-    csr = canonical_csr(matrix)
+    csr = csr_of(matrix)
     if csr.nnz < SPARSE_DENSITY_CUTOFF * np.prod(csr.shape):
         return csr
-    return csr.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=np.float64)
+    return np.array(matrix, dtype=np.float64) if isinstance(matrix, np.ndarray) else csr.toarray()
 
 
 def assert_bitwise(got, want):
     assert type(got) is type(want)
-    if sp.issparse(want):
-        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+    if isinstance(want, CsrMatrix):
+        assert got.shape == want.shape
+        assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
         # The same index values; they are int32 whatever index dtype a CSR
         # input had, since the storage is built from the edge columns.
         for field in ("indices", "indptr"):
@@ -459,18 +452,21 @@ class TestEdgeColumns:
     """A graph holds edge columns and builds the adjacency it used to store
     from them, bit for bit, on first read."""
 
-    @pytest.mark.parametrize("given", ["dense", "csr", "csr-stored-zeros", "columns"])
+    @pytest.mark.parametrize("given", [
+        "dense", "csr", "csr-stored-zeros", "CsrMatrix", "CsrMatrix-stored-zeros", "columns"])
     @pytest.mark.parametrize("name, dense", DENSITIES, ids=[d[0] for d in DENSITIES])
     def test_adjacency_is_the_stored_matrix_bit_for_bit(self, given, name, dense):
+        stored_zeros = with_stored_zeros(dense)
         arg = {"dense": dense, "csr": sp.csr_array(dense), "columns": upper_columns(dense),
-               "csr-stored-zeros": with_stored_zeros(dense)}[given]
+               "csr-stored-zeros": stored_zeros, "CsrMatrix": csr_of(dense),
+               "CsrMatrix-stored-zeros": CsrMatrix(stored_zeros.data, stored_zeros.indices,
+                                                   stored_zeros.indptr, stored_zeros.shape)}[given]
         g = make_graph(arg)
         assert "adjacency" not in vars(g)
         assert g.n_edges == np.count_nonzero(dense) // 2
         want = stored_matrix(dense if given == "columns" else arg)
-        assert sp.issparse(want) == (name == "below")
+        assert isinstance(want, CsrMatrix) == (name == "below")
         assert_bitwise(g.adjacency, want)
-        assert_bitwise(g.adjacency.sum(axis=1), want.sum(axis=1))
         assert g.adjacency is g.adjacency
         for got, ref in zip(g.edges, upper_columns(dense)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -487,10 +483,9 @@ class TestEdgeColumns:
             sigma = dist[~np.eye(dist.shape[0], dtype=bool)].mean()
             dense = np.exp(-(dist * dist) / (2.0 * sigma * sigma)) * close
         want = stored_matrix(dense)
-        assert sp.issparse(want) == (beta == 0.5)
+        assert isinstance(want, CsrMatrix) == (beta == 0.5)
         assert g.n_edges == np.count_nonzero(dense) // 2
         assert_bitwise(g.adjacency, want)
-        assert_bitwise(g.adjacency.sum(axis=1), want.sum(axis=1))
 
     @pytest.mark.parametrize("break_rule", [
         "unsorted", "repeated", "reversed", "zero-weight", "nan-weight", "inf-weight",
@@ -529,6 +524,16 @@ class TestEdgeColumns:
      GraphInvariantError, "train_mask must be a boolean array of length 3"),
     (lambda: NormalizedLaplacian(matrix=np.zeros((2, 3))),
      GraphInvariantError, "Laplacian must be square, got (2, 3)"),
+    (lambda: NormalizedLaplacian(matrix=sp.csr_array(np.eye(2))),
+     TypeError, "must be an ndarray or a CsrMatrix, got csr_array"),
+    # row 1 stores only its (1, 0) entry
+    (lambda: rescale_laplacian(NormalizedLaplacian(matrix=CsrMatrix(
+        np.array([1.0, -0.5, -0.5]), np.array([0, 1, 0]), np.array([0, 2, 3]), (2, 2)))),
+     GraphInvariantError, "row 1 of the CSR Laplacian stores no diagonal entry"),
+    # (0, 1) and (1, 0) twice each
+    (lambda: make_graph(CsrMatrix(np.ones(4), np.array([1, 1, 0, 0]), np.array([0, 2, 4]),
+                                  (2, 2))),
+     GraphInvariantError, "a CsrMatrix adjacency must have sorted rows without duplicates"),
     (lambda: khop_reach(build_laplacian(path_adjacency(3)), -1),
      ValueError, "k must be a nonnegative integer, got -1"),
 ])
@@ -598,19 +603,32 @@ class TestEdgeLaplacian:
         assert a[2:].any() and not a[:2].any() and not np.all(a == np.round(a))
         train = _chebyshev_laplacian(g)
         cases = [(build_laplacian(g), False), (build_laplacian(sp.csr_array(a)), False),
+                 (build_laplacian(csr_of(a)), False),
                  (rescale_laplacian(build_laplacian(g)), True), (train, True)]
         assert "adjacency" not in vars(g)
-        # the training Laplacian is bare NumPy arrays, the public ones SciPy's
-        assert isinstance(train.matrix, _CsrMatrix)
         for lap, rescaled in cases:
             got, want = lap.matrix, csr_formula_laplacian(sp.csr_array(a), rescaled)
-            assert lap is train or (sp.issparse(got) and got.has_canonical_format)
+            assert isinstance(got, CsrMatrix)
             for field in ("data", "indices", "indptr"):
                 x, y = getattr(got, field), getattr(want, field)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
         formula = formula_laplacian(a)
         formula.flat[::n + 1] -= 1.0
         npt.assert_allclose(got.toarray(), formula, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_rescaled_public_laplacian_is_the_training_one(self, storage):
+        # every array and its dtype, on 200 random graphs with isolated nodes
+        rng = np.random.default_rng(30)
+        done = 0
+        while done < 200:
+            n = int(rng.integers(4, 40))
+            p = rng.uniform(0.4, 0.9) if storage == "dense" else rng.uniform(0.01, 0.15)
+            g, _ = isolated_graph(rng, n, p)
+            want = _chebyshev_laplacian(g).matrix
+            if isinstance(want, np.ndarray) == (storage == "dense"):
+                assert_bitwise(rescale_laplacian(build_laplacian(g)).matrix, want)
+                done += 1
 
     def test_training_laplacian_holds_one_dense_matrix(self):
         rng = np.random.default_rng(5)
@@ -649,7 +667,7 @@ class TestEdgeLaplacian:
         finally:
             tracemalloc.stop()
         m = lap.matrix
-        assert isinstance(m, _CsrMatrix) and m.indices.dtype == np.int32
+        assert isinstance(m, CsrMatrix) and m.indices.dtype == np.int32
         assert m.data.size == 2 * g.n_edges and m.indptr[4] == m.indptr[3]
         kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
         # The arrays kept, 12 B per entry, plus 16 B per edge: the pattern's
@@ -668,7 +686,7 @@ class TestEdgeLaplacian:
         g = make_graph(a)
         got = _chebyshev_laplacian(g).matrix
         want = csr_formula_laplacian(sp.csr_array(a), rescaled=True)
-        assert isinstance(got, _CsrMatrix) and got.data.size < 2 * g.n_edges
+        assert isinstance(got, CsrMatrix) and got.data.size < 2 * g.n_edges
         for field in ("data", "indices", "indptr"):
             x, y = getattr(got, field), getattr(want, field)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
@@ -679,6 +697,49 @@ import sys
 from chebgcn.graph import _sparsetools
 print(_sparsetools().__name__, "scipy.sparse" in sys.modules)
 """
+
+
+NO_SCIPY_SPARSE_PROBE = """\
+import sys
+sys.modules["scipy.sparse"] = None  # any import of it raises
+import numpy as np
+from chebgcn.graph import CsrMatrix, PopulationGraph, build_laplacian, rescale_laplacian
+from chebgcn.io import read_edge_list, write_edge_list
+
+def same(a, b):
+    a, b = ([m] if isinstance(m, np.ndarray) else m[:3] for m in (a, b))
+    return len(a) == len(b) and all(x.dtype == y.dtype and x.shape == y.shape
+                                    and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+rng = np.random.default_rng(0)
+for storage, p in (("csr", 0.05), ("dense", 0.6)):
+    n = 60
+    upper = np.triu(rng.random((n, n)) < p, 1) * rng.uniform(0.5, 2.0, (n, n))
+    upper[:2] = upper[:, :2] = 0.0  # two isolated nodes
+    g = PopulationGraph(upper + upper.T, rng.standard_normal((n, 2)), np.arange(n) % 2,
+                        np.ones(n, dtype=bool))
+    kind = CsrMatrix if storage == "csr" else np.ndarray
+    lap = build_laplacian(g)
+    again = PopulationGraph(g.adjacency, g.features, g.labels, g.train_mask)
+    checks = [isinstance(m, kind) for m in (g.adjacency, lap.matrix, rescale_laplacian(lap).matrix)]
+    checks += [same(again.edges, g.edges), same(build_laplacian(g.adjacency).matrix, lap.matrix)]
+    write_edge_list(f"{storage}.txt", *g.edges)
+    back = read_edge_list(f"{storage}.txt", n)
+    checks.append(isinstance(back, CsrMatrix) and np.array_equal(back.toarray(), upper + upper.T))
+    print(storage, *checks)
+"""
+
+
+def test_public_builders_need_no_scipy_sparse(tmp_path):
+    # build_laplacian, rescale_laplacian, graph.adjacency and read_edge_list
+    # give the package's own CSR type, and a graph's adjacency goes back into
+    # PopulationGraph and build_laplacian bit for bit, in both storages, with
+    # scipy.sparse made unimportable.
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SPARSE_PROBE], cwd=tmp_path,
+                          env=package_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "csr" + " True" * 6, "dense" + " True" * 6]
 
 
 class TestCsrKernel:
@@ -698,7 +759,7 @@ class TestCsrKernel:
         m = _chebyshev_laplacian(g).matrix
         x = np.random.default_rng(1).standard_normal((200, 16))
         signals = (x, np.asfortranarray(x[:, :5]), x[:, :1], x[:, 0])
-        want = [(m.csr_array() @ s).tobytes() for s in signals]
+        want = [(scipy_of(m) @ s).tobytes() for s in signals]
         assert [(m @ s).tobytes() for s in signals] == want
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
         _sparsetools.cache_clear()

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import chebgcn.io
 import chebgcn.workers
-from chebgcn.graph import PopulationGraph
+from chebgcn.graph import CsrMatrix, PopulationGraph
 from chebgcn.io import (
     FileFormatError,
     load_graph,
@@ -22,7 +22,7 @@ from chebgcn.io import (
     write_features_csv,
 )
 
-from conftest import CountingPool, random_adjacency
+from conftest import CountingPool, csr_of, random_adjacency, scipy_of
 
 
 def tiny_graph(n=6, seed=0, p=0.5):
@@ -58,7 +58,7 @@ def write_text(tmp_path, text, name="edges.txt"):
 class TestEdgeList:
     def test_round_trip_is_bitwise(self, tmp_path):
         g = tiny_graph()
-        assert not sp.issparse(g.adjacency)
+        assert isinstance(g.adjacency, np.ndarray)
         path = tmp_path / "edges.txt"
         write_edge_list(path, *g.edges)
         back = read_edge_list(path, n_nodes=g.n_nodes)
@@ -66,7 +66,7 @@ class TestEdgeList:
 
     def test_round_trip_from_sparse(self, tmp_path):
         g = tiny_graph(n=12, seed=3, p=0.15)
-        assert sp.issparse(g.adjacency)
+        assert isinstance(g.adjacency, CsrMatrix)
         path = tmp_path / "edges.txt"
         write_edge_list(path, *g.edges)
         back = read_edge_list(path, n_nodes=12)
@@ -119,11 +119,10 @@ class TestEdgeList:
     def test_returns_canonical_csr(self, tmp_path):
         path = write_text(tmp_path, "3 1 1.5\n0 2 2.0\n1 0 0.25\n2 3 4.0\n")
         back = read_edge_list(path, n_nodes=4)
-        assert isinstance(back, sp.csr_array)
-        assert back.has_canonical_format
+        assert isinstance(back, CsrMatrix)
         assert back.nnz == 8 and np.all(back.data != 0.0)
-        # the same buffers as CSR storage of the equivalent dense array
-        expected = sp.csr_array(back.toarray())
+        # the same buffers as canonical CSR of the equivalent dense array
+        expected = csr_of(back.toarray())
         for attr in ("data", "indices", "indptr"):
             got, want = getattr(back, attr), getattr(expected, attr)
             assert got.dtype == want.dtype
@@ -158,7 +157,7 @@ class TestEdgeList:
         lines = ["0 1 1.0"] + [f"{i} {j} 0.0" for i in range(10) for j in range(i + 1, 10) if j > 1]
         write_text(tmp_path, "\n".join(lines) + "\n")
         back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt")
-        assert sp.issparse(back.adjacency)
+        assert isinstance(back.adjacency, CsrMatrix)
         assert back.adjacency.nnz == 2
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
@@ -222,7 +221,7 @@ class TestEdgeList:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert isinstance(back.adjacency, sp.csr_array)
+        assert isinstance(back.adjacency, CsrMatrix)
         assert back.adjacency.nnz == g.adjacency.nnz
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
@@ -250,11 +249,11 @@ class TestWritersByteIdentity:
     @pytest.mark.parametrize("storage", ["dense", "sparse", "sparse-unsorted"])
     def test_edge_list_bytes(self, tmp_path, storage):
         adjacency = self.awkward_graph().adjacency
-        assert sp.issparse(adjacency)
+        assert isinstance(adjacency, CsrMatrix)
         if storage == "dense":
             adjacency = adjacency.toarray()
         elif storage == "sparse-unsorted":
-            # every row's column indices reversed
+            # every row's column indices reversed, as a scipy sparse input
             rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
             order = np.lexsort((-adjacency.indices, rows))
             adjacency = sp.csr_array(
@@ -315,7 +314,7 @@ def multi_chunk_graph(n, d, adjacency=None):
 
 
 def edge_lines_one_by_one(adj) -> str:
-    coo = sp.triu(adj, k=1).tocoo()
+    coo = sp.triu(scipy_of(adj) if isinstance(adj, CsrMatrix) else adj, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
     return "".join(
         f"{i} {j} {float(w)!r}\n"
@@ -506,7 +505,7 @@ class TestGraphRoundTrip:
         g = tiny_graph(n=10, seed=9)
         save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.txt")
         back = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.txt")
-        assert not sp.issparse(back.adjacency)
+        assert isinstance(back.adjacency, np.ndarray)
         npt.assert_array_equal(back.adjacency, g.adjacency)
         npt.assert_array_equal(back.features, g.features)
         npt.assert_array_equal(back.labels, g.labels)
@@ -522,8 +521,8 @@ def parsed_graph(features_path, edges_path):
 
 
 def assert_same_graph(a, b):
-    assert sp.issparse(a.adjacency) == sp.issparse(b.adjacency)
-    if sp.issparse(a.adjacency):
+    assert type(a.adjacency) is type(b.adjacency)
+    if isinstance(a.adjacency, CsrMatrix):
         for field in ("data", "indices", "indptr"):
             npt.assert_array_equal(getattr(a.adjacency, field), getattr(b.adjacency, field))
     else:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.sparse as sp
 
 from chebgcn.graph import (
     NormalizedLaplacian,
@@ -34,7 +33,7 @@ from chebgcn.nn import (
     network_forward,
 )
 
-from conftest import dense_cheb_matrices, path_adjacency, random_adjacency
+from conftest import csr_of, dense_cheb_matrices, path_adjacency, random_adjacency
 
 
 def make_lap(n, seed=0, p=0.4):
@@ -304,7 +303,7 @@ class TestNetworkForward:
         assert calls == [10]
         # a 3-fold stack on CSR: the module past the first runs one
         # recurrence on the whole stack
-        lt_csr = NormalizedLaplacian(matrix=sp.csr_array(lt.toarray()))
+        lt_csr = NormalizedLaplacian(matrix=csr_of(lt.toarray()))
         stack = net.map(lambda p: np.stack([p, -p, 0.5 * p]))
         calls.clear()
         network_forward(stack, lt_csr, x)
@@ -560,7 +559,7 @@ def per_branch_input_gradient(module, lt, mtape, g):
     return dh
 
 
-@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("storage", [np.asarray, csr_of])
 def test_in_place_reverse_recurrence_is_bitwise_the_out_of_place_one(storage):
     rng = np.random.default_rng(3)
     lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=3).toarray()))
@@ -573,7 +572,7 @@ def test_in_place_reverse_recurrence_is_bitwise_the_out_of_place_one(storage):
     npt.assert_array_equal(dh, reverse_pass(lt, [g @ layer.theta[r].T for r in range(5)]))
 
 
-@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("storage", [np.asarray, csr_of])
 @pytest.mark.parametrize("aggregator", ["concat", "maxpool"])
 def test_one_reverse_pass_matches_the_sum_of_per_branch_passes(storage, aggregator):
     # Summing the branch coefficients before one reverse pass reorders the
@@ -610,7 +609,7 @@ class CountingMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
-@pytest.mark.parametrize("storage", [sp.csr_array, np.asarray])
+@pytest.mark.parametrize("storage", [csr_of, np.asarray])
 @pytest.mark.parametrize("width, folds", [(1, 2), (3, 3), (8, 3), (16, 2)])
 def test_fold_basis_gives_each_fold_its_own_basis(storage, width, folds):
     # on OpenBLAS a dense wide product is inexact at some of these widths, so
@@ -672,7 +671,7 @@ class TestFirstModule:
         # dtheta only, as g.T @ basis: the input is data
         assert shapes == [((12, 6), True), ((12, 15), True)]
 
-    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+    @pytest.mark.parametrize("storage", [np.asarray, csr_of])
     @pytest.mark.parametrize("folds, d", [(1, 2), (3, 2), (3, 32), (2, 200)])
     def test_fused_products_agree_with_per_order_sums_to_roundoff(self, storage, folds, d):
         # Each entry is a dot product of length n, (k + 1) d forward and N for
@@ -746,7 +745,7 @@ class TestClassifierLayer:
     """The classifier runs as the last module, an order-0 linear filter, and
     must give bitwise what a dense layer on the last hidden state gives."""
 
-    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+    @pytest.mark.parametrize("storage", [np.asarray, csr_of])
     @pytest.mark.parametrize("folds", [None, 2, 5])
     def test_forward_and_backward_are_the_dense_layers(self, storage, folds):
         lt = NormalizedLaplacian(matrix=storage(make_lap(12, seed=80).toarray()))
